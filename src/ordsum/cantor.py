@@ -211,6 +211,7 @@ class GapOrderFacts:
     has_min: bool | None
     has_max: bool | None
     successor_witness: tuple[Box, Box] | None
+    collection: GapCollection  # the expansion the facts were read from
 
 
 def _successor_witness(gaps: list[Box]) -> tuple[Box, Box] | None:
@@ -249,7 +250,7 @@ def analyze_gap_order(system: CantorSystem, depth: int) -> GapOrderFacts:
         dense = False
     else:
         dense = None
-    return GapOrderFacts(dense, has_min, has_max, witness)
+    return GapOrderFacts(dense, has_min, has_max, witness, collection)
 
 
 def _gap_index(rule, node_depth: int, node_pos: int, which: int) -> int:

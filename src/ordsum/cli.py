@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .cantor import analyze_gap_order, expand, format_gaps, parse_system
+from .cantor import analyze_gap_order, format_gaps, parse_system
 from .iso import (
     Iso,
     Unknown,
@@ -104,9 +104,8 @@ def _cmd_from_lo(args) -> int:
 
 def _cmd_cantor(args) -> int:
     system = parse_system(args.system)
-    _, collection = expand(system, args.depth)
-    sys.stdout.write(format_gaps(collection))
     facts = analyze_gap_order(system, args.depth)
+    sys.stdout.write(format_gaps(facts.collection))
     print(f"property_E {_tri(system.property_e)}")
     print(f"dense {_tri(facts.dense)}")
     print(f"has_min {_tri(facts.has_min)}")

@@ -27,6 +27,7 @@ __all__ = [
     "MaximumExistsMismatch",
     "SuccessorPairPresent",
     "DensityMismatch",
+    "CardinalityMismatch",
     "FiniteLabelSequenceMismatch",
     "AffineSegment",
     "IsoWitness",
@@ -104,6 +105,20 @@ class DensityMismatch:
 
 
 @dataclass(frozen=True)
+class CardinalityMismatch:
+    @property
+    def tag(self) -> str:
+        return "CardinalityMismatch"
+
+    @property
+    def detail(self) -> str:
+        return (
+            "one side has finitely many pieces; "
+            "the other lists infinitely many disjoint pieces"
+        )
+
+
+@dataclass(frozen=True)
 class FiniteLabelSequenceMismatch:
     position: int
 
@@ -155,6 +170,7 @@ class NotIso:
         | MaximumExistsMismatch
         | SuccessorPairPresent
         | DensityMismatch
+        | CardinalityMismatch
         | FiniteLabelSequenceMismatch
     )
 
@@ -207,11 +223,21 @@ def _greatest_entry(t: TNorm, depth: int) -> SignatureEntry:
 
 
 def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
-    """Certificate-driven three-valued decision for lazy presentations."""
-    if t1.is_finite or t2.is_finite:
-        raise PreconditionError("decide_iso_lazy needs two lazy presentations")
+    """Certificate-driven three-valued decision when a side is lazy.
+
+    A finite presentation against a lazy one is always NOT_ISO with a
+    CardinalityMismatch: the finite side has finitely many pieces, every
+    piece generator lists infinitely many disjoint ones, and an
+    isomorphism maps pieces bijectively onto pieces.  Two lazy sides get
+    ISO, NOT_ISO or UNKNOWN from the certificates below.  Two finite
+    sides belong to `decide_iso_finite` and are refused here.
+    """
+    if t1.is_finite and t2.is_finite:
+        raise PreconditionError("decide_iso_lazy needs a lazy presentation")
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
+    if t1.is_finite or t2.is_finite:
+        return NotIso(CardinalityMismatch())
     g1, g2 = t1.generator, t2.generator
     f1, f2 = g1.facts, g2.facts
 

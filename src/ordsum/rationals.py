@@ -9,8 +9,27 @@ Denominator 1 contributes 0 and 1; denominator d >= 2 contributes its
 phi(d) reduced numerators in ascending order.  Every rational in [0, 1]
 appears exactly once, so the enumeration has an exact inverse
 (`rational_index`) and a least-index search over intervals
-(`min_index_in`).  All arithmetic is `fractions.Fraction`; nothing here
-is approximate.
+(`min_index_in`).  All arithmetic is `fractions.Fraction` or `int`;
+nothing here is approximate.
+
+Index arithmetic never walks the enumeration across denominators.
+The entries with denominator <= d number 1 + Phi(d), where
+Phi(n) = phi(1) + ... + phi(n) is the summatory totient.  Up to
+denominator 1024 it is read from a fixed table; beyond that it comes
+from the recursion
+
+    Phi(n) = n(n+1)/2 - sum_{k>=2} Phi(n // k),
+
+grouped over the O(sqrt n) distinct quotients n // k and memoised in a
+dict that lives for one call, which takes sublinear time.  The position
+inside denominator d is an inclusion-exclusion count over the primes of
+d.  `rational_at` reads indices below the table's end off the table;
+past it, it estimates d from Phi(d) ~ 3 d^2 / pi^2, corrects the
+estimate by single totients, and bisects the numerator on that count.
+The least-index rational of an interval is its Stern-Brocot
+simplest rational, found by continued-fraction descent in O(log d)
+steps.  No cache grows with the input: memory stays flat however deep
+the denominators go.
 """
 
 from __future__ import annotations
@@ -18,12 +37,11 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 __all__ = [
     "check_unit",
     "parse_rational",
-    "format_rational",
     "rational_at",
     "rational_index",
     "min_entry_in",
@@ -34,10 +52,24 @@ __all__ = [
 
 _RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 
-# Sieve caches, grown on demand.  _cum[d] counts enumeration entries with
-# denominator <= d, so _cum[1] == 2 and _cum[d] == _cum[d-1] + phi(d).
-_phi: list[int] = [0, 1]
-_cum: list[int] = [0, 2]
+_TABLE_LIMIT = 1024
+
+
+def _count_table(limit: int) -> tuple[int, ...]:
+    """counts[d] = entries with denominator <= d, for 0 <= d <= limit."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p is prime; sieve out its factor from all multiples
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    counts = [0, 2]
+    for d in range(2, limit + 1):
+        counts.append(counts[-1] + phi[d])
+    return tuple(counts)
+
+
+# Fixed at import; counts[d] == 1 + Phi(d) for d >= 1.
+_COUNTS = _count_table(_TABLE_LIMIT)
 
 
 def check_unit(q: Fraction) -> Fraction:
@@ -61,27 +93,30 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(q: Fraction) -> str:
-    """Render lowest-terms "p/q"; integers render without "/1"."""
-    return str(q)
+def _totient_sum(n: int, memo: dict[int, int]) -> int:
+    """Phi(n) for n > _TABLE_LIMIT, by the quotient recursion over the fixed table."""
+    total = memo.get(n)
+    if total is not None:
+        return total
+    total = n * (n + 1) // 2
+    k = 2
+    while k <= n:
+        quotient = n // k
+        last = n // quotient  # every k' in [k, last] has n // k' == quotient
+        if quotient <= _TABLE_LIMIT:
+            total -= (last - k + 1) * (_COUNTS[quotient] - 1)
+        else:
+            total -= (last - k + 1) * _totient_sum(quotient, memo)
+        k = last + 1
+    memo[n] = total
+    return total
 
 
-def _grow(limit: int) -> None:
-    global _phi, _cum
-    if limit < len(_phi):
-        return
-    n = max(limit, 2 * (len(_phi) - 1), 1024)
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p is prime; sieve out its factor from all multiples
-            for m in range(p, n + 1, p):
-                phi[m] -= phi[m] // p
-    cum = [0] * (n + 1)
-    if n >= 1:
-        cum[1] = 2
-    for d in range(2, n + 1):
-        cum[d] = cum[d - 1] + phi[d]
-    _phi, _cum = phi, cum
+def _count(d: int) -> int:
+    """How many entries have denominator <= d, for d >= 0."""
+    if d <= _TABLE_LIMIT:
+        return _COUNTS[d]
+    return 1 + _totient_sum(d, {})
 
 
 def rational_at(n: int) -> Fraction:
@@ -92,17 +127,37 @@ def rational_at(n: int) -> Fraction:
         return Fraction(0)
     if n == 1:
         return Fraction(1)
-    while _cum[-1] <= n:
-        _grow(2 * (len(_cum) - 1))
-    d = bisect_right(_cum, n)
-    offset = n - _cum[d - 1]
-    seen = 0
-    for p in range(1, d):
-        if gcd(p, d) == 1:
-            if seen == offset:
-                return Fraction(p, d)
-            seen += 1
-    raise AssertionError("enumeration bookkeeping out of sync")
+    if n < _COUNTS[-1]:
+        d = bisect_right(_COUNTS, n)
+        offset = n - _COUNTS[d - 1]
+        seen = 0
+        for p in range(1, d):
+            if gcd(p, d) == 1:
+                if seen == offset:
+                    return Fraction(p, d)
+                seen += 1
+        raise AssertionError("enumeration bookkeeping out of sync")
+    # count(d) = 3 d^2 / pi^2 + O(d log d): start at the estimate and step
+    # by single totients, keeping below == count(d - 1)
+    d = max(_TABLE_LIMIT + 1, isqrt(n * 328986813369645 // 10**14))
+    below = _count(d - 1)
+    while below > n:
+        d -= 1
+        below -= _totient(d)
+    while n >= below + (phi := _totient(d)):
+        below += phi
+        d += 1
+    # the (n - below)-th numerator coprime to d: least p with that many below it
+    offset = n - below
+    primes = _distinct_prime_factors(d)
+    lo, hi = 1, d - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _coprimes_below(mid + 1, primes) > offset:
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(lo, d)
 
 
 def _distinct_prime_factors(d: int) -> list[int]:
@@ -123,9 +178,15 @@ def _distinct_prime_factors(d: int) -> list[int]:
     return out
 
 
-def _coprimes_below(p: int, d: int) -> int:
-    """Count integers in [1, p) coprime to d, by inclusion-exclusion."""
-    primes = _distinct_prime_factors(d)
+def _totient(d: int) -> int:
+    result = d
+    for p in _distinct_prime_factors(d):
+        result -= result // p
+    return result
+
+
+def _coprimes_below(p: int, primes: list[int]) -> int:
+    """Count integers in [1, p) divisible by none of `primes` (inclusion-exclusion)."""
     total = 0
     for mask in range(1 << len(primes)):
         prod = 1
@@ -146,11 +207,35 @@ def _coprimes_below(p: int, d: int) -> int:
 def rational_index(q: Fraction) -> int:
     """Inverse of `rational_at`: the unique n with q_n == q."""
     check_unit(q)
-    d = q.denominator
+    p, d = q.numerator, q.denominator
     if d == 1:
-        return q.numerator
-    _grow(d)
-    return _cum[d - 1] + _coprimes_below(q.numerator, d)
+        return p
+    return _count(d - 1) + _coprimes_below(p, _distinct_prime_factors(d))
+
+
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The least-denominator rational strictly inside (lo, hi), 0 <= lo < hi <= 1.
+
+    Stern-Brocot descent from the bounds 0/1 and 1/1: each round moves
+    one bound as far toward the interval as it can go in one batch of
+    equal steps, which is one continued-fraction term, so the loop runs
+    O(log d) times.  The first mediant that lands inside is the answer.
+    """
+    a, b = lo.numerator, lo.denominator
+    c, e = hi.numerator, hi.denominator
+    pl, ql, pr, qr = 0, 1, 1, 1
+    while True:
+        pm, qm = pl + pr, ql + qr
+        if pm * b <= a * qm:
+            # mediant <= lo: the largest k with (pl + k pr)/(ql + k qr) <= lo
+            k = (a * ql - b * pl) // (b * pr - a * qr)
+            pl, ql = pl + k * pr, ql + k * qr
+        elif pm * e >= c * qm:
+            # mediant >= hi: the largest k with (pr + k pl)/(qr + k ql) >= hi
+            k = (e * pr - c * qr) // (c * ql - e * pl)
+            pr, qr = pr + k * pl, qr + k * ql
+        else:
+            return Fraction(pm, qm)
 
 
 def min_entry_in(
@@ -158,31 +243,24 @@ def min_entry_in(
 ) -> tuple[int, Fraction]:
     """Least-index enumeration entry in (lo, hi), or [lo, hi] when closed.
 
-    Returns (index, value).  Scans the enumeration in its own order
-    (denominator-major, then numerator); denominators whose numerator
-    window is empty cost O(1), so deep thin intervals stay affordable.
-    A nonempty interval always contains a rational of denominator
-    <= ceil(1/(hi-lo)) + 1, so the scan terminates.
+    Returns (index, value).  The enumeration is denominator-major, and
+    for d >= 2 an interval holds at most one reduced fraction of its
+    least denominator (two with the same denominator always have a
+    smaller one between them), so the answer is the Stern-Brocot
+    simplest rational of the open interval.  A closed interval also
+    competes its endpoints, compared by (denominator, numerator): that
+    order agrees with the enumeration, including at denominator 1,
+    where 0 (index 0) precedes 1 (index 1).  The index costs one
+    summatory-totient evaluation, with no walk over the enumeration.
     """
     check_unit(lo)
     check_unit(hi)
     if lo >= hi:
         raise ValueError("interval must satisfy lo < hi")
-    a, b = lo.numerator, lo.denominator
-    c, e = hi.numerator, hi.denominator
-    d = 1
-    while True:
-        if closed:
-            p_min = -(-(a * d) // b)  # ceil(a*d/b)
-            p_max = (c * d) // e
-        else:
-            p_min = (a * d) // b + 1
-            p_max = (c * d - 1) // e
-        for p in range(p_min, p_max + 1):
-            if gcd(p, d) == 1:
-                q = Fraction(p, d)
-                return rational_index(q), q
-        d += 1
+    q = _simplest_between(lo, hi)
+    if closed:
+        q = min((lo, hi, q), key=lambda r: (r.denominator, r.numerator))
+    return rational_index(q), q
 
 
 def min_index_in(lo: Fraction, hi: Fraction, closed: bool = False) -> int:
@@ -198,15 +276,13 @@ def fractions_up_to(max_denominator: int) -> list[tuple[Fraction, int]]:
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    _grow(max_denominator)
     items = [(Fraction(0), 0), (Fraction(1), 1)]
+    index = 2
     for d in range(2, max_denominator + 1):
-        base = _cum[d - 1]
-        k = 0
         for p in range(1, d):
             if gcd(p, d) == 1:
-                items.append((Fraction(p, d), base + k))
-                k += 1
+                items.append((Fraction(p, d), index))
+                index += 1
     items.sort(key=lambda item: item[0])
     return items
 
@@ -215,5 +291,4 @@ def count_up_to(max_denominator: int) -> int:
     """How many enumeration entries have denominator <= max_denominator."""
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    _grow(max_denominator)
-    return _cum[max_denominator]
+    return _count(max_denominator)

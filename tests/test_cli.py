@@ -127,7 +127,12 @@ class TestIso:
     def test_mixed_finite_lazy_rejected(self, write, capsys):
         a = write("a", PAIR_A_TEXT)
         b = write("b", "tnorm v1\nfamily limit-left\n")
-        assert main(["iso", a, b]) == 3
+        assert main(["iso", a, b]) == 0
+        assert capsys.readouterr().out == (
+            "NOT_ISO CardinalityMismatch\n"
+            "  one side has finitely many pieces; "
+            "the other lists infinitely many disjoint pieces\n"
+        )
 
 
 class TestTheta:

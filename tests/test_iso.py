@@ -7,6 +7,7 @@ import pytest
 from ordsum.cantor import gap_tnorm, parse_system
 from ordsum.families import ladder_tnorm
 from ordsum.iso import (
+    CardinalityMismatch,
     DensityMismatch,
     FiniteLabelSequenceMismatch,
     Iso,
@@ -146,9 +147,25 @@ class TestLazyDecision:
     def test_rejects_finite_inputs_and_bad_depth(self):
         lazy = ladder_tnorm("limit-left")
         with pytest.raises(PreconditionError):
-            decide_iso_lazy(PAIR_A, lazy, 4)
+            decide_iso_lazy(PAIR_A, PAIR_B, 4)
         with pytest.raises(PreconditionError):
             decide_iso_lazy(lazy, lazy, 0)
+        with pytest.raises(PreconditionError):
+            decide_iso_lazy(PAIR_A, lazy, 0)
+
+    @pytest.mark.parametrize("finite", [PAIR_A, MINIMUM], ids=["pair", "minimum"])
+    @pytest.mark.parametrize(
+        "lazy",
+        [
+            ladder_tnorm("limit-left"),
+            order_tnorm(parse_order("eta")),
+            gap_tnorm(parse_system("cantor:middle-third")),
+        ],
+        ids=["ladder", "eta", "cantor"],
+    )
+    def test_finite_vs_lazy_is_cardinality_mismatch(self, finite, lazy):
+        assert decide_iso_lazy(finite, lazy, 1) == NotIso(CardinalityMismatch())
+        assert decide_iso_lazy(lazy, finite, 8) == NotIso(CardinalityMismatch())
 
     def test_same_fingerprint_short_circuits(self):
         t1 = order_tnorm(parse_order("omega"))

@@ -6,12 +6,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordsum.rationals import (
     count_up_to,
-    format_rational,
     fractions_up_to,
     min_entry_in,
     min_index_in,
@@ -29,6 +28,49 @@ def brute_enumeration(max_denominator: int) -> list[Fraction]:
             if gcd(p, d) == 1 and (d == 1 or 0 < p < d):
                 items.append((d, p))
     return [Fraction(p, d) for d, p in items]
+
+
+def sieve_counts(max_denominator: int) -> list[int]:
+    """Independent oracle: counts[d] = entries with denominator <= d, by a phi sieve."""
+    phi = list(range(max_denominator + 1))
+    for p in range(2, max_denominator + 1):
+        if phi[p] == p:
+            for m in range(p, max_denominator + 1, p):
+                phi[m] -= phi[m] // p
+    counts = [0, 2]
+    for d in range(2, max_denominator + 1):
+        counts.append(counts[-1] + phi[d])
+    return counts
+
+
+SIEVE_LIMIT = 3000
+SIEVE = sieve_counts(SIEVE_LIMIT)
+
+
+def sieve_index(q: Fraction) -> int:
+    """Position of q from the sieve counts and a direct numerator count."""
+    p, d = q.numerator, q.denominator
+    if d == 1:
+        return p
+    return SIEVE[d - 1] + sum(1 for k in range(1, p) if gcd(k, d) == 1)
+
+
+def scan_min_entry(lo: Fraction, hi: Fraction, closed: bool) -> Fraction:
+    """Independent oracle: scan denominators upward for the first member."""
+    a, b = lo.numerator, lo.denominator
+    c, e = hi.numerator, hi.denominator
+    d = 1
+    while True:
+        if closed:
+            p_min = -(-(a * d) // b)  # ceil(a*d/b)
+            p_max = (c * d) // e
+        else:
+            p_min = (a * d) // b + 1
+            p_max = (c * d - 1) // e
+        for p in range(p_min, p_max + 1):
+            if gcd(p, d) == 1:
+                return Fraction(p, d)
+        d += 1
 
 
 def test_frozen_prefix():
@@ -84,6 +126,12 @@ def test_min_index_matches_rescan(closed):
         (Fraction(9, 10), Fraction(1)),
         (Fraction(1, 100), Fraction(1, 50)),
         (Fraction(7, 9), Fraction(8, 9)),
+        (Fraction(0), Fraction(1, 3)),
+        (Fraction(0), Fraction(1, 40)),
+        (Fraction(2, 3), Fraction(1)),
+        (Fraction(39, 40), Fraction(1)),
+        (Fraction(1, 5), Fraction(2, 5)),
+        (Fraction(1, 2), Fraction(2, 3)),
     ]
     for lo, hi in cases:
         assert min_index_in(lo, hi, closed=closed) == rescan_min_index(lo, hi, closed)
@@ -127,15 +175,83 @@ def test_count_up_to():
     assert count_up_to(2) == 3
     assert count_up_to(4) == 7
     assert count_up_to(40) == len(brute_enumeration(40))
+    assert [count_up_to(d) for d in range(1, SIEVE_LIMIT + 1)] == SIEVE[1:]
+    # phi(1) + ... + phi(10**6) = 303963552392 (OEIS A064018)
+    assert count_up_to(10**6) == 1 + 303963552392
 
 
 def test_fractions_up_to_sorted_with_indices():
-    items = fractions_up_to(12)
-    values = [q for q, _ in items]
-    assert values == sorted(values)
-    assert len(values) == len(set(values))
-    for q, idx in items:
-        assert rational_at(idx) == q
+    for bound in (12, 1030):
+        oracle = brute_enumeration(bound)
+        assert count_up_to(bound) == len(oracle)
+        items = fractions_up_to(bound)
+        values = [q for q, _ in items]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        by_index = sorted(items, key=lambda item: item[1])
+        assert by_index == [(q, n) for n, q in enumerate(oracle)]
+        for q, idx in items[:: 1 + len(items) // 500]:
+            assert rational_at(idx) == q
+
+
+def test_rational_index_matches_sieve():
+    # every reduced p/d on both sides of the 1024 table edge; beyond 1100
+    # the ends and every 97th numerator of each denominator up to 3000
+    # (all of them would be 2.7 million calls)
+    for d in range(2, SIEVE_LIMIT + 1):
+        numerators = [p for p in range(1, d) if gcd(p, d) == 1]
+        positions = list(range(len(numerators)))
+        if d > 1100:
+            positions = positions[:2] + positions[2:-2:97] + positions[-2:]
+        for k in positions:
+            assert rational_index(Fraction(numerators[k], d)) == SIEVE[d - 1] + k
+
+
+@given(n=st.integers(min_value=0, max_value=10**13))
+@example(n=count_up_to(1024) - 1)
+@example(n=count_up_to(1024))
+@example(n=10**13)
+@settings(max_examples=20, deadline=None)
+def test_round_trip_far_past_the_table(n):
+    q = rational_at(n)
+    assert rational_index(q) == n
+    if n >= 2:
+        d = q.denominator
+        assert count_up_to(d - 1) <= n < count_up_to(d)
+
+
+unit_fractions = st.builds(
+    lambda p, d: Fraction(min(p, d), d),
+    st.integers(min_value=0, max_value=1500),
+    st.integers(min_value=1, max_value=1500),
+)
+
+
+@st.composite
+def intervals(draw):
+    """Intervals that are general, touch 0 or 1, or share a denominator."""
+    shape = draw(st.sampled_from(["general", "zero", "one", "shared"]))
+    if shape == "shared":
+        d = draw(st.integers(min_value=2, max_value=1500))
+        p = draw(st.integers(min_value=0, max_value=d - 1))
+        r = draw(st.integers(min_value=p + 1, max_value=d))
+        return Fraction(p, d), Fraction(r, d)
+    a, b = draw(unit_fractions), draw(unit_fractions)
+    if shape == "zero":
+        a = Fraction(0)
+    elif shape == "one":
+        b = Fraction(1)
+    if a == b:
+        a, b = Fraction(0), Fraction(1)
+    return min(a, b), max(a, b)
+
+
+@given(interval=intervals(), closed=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_min_entry_matches_denominator_scan(interval, closed):
+    lo, hi = interval
+    # the mediant lies inside, so the answer's denominator is <= 3000
+    q = scan_min_entry(lo, hi, closed)
+    assert min_entry_in(lo, hi, closed) == (sieve_index(q), q)
 
 
 def test_min_entry_in_pairs_index_with_value():
@@ -154,9 +270,6 @@ def test_parse_and_format():
     assert parse_rational("4/6") == Fraction(2, 3)
     assert parse_rational("1") == Fraction(1)
     assert parse_rational(" 0 ") == Fraction(0)
-    assert format_rational(Fraction(2, 3)) == "2/3"
-    assert format_rational(Fraction(0)) == "0"
-    assert format_rational(Fraction(4, 2)) == "2"
     for bad in ["", "a", "1/2/3", "-1/2", "0.5", "1/0"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
