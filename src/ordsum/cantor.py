@@ -21,6 +21,7 @@ and the gap t-norm puts a Product piece on each gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .rationals import check_unit
@@ -161,7 +162,9 @@ class GapCollection:
     gaps: tuple[Box, ...]
     depth: int
 
-    def sorted_by_position(self) -> list[Box]:
+    @cached_property
+    def by_position(self) -> list[Box]:
+        """The gaps left to right, sorted once per collection."""
         return sorted(self.gaps)
 
 
@@ -214,8 +217,7 @@ class GapOrderFacts:
     collection: GapCollection  # the expansion the facts were read from
 
 
-def _successor_witness(gaps: list[Box]) -> tuple[Box, Box] | None:
-    ordered = sorted(gaps)
+def _successor_witness(ordered: list[Box]) -> tuple[Box, Box] | None:
     for a, b in zip(ordered, ordered[1:]):
         if a[1] == b[0]:
             return (a, b)
@@ -243,7 +245,7 @@ def analyze_gap_order(system: CantorSystem, depth: int) -> GapOrderFacts:
     else:
         has_max = None
 
-    witness = _successor_witness(gaps)
+    witness = _successor_witness(collection.by_position)
     if system.property_e:
         dense = True
     elif witness is not None:
@@ -353,6 +355,6 @@ def gap_tnorm(system: CantorSystem) -> TNorm:
 
 def format_gaps(collection: GapCollection) -> str:
     lines = [f"gaps depth={collection.depth} count={len(collection.gaps)}"]
-    for lo, hi in collection.sorted_by_position():
+    for lo, hi in collection.by_position:
         lines.append(f"( {lo} , {hi} )")
     return "\n".join(lines) + "\n"

@@ -12,11 +12,18 @@ Each I_n carries a Product piece.  The placement embeds the order:
 m below n holds exactly when b_m < a_n, and the windows never collapse,
 so truncating after N pieces changes the operation by at most
 2 * sum of the remaining lengths = 3^-N.
+
+Because the placement embeds the order, x_n and y_n are the facing
+endpoints of n's nearest placed neighbours below and above.  The placed
+elements are kept sorted by position, so placing a new piece costs one
+binary search of O(log n) `less` comparisons, and a lazy generator
+extends its placement without recomputing any piece already placed.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -215,26 +222,46 @@ def parse_order(spec: str) -> LinearOrder:
     raise ValueError(f"unknown order spec: {spec!r}")
 
 
+class _Placement:
+    """The intervals I_0..I_{n-1} of an order, extended one piece at a time.
+
+    `intervals` is in index order; `by_position` lists the placed
+    elements left to right and is what each new piece binary-searches.
+    """
+
+    def __init__(self, order: LinearOrder):
+        self.order = order
+        self.intervals: list[tuple[Fraction, Fraction]] = []
+        self.by_position: list[int] = []
+
+    def extend(self, count: int) -> None:
+        less = self.order.less
+        intervals = self.intervals
+        by_pos = self.by_position
+        for n in range(len(intervals), count):
+            lo, hi = 0, len(by_pos)
+            while lo < hi:  # by_pos[:lo] lie below n, by_pos[hi:] above it
+                mid = (lo + hi) // 2
+                if less(by_pos[mid], n):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            x = intervals[by_pos[lo - 1]][1] if lo > 0 else Fraction(0)
+            y = intervals[by_pos[lo]][0] if lo < len(by_pos) else Fraction(1)
+            eps = Fraction(1, 3 ** (n + 1))
+            intervals.append(((x + y - eps) / 2, (x + y + eps) / 2))
+            by_pos.insert(lo, n)
+
+
 def build_intervals(order: LinearOrder, count: int) -> list[tuple[Fraction, Fraction]]:
     """The first `count` intervals (a_n, b_n) assigned to 0..count-1."""
     if count < 1:
         raise PreconditionError("need at least one interval")
     if order.size is not None and count > order.size:
         raise PreconditionError(f"order has only {order.size} elements")
-    a: list[Fraction] = []
-    b: list[Fraction] = []
-    for n in range(count):
-        x = Fraction(0)
-        y = Fraction(1)
-        for k in range(n):
-            if order.less(k, n):
-                x = max(x, b[k])
-            else:
-                y = min(y, a[k])
-        eps = Fraction(1, 3 ** (n + 1))
-        a.append((x + y - eps) / 2)
-        b.append((x + y + eps) / 2)
-    return list(zip(a, b))
+    placement = _Placement(order)
+    placement.extend(count)
+    return placement.intervals
 
 
 class OrderPieceGenerator(PieceGenerator):
@@ -246,7 +273,8 @@ class OrderPieceGenerator(PieceGenerator):
         if order.size is not None:
             raise PreconditionError("finite orders yield finite presentations directly")
         self.order = order
-        self._intervals: list[tuple[Fraction, Fraction]] = []
+        self._placement = _Placement(order)
+        self._intervals = self._placement.intervals
         self.fingerprint = ("theta", order.name)
         self.facts = StructuralFacts(
             has_min_piece=order.min_element is not None,
@@ -256,14 +284,10 @@ class OrderPieceGenerator(PieceGenerator):
             ),
         )
 
-    def _extend(self, count: int) -> None:
-        if count > len(self._intervals):
-            self._intervals = build_intervals(self.order, count)
-
     def piece_at(self, n: int) -> Piece:
         if n < 0:
             raise PreconditionError(f"negative piece index {n}")
-        self._extend(n + 1)
+        self._placement.extend(n + 1)
         lo, hi = self._intervals[n]
         return Piece(lo, hi, PieceKind.PRODUCT)
 
@@ -272,8 +296,12 @@ class OrderPieceGenerator(PieceGenerator):
         return Fraction(1, 2 * 3**n)
 
     def _built_by_position(self, depth: int) -> list[int]:
-        self._extend(depth)
-        return sorted(range(depth), key=lambda k: self._intervals[k][0])
+        """Pieces 0..depth-1 left to right, however far the placement has gone."""
+        self._placement.extend(depth)
+        by_pos = self._placement.by_position
+        if len(by_pos) == depth:
+            return by_pos
+        return [k for k in by_pos if k < depth]
 
     def locate(self, q: Fraction, depth: int):
         check_unit(q)
@@ -281,22 +309,20 @@ class OrderPieceGenerator(PieceGenerator):
             raise PreconditionError("locate depth must be >= 1")
         if q == 0 or q == 1:
             return IDEMPOTENT
-        self._extend(depth)
-        for n in range(depth):
-            lo, hi = self._intervals[n]
+        by_pos = self._built_by_position(depth)
+        intervals = self._intervals
+        # closed pieces are disjoint, so only the last one starting at or
+        # before q can hold q, and the pieces around q are its neighbours
+        i = bisect_right(by_pos, q, key=lambda k: intervals[k][0])
+        left = by_pos[i - 1] if i > 0 else None
+        right = by_pos[i] if i < len(by_pos) else None
+        if left is not None:
+            lo, hi = intervals[left]
             if lo < q < hi:
-                return InPiece(n, Piece(lo, hi, PieceKind.PRODUCT))
+                return InPiece(left, Piece(lo, hi, PieceKind.PRODUCT))
             if q == lo or q == hi:
                 return IDEMPOTENT
         order = self.order
-        by_pos = self._built_by_position(depth)
-        left = None
-        right = None
-        for n in by_pos:
-            if self._intervals[n][1] < q:
-                left = n
-            elif self._intervals[n][0] > q and right is None:
-                right = n
         if left is None:
             if right is not None and right == order.min_element:
                 return IDEMPOTENT

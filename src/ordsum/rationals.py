@@ -272,18 +272,24 @@ def fractions_up_to(max_denominator: int) -> list[tuple[Fraction, int]]:
     """All enumeration entries with denominator <= max_denominator.
 
     Returns (value, index) pairs sorted by value; used for bounded
-    quantifier scans over "every rational of denominator <= D".
+    quantifier scans over "every rational of denominator <= D".  The
+    Farey sequence of order D comes out in value order, each term from
+    the two before it, so nothing is sorted.  Within one denominator d
+    the numerators then arrive in increasing order, so each entry's
+    index is the next one of d's run, which starts at 1 + Phi(d - 1).
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    items = [(Fraction(0), 0), (Fraction(1), 1)]
-    index = 2
-    for d in range(2, max_denominator + 1):
-        for p in range(1, d):
-            if gcd(p, d) == 1:
-                items.append((Fraction(p, d), index))
-                index += 1
-    items.sort(key=lambda item: item[0])
+    # next_index[d - 1] is the index of the next entry with denominator d
+    next_index = list(_count_table(max_denominator))
+    items = [(Fraction(0), 0)]
+    a, b, c, d = 0, 1, 1, max_denominator
+    while d > 1:
+        items.append((Fraction(c, d), next_index[d - 1]))
+        next_index[d - 1] += 1
+        k = (max_denominator + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    items.append((Fraction(1), 1))
     return items
 
 

@@ -22,10 +22,11 @@ from ordsum.orders import (
     parse_order,
     sampled_distance,
 )
-from ordsum.signature import Label
+from ordsum.signature import Label, compute_signature
 from ordsum.tnorm import (
     IDEMPOTENT,
     InPiece,
+    Piece,
     PieceKind,
     PreconditionError,
     UnknownAtDepth,
@@ -80,7 +81,79 @@ def test_frozen_intervals(name):
 @pytest.mark.parametrize("name", sorted(NAMED_ORDERS))
 def test_intervals_match_rescan_oracle(name):
     order = parse_order(name)
-    assert build_intervals(order, 10) == intervals_by_rescan(order, 10)
+    assert build_intervals(order, 40) == intervals_by_rescan(order, 40)
+
+
+def locate_by_scan(order, intervals, q, depth):
+    """The locate rule restated by linear scans over the first `depth` pieces."""
+    if q == 0 or q == 1:
+        return IDEMPOTENT
+    placed = intervals[:depth]
+    for n, (lo, hi) in enumerate(placed):
+        if lo < q < hi:
+            return InPiece(n, Piece(lo, hi, PieceKind.PRODUCT))
+        if q == lo or q == hi:
+            return IDEMPOTENT
+    below = [n for n in range(depth) if placed[n][1] < q]
+    above = [n for n in range(depth) if placed[n][0] > q]
+    left = max(below, key=lambda n: placed[n][1], default=None)
+    right = min(above, key=lambda n: placed[n][0], default=None)
+    if left is None:
+        final = right is not None and right == order.min_element
+    elif right is None:
+        final = left == order.max_element
+    else:
+        final = order.adjacent(left, right)
+    return IDEMPOTENT if final else UnknownAtDepth(depth)
+
+
+CALL_ORDER_DEPTH = 40
+_RESCANNED = {
+    name: intervals_by_rescan(parse_order(name), CALL_ORDER_DEPTH) for name in NAMED_ORDERS
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ORDERS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_placement_does_not_depend_on_call_order(name, data):
+    order = parse_order(name)
+    oracle = _RESCANNED[name]
+    gen = OrderPieceGenerator(order)
+    depths = st.integers(1, CALL_ORDER_DEPTH)
+    for _ in range(data.draw(st.integers(1, 12))):
+        call = data.draw(st.sampled_from(["piece_at", "locate", "certified_m_gaps"]))
+        if call == "piece_at":
+            k = data.draw(depths) - 1
+            piece = gen.piece_at(k)
+            assert (piece.lo, piece.hi) == oracle[k]
+        elif call == "locate":
+            depth = data.draw(depths)
+            lo, hi = oracle[data.draw(depths) - 1]
+            q = data.draw(
+                st.sampled_from([lo, hi, (lo + hi) / 2, lo - (hi - lo), hi + (hi - lo)])
+                | st.fractions(0, 1, max_denominator=200)
+            )
+            assert gen.locate(q, depth) == locate_by_scan(order, oracle, q, depth)
+        else:
+            depth = data.draw(depths)
+            fresh = OrderPieceGenerator(order).certified_m_gaps(depth)
+            assert gen.certified_m_gaps(depth) == fresh
+
+
+@pytest.mark.parametrize("order_class", [ZetaOrder, EtaOrder])
+def test_signature_comparison_budget(order_class):
+    class Counting(order_class):
+        calls = 0
+
+        def less(self, m, n):
+            self.calls += 1
+            return super().less(m, n)
+
+    order = Counting()
+    compute_signature(order_tnorm(order), 150)
+    # one binary search per new piece; a rebuild per piece makes ~5 * 10^5
+    assert 0 < order.calls <= 150 * 10
 
 
 def placement_properties(order, count):
