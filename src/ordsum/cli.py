@@ -30,7 +30,7 @@ from .iso import (
 from .l1 import format_l1, theta
 from .orders import build_intervals, order_tnorm, parse_order
 from .presentations import PresentationError, load_presentation
-from .rationals import min_entry_in
+from .rationals import min_entry_in, parse_rational
 from .signature import compute_signature, format_signature
 from .tnorm import LocateUnresolved, PreconditionError, check_axioms
 
@@ -46,7 +46,7 @@ def _tri(value: bool | None) -> str:
 
 def _cmd_eval(args) -> int:
     t = load_presentation(args.file)
-    x, y = Fraction(args.x), Fraction(args.y)
+    x, y = parse_rational(args.x), parse_rational(args.y)
     if t.is_finite:
         print(t.eval(x, y))
     else:

@@ -14,8 +14,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .rationals import count_up_to, fractions_up_to, min_entry_in, rational_at
+from .rationals import (
+    count_up_to,
+    fractions_up_to,
+    min_rational_in,
+    rational_at,
+    rational_index,
+)
 from .signature import Label
 from .tnorm import PieceKind, PreconditionError, TNorm, find_idempotent_power
 
@@ -155,6 +162,16 @@ def _unresolved_regions(entries: list[_Entry]) -> list[tuple[Fraction, Fraction]
     return regions
 
 
+def _index_below(q: Fraction, size: int) -> int | None:
+    """The enumeration index of q when it is below size, else None."""
+    # index(p/d) >= d - 1, with equality only at 0/1, so a denominator
+    # above size rules q out before its index is counted
+    if q.denominator > size:
+        return None
+    idx = rational_index(q)
+    return idx if idx < size else None
+
+
 def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
     """The index structure of t at truncation size.
 
@@ -175,7 +192,7 @@ def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
             raise PreconditionError("depth must be >= 1")
         entries = _lazy_entries(t, depth)
         qualified = any(
-            min_entry_in(lo, hi, closed=True)[0] < size
+            _index_below(min_rational_in(lo, hi, closed=True), size) is not None
             for lo, hi in _unresolved_regions(entries)
         )
     rp: set[int] = set()
@@ -183,8 +200,9 @@ def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
     rm: set[int] = set()
     values: dict[int, Fraction] = {}
     for lo, hi, closed, label in entries:
-        idx, value = min_entry_in(lo, hi, closed=closed)
-        if idx >= size:
+        value = min_rational_in(lo, hi, closed=closed)
+        idx = _index_below(value, size)
+        if idx is None:
             continue
         {Label.P: rp, Label.L: rl, Label.M: rm}[label].add(idx)
         values[idx] = value
@@ -229,11 +247,13 @@ def theta_by_probing(
     for flag in idem:
         prefix.append(prefix[-1] + (0 if flag else 1))
 
+    def scan_between(i: int, j: int) -> tuple[int, int]:
+        """(total, non-idempotent) scan rationals at positions i..j-1."""
+        return max(0, j - i), prefix[j] - prefix[i] if j > i else 0
+
     def scan_count(lo: Fraction, hi: Fraction) -> tuple[int, int]:
         """(total, non-idempotent) scan rationals strictly inside (lo, hi)."""
-        i = bisect_right(scan_values, lo)
-        j = bisect_left(scan_values, hi)
-        return max(0, j - i), prefix[j] - prefix[i] if j > i else 0
+        return scan_between(bisect_right(scan_values, lo), bisect_left(scan_values, hi))
 
     def min_witnessed(m: Fraction, n: Fraction) -> bool:
         return t.eval(m, n) == min(m, n)
@@ -266,11 +286,16 @@ def theta_by_probing(
         else:
             witnessed = False
             vacuous = False
-            for pos, (ql, _idx) in enumerate(scan):
-                if ql == qn or not idem[pos]:
+            # scan positions below `below` hold values < qn, from `above` on > qn
+            below = bisect_left(scan_values, qn)
+            above = bisect_right(scan_values, qn)
+            for pos in chain(range(below), range(above, len(scan))):
+                if not idem[pos]:
                     continue
-                lo, hi = min(ql, qn), max(ql, qn)
-                total, bad = scan_count(lo, hi)
+                if pos < below:
+                    total, bad = scan_between(pos + 1, below)
+                else:
+                    total, bad = scan_between(above, pos)
                 if bad:
                     continue
                 if total == 0:

@@ -9,8 +9,11 @@ piece, while a lazy one names a single family:
     family theta <order-spec>
     family cantor <system-spec>
 
-Rationals are written in lowest terms ("1/3", "0").  Anything else is
-rejected with PresentationError.
+Rationals are written "p/q" with non-negative integers p and q > 0, in
+any terms ("1/3", "2/6"), or as a bare integer ("0", "1");
+`format_presentation` always writes lowest terms.  Signs, decimals,
+exponents and anything else are rejected with PresentationError, as is
+a malformed line.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pathlib import Path
 from .cantor import gap_tnorm, parse_system
 from .families import LADDER_NAMES, ladder_tnorm
 from .orders import order_tnorm, parse_order
+from .rationals import parse_rational
 from .tnorm import FinitePresentation, Piece, PieceKind, PreconditionError, TNorm
 
 __all__ = [
@@ -39,8 +43,8 @@ class PresentationError(ValueError):
 
 def _fraction(token: str, where: str) -> Fraction:
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(token)
+    except ValueError:
         raise PresentationError(f"{where}: bad rational {token!r}") from None
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "parse_rational",
     "rational_at",
     "rational_index",
+    "min_rational_in",
     "min_entry_in",
     "min_index_in",
     "fractions_up_to",
@@ -238,20 +239,17 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
             return Fraction(pm, qm)
 
 
-def min_entry_in(
-    lo: Fraction, hi: Fraction, closed: bool = False
-) -> tuple[int, Fraction]:
-    """Least-index enumeration entry in (lo, hi), or [lo, hi] when closed.
+def min_rational_in(lo: Fraction, hi: Fraction, closed: bool = False) -> Fraction:
+    """Least-index enumeration rational in (lo, hi), or [lo, hi] when closed.
 
-    Returns (index, value).  The enumeration is denominator-major, and
-    for d >= 2 an interval holds at most one reduced fraction of its
-    least denominator (two with the same denominator always have a
-    smaller one between them), so the answer is the Stern-Brocot
-    simplest rational of the open interval.  A closed interval also
-    competes its endpoints, compared by (denominator, numerator): that
-    order agrees with the enumeration, including at denominator 1,
-    where 0 (index 0) precedes 1 (index 1).  The index costs one
-    summatory-totient evaluation, with no walk over the enumeration.
+    The enumeration is denominator-major, and for d >= 2 an interval
+    holds at most one reduced fraction of its least denominator (two
+    with the same denominator always have a smaller one between them),
+    so the answer is the Stern-Brocot simplest rational of the open
+    interval.  A closed interval also competes its endpoints, compared
+    by (denominator, numerator): that order agrees with the
+    enumeration, including at denominator 1, where 0 (index 0) precedes
+    1 (index 1).  No index is computed.
     """
     check_unit(lo)
     check_unit(hi)
@@ -260,6 +258,18 @@ def min_entry_in(
     q = _simplest_between(lo, hi)
     if closed:
         q = min((lo, hi, q), key=lambda r: (r.denominator, r.numerator))
+    return q
+
+
+def min_entry_in(
+    lo: Fraction, hi: Fraction, closed: bool = False
+) -> tuple[int, Fraction]:
+    """(index, value) of `min_rational_in(lo, hi, closed)`.
+
+    The index costs one summatory-totient evaluation, with no walk over
+    the enumeration.
+    """
+    q = min_rational_in(lo, hi, closed)
     return rational_index(q), q
 
 

@@ -20,7 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 
 from .rationals import check_unit
 
@@ -262,8 +261,12 @@ class TNorm:
         check_unit(x)
         check_unit(y)
         i = self.presentation.piece_index_of(x)
-        if i is not None and i == self.presentation.piece_index_of(y):
-            return self.presentation.pieces[i].combine(x, y)
+        if i is not None:
+            piece = self.presentation.pieces[i]
+            # y = hi shared with the next piece is looked up there by
+            # piece_index_of, but the formula gives min(x, y) at hi anyway
+            if piece.lo <= y <= piece.hi:
+                return piece.combine(x, y)
         return min(x, y)
 
     def truncation(self, n: int) -> TNorm:
@@ -360,9 +363,21 @@ def check_axioms(t, samples) -> AxiomReport:
     triples, monotonicity on all coordinatewise-comparable pairs of
     pairs, and neutrality of 1.  Only `t.eval` is consulted, so any
     object with a compatible eval can be audited.
+
+    The products of sample pairs are kept in a table indexed by sample
+    position.  An associativity side whose inner product is itself a
+    sample is read from the table instead of evaluated again.
+    Monotonicity is decided on adjacent steps of the table, which by
+    transitivity covers every comparable pair; the pairs are
+    enumerated one by one only when a step fails, to report each
+    violating pair.
     """
     pts = sorted({check_unit(q) for q in samples})
-    table = {(x, y): t.eval(x, y) for x, y in product(pts, repeat=2)}
+    n = len(pts)
+    position = {q: i for i, q in enumerate(pts)}
+    table = [[t.eval(x, y) for y in pts] for x in pts]
+    # at[i][j]: the sample position of table[i][j], or None off the grid
+    at = [[position.get(v) for v in row] for row in table]
     checked = 0
     bad: list[Violation] = []
 
@@ -373,35 +388,47 @@ def check_axioms(t, samples) -> AxiomReport:
         if got != x:
             bad.append(Violation("neutrality", (x,), got, x))
 
-    for x, y in product(pts, repeat=2):
-        checked += 1
-        if table[(x, y)] != table[(y, x)]:
-            bad.append(Violation("commutativity", (x, y), table[(x, y)], table[(y, x)]))
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            checked += 1
+            if table[i][j] != table[j][i]:
+                bad.append(Violation("commutativity", (x, y), table[i][j], table[j][i]))
 
-    for x, y, z in product(pts, repeat=3):
-        left = t.eval(table[(x, y)], z)
-        right = t.eval(x, table[(y, z)])
-        checked += 1
-        if left != right:
-            bad.append(Violation("associativity", (x, y, z), left, right))
+    for i, x in enumerate(pts):
+        row_x = table[i]
+        for j, y in enumerate(pts):
+            xy, xy_at = row_x[j], at[i][j]
+            row_y, at_y = table[j], at[j]
+            for k, z in enumerate(pts):
+                left = t.eval(xy, z) if xy_at is None else table[xy_at][k]
+                yz_at = at_y[k]
+                right = t.eval(x, row_y[k]) if yz_at is None else row_x[yz_at]
+                checked += 1
+                if left != right:
+                    bad.append(Violation("associativity", (x, y, z), left, right))
 
-    n = len(pts)
-    for i in range(n):
-        for i2 in range(i, n):
-            for j in range(n):
-                for j2 in range(j, n):
-                    lo_val = table[(pts[i], pts[j])]
-                    hi_val = table[(pts[i2], pts[j2])]
-                    checked += 1
-                    if lo_val > hi_val:
-                        bad.append(
-                            Violation(
-                                "monotonicity",
-                                (pts[i], pts[j], pts[i2], pts[j2]),
-                                lo_val,
-                                hi_val,
+    monotone = all(
+        table[i][j] <= table[i + 1][j] for i in range(n - 1) for j in range(n)
+    ) and all(table[i][j] <= table[i][j + 1] for i in range(n) for j in range(n - 1))
+    if monotone:
+        checked += (n * (n + 1) // 2) ** 2
+    else:
+        for i in range(n):
+            for i2 in range(i, n):
+                for j in range(n):
+                    for j2 in range(j, n):
+                        lo_val = table[i][j]
+                        hi_val = table[i2][j2]
+                        checked += 1
+                        if lo_val > hi_val:
+                            bad.append(
+                                Violation(
+                                    "monotonicity",
+                                    (pts[i], pts[j], pts[i2], pts[j2]),
+                                    lo_val,
+                                    hi_val,
+                                )
                             )
-                        )
     return AxiomReport(checked, tuple(bad))
 
 

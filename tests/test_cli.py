@@ -43,6 +43,19 @@ class TestEval:
     def test_unparseable_point(self, write, capsys):
         assert main(["eval", write("t", LUK_TEXT), "one", "1/2"]) == 2
 
+    def test_decimal_and_exponent_points_rejected(self, write, capsys):
+        assert main(["eval", write("t", PAIR_A_TEXT), "0.5", "1e-1"]) == 2
+        assert capsys.readouterr().err == "error: not a rational: '0.5'\n"
+
+    def test_decimal_presentation_rejected(self, write, capsys):
+        f = write("t", "tnorm v1\npiece 0.25 5e-1 P\n")
+        assert main(["eval", f, "1/2", "1/2"]) == 2
+        assert capsys.readouterr().err == "error: line 2: bad rational '0.25'\n"
+
+    def test_non_reduced_point_accepted(self, write, capsys):
+        assert main(["eval", write("t", PAIR_A_TEXT), "6/16", "3/8"]) == 0
+        assert capsys.readouterr().out == "5/16\n"
+
     def test_empty_lazy_truncation(self, write, capsys):
         f = write("t", "tnorm v1\nfamily limit-left\n")
         assert main(["eval", f, "1/2", "1/2", "0"]) == 3

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import ordsum.l1 as l1
 from conftest import PAIR_A, PAIR_A_SWAPPED, PAIR_B, tn
 from ordsum.l1 import (
     BoundInsufficiency,
@@ -107,6 +108,22 @@ class TestThetaLazy:
     def test_dense_order_is_qualified_from_the_start(self):
         t = order_tnorm(parse_order("eta"))
         assert theta(t, 1, depth=6).qualified
+
+    def test_deep_pieces_dismissed_without_an_index(self, monkeypatch):
+        # omega's piece n has denominator about 3^(n+1): far past size 20
+        # from piece 3 on, so no index needs to be counted for it
+        counted = []
+        index = l1.rational_index
+
+        def counting_index(q):
+            counted.append(q)
+            return index(q)
+
+        t = order_tnorm(parse_order("omega"))
+        shallow = theta(t, 20, depth=12)
+        monkeypatch.setattr(l1, "rational_index", counting_index)
+        assert theta(t, 20, depth=16) == shallow
+        assert counted and max(q.denominator for q in counted) <= 20
 
 
 class TestProbingRoute:

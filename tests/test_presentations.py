@@ -25,6 +25,11 @@ def test_finite_round_trip():
     assert t.eval(F(3, 8), F(3, 8)) == PAIR_A.eval(F(3, 8), F(3, 8))
 
 
+def test_non_reduced_rationals_accepted():
+    t = parse_presentation_text("tnorm v1\npiece 2/8 2/4 P\n")
+    assert format_presentation(t) == "tnorm v1\npiece 1/4 1/2 P\n"
+
+
 def test_header_only_is_the_minimum():
     t = parse_presentation_text("tnorm v1\n")
     assert t.is_finite and t.pieces == ()
@@ -84,6 +89,10 @@ def test_cantor_family():
         ("tnorm v1\npiece 1/4 1/2 Q\n", "want piece"),
         ("tnorm v1\npiece one 1/2 P\n", "bad rational"),
         ("tnorm v1\npiece 1/0 1/2 P\n", "bad rational"),
+        ("tnorm v1\npiece 0.25 5e-1 P\n", "bad rational '0.25'"),
+        ("tnorm v1\npiece 1/4 5e-1 P\n", "bad rational '5e-1'"),
+        ("tnorm v1\npiece -0 1/2 P\n", "bad rational"),
+        ("tnorm v1\npiece 1/4 +1/2 P\n", "bad rational"),
         ("tnorm v1\npiece 1/2 1/4 P\n", "lo < hi"),
         ("tnorm v1\npiece 1/2 3/2 P\n", "line 2"),
         ("tnorm v1\npiece 0 1/2 P\npiece 1/4 3/4 L\n", "overlap"),

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordsum.cli import GRID_21
 from ordsum.tnorm import (
+    AxiomReport,
     FinitePresentation,
     Piece,
     PieceKind,
     PreconditionError,
     TNorm,
+    Violation,
     check_axioms,
     classify_piece,
     find_idempotent_power,
@@ -117,6 +122,149 @@ def test_check_axioms_flags_corruption():
     assert not report.ok
     laws = {v.law for v in report.violations}
     assert "neutrality" in laws or "monotonicity" in laws
+
+
+def _check_axioms_by_dict(t, samples) -> AxiomReport:
+    """Reference audit: a table keyed by sample pairs, every law enumerated."""
+    pts = sorted(set(samples))
+    table = {(x, y): t.eval(x, y) for x, y in product(pts, repeat=2)}
+    checked = 0
+    bad = []
+    for x in pts:
+        got = t.eval(F(1), x)
+        checked += 1
+        if got != x:
+            bad.append(Violation("neutrality", (x,), got, x))
+    for x, y in product(pts, repeat=2):
+        checked += 1
+        if table[(x, y)] != table[(y, x)]:
+            bad.append(Violation("commutativity", (x, y), table[(x, y)], table[(y, x)]))
+    for x, y, z in product(pts, repeat=3):
+        left = t.eval(table[(x, y)], z)
+        right = t.eval(x, table[(y, z)])
+        checked += 1
+        if left != right:
+            bad.append(Violation("associativity", (x, y, z), left, right))
+    n = len(pts)
+    for i in range(n):
+        for i2 in range(i, n):
+            for j in range(n):
+                for j2 in range(j, n):
+                    lo_val = table[(pts[i], pts[j])]
+                    hi_val = table[(pts[i2], pts[j2])]
+                    checked += 1
+                    if lo_val > hi_val:
+                        bad.append(
+                            Violation(
+                                "monotonicity",
+                                (pts[i], pts[j], pts[i2], pts[j2]),
+                                lo_val,
+                                hi_val,
+                            )
+                        )
+    return AxiomReport(checked, tuple(bad))
+
+
+class _Perturbed:
+    """Evaluator that returns a fixed wrong value on a few pairs."""
+
+    def __init__(self, base, changes):
+        self._base = base
+        self._changes = changes
+
+    def eval(self, x, y):
+        value = self._changes.get((x, y))
+        return self._base.eval(x, y) if value is None else value
+
+
+class _NonCommutative:
+    """Evaluator that scales the value by x whenever x > y."""
+
+    def __init__(self, base):
+        self._base = base
+
+    def eval(self, x, y):
+        value = self._base.eval(x, y)
+        return value if x <= y else value * x
+
+
+class _Counting:
+    def __init__(self, base):
+        self._base = base
+        self.calls = 0
+
+    def eval(self, x, y):
+        self.calls += 1
+        return self._base.eval(x, y)
+
+
+small_unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@st.composite
+def _presentations(draw):
+    """A finite t-norm over random cuts, and its piece endpoints."""
+    cuts = sorted(set(draw(st.lists(small_unit, max_size=7))) | {F(0), F(1)})
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        kind = draw(st.sampled_from([None, P, L]))
+        if kind is not None:
+            pieces.append(Piece(lo, hi, kind))
+    return TNorm.from_pieces(pieces), cuts
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_check_axioms_matches_dict_oracle(data):
+    t, cuts = data.draw(_presentations())
+    grid = data.draw(
+        st.lists(st.one_of(st.sampled_from(cuts), small_unit), min_size=1, max_size=10)
+    )
+    pts = sorted(set(grid))
+    evaluator = t
+    if data.draw(st.booleans()):
+        evaluator = _BrokenMaxCrossPiece(t)
+    corruption = data.draw(st.sampled_from(["none", "perturbed", "noncommutative"]))
+    if corruption == "perturbed":
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        changes = {
+            (rng.choice(pts), rng.choice(pts)): rng.choice(pts + [F(rng.randint(0, 7), 7)])
+            for _ in range(rng.randint(1, 4))
+        }
+        evaluator = _Perturbed(evaluator, changes)
+    elif corruption == "noncommutative":
+        evaluator = _NonCommutative(evaluator)
+    assert check_axioms(evaluator, grid) == _check_axioms_by_dict(evaluator, grid)
+
+
+def test_check_axioms_eval_budget(finite_corpus):
+    counting = _Counting(MINIMUM)
+    report = check_axioms(counting, GRID_21)
+    # 441 table entries and 21 neutrality checks; every associativity
+    # side of the minimum is a grid point and is read back
+    assert (report.checked, counting.calls) == (63084, 462)
+    for t in finite_corpus:
+        counting = _Counting(t)
+        assert check_axioms(counting, GRID_21).checked == 63084
+        assert counting.calls <= 441 + 21 + 2 * 21**3
+
+
+def _eval_by_two_lookups(t, x, y):
+    pres = t.presentation
+    i = pres.piece_index_of(x)
+    if i is not None and i == pres.piece_index_of(y):
+        return pres.pieces[i].combine(x, y)
+    return min(x, y)
+
+
+def test_eval_matches_two_lookup_rule(finite_corpus):
+    for t in finite_corpus:
+        pts = set(GRID_21)
+        for p in t.pieces:
+            pts |= {p.lo, p.hi, (p.lo + p.hi) / 2, p.lo + p.width / 7}
+        for x in pts:
+            for y in pts:
+                assert t.eval(x, y) == _eval_by_two_lookups(t, x, y), (t, x, y)
 
 
 def test_power_by_iteration():
