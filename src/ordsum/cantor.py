@@ -31,7 +31,6 @@ from .tnorm import (
     InPiece,
     Piece,
     PieceGenerator,
-    PieceKind,
     PreconditionError,
     StructuralFacts,
     TNorm,
@@ -48,7 +47,6 @@ __all__ = [
     "GapOrderFacts",
     "parse_system",
     "expand",
-    "has_property_e",
     "analyze_gap_order",
     "CantorGapGenerator",
     "gap_tnorm",
@@ -190,22 +188,6 @@ def expand(system: CantorSystem, depth: int) -> tuple[list[list[Box]], GapCollec
     return levels, GapCollection(tuple(gaps), depth)
 
 
-def has_property_e(system: CantorSystem, depth: int) -> bool:
-    """Do children keep their parent's outer endpoints, up to this depth?"""
-    _check_depth(depth)
-    rule = system.rule
-    boxes = [(Fraction(0), Fraction(1))]
-    for d in range(depth):
-        nxt = []
-        for box in boxes:
-            left, right = rule.children(box, d)
-            if left[0] != box[0] or right[1] != box[1]:
-                return False
-            nxt.extend((left, right))
-        boxes = nxt
-    return True
-
-
 @dataclass(frozen=True)
 class GapOrderFacts:
     """Certified order facts about the full gap collection (None = unknown)."""
@@ -280,7 +262,7 @@ def _box_at(rule, node_depth: int, node_pos: int) -> Box:
 class CantorGapGenerator(PieceGenerator):
     """Product pieces on the removed gaps, level by level, left to right."""
 
-    kind = PieceKind.PRODUCT
+    kind = Label.P
 
     def __init__(self, system: CantorSystem):
         self.system = system
@@ -298,7 +280,7 @@ class CantorGapGenerator(PieceGenerator):
         node_depth, node_pos, which = _gap_coords(self.rule, n)
         box = _box_at(self.rule, node_depth, node_pos)
         lo, hi = self.rule.node_gaps(box, node_depth)[which]
-        return Piece(lo, hi, PieceKind.PRODUCT)
+        return Piece(lo, hi, Label.P)
 
     def tail_length_bound(self, n: int) -> Fraction:
         tail = self.rule.total_gap_length
@@ -326,7 +308,7 @@ class CantorGapGenerator(PieceGenerator):
             for which, (lo, hi) in enumerate(self.rule.node_gaps(box, d)):
                 if lo < q < hi:
                     index = _gap_index(self.rule, d, node_pos, which)
-                    return InPiece(index, Piece(lo, hi, PieceKind.PRODUCT))
+                    return InPiece(index, Piece(lo, hi, Label.P))
             for bit, child in enumerate(self.rule.children(box, d)):
                 if child[0] <= q <= child[1]:
                     box = child

@@ -14,6 +14,7 @@ decided verdict, 1 failed check (axiom violations, roundtrip FAIL),
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
@@ -164,6 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="value of x * y from a presentation file")
+    # read "-1/2" as a point for parse_rational to reject, not as an option
+    p._negative_number_matcher = re.compile(r"^-\d")
     p.add_argument("file")
     p.add_argument("x")
     p.add_argument("y")

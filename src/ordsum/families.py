@@ -19,7 +19,6 @@ from .tnorm import (
     InPiece,
     Piece,
     PieceGenerator,
-    PieceKind,
     PreconditionError,
     StructuralFacts,
     TNorm,
@@ -33,7 +32,7 @@ LADDER_NAMES = ("limit-left", "limit-right")
 class LadderGenerator(PieceGenerator):
     """Product rungs accumulating at 1 (limit-left) or at 0 (limit-right)."""
 
-    kind = PieceKind.PRODUCT
+    kind = Label.P
 
     def __init__(self, anchor: str):
         if anchor not in LADDER_NAMES:
@@ -54,7 +53,7 @@ class LadderGenerator(PieceGenerator):
         hi = Fraction(1, n + 1)
         if self.anchor == "limit-left":
             lo, hi = 1 - hi, 1 - lo
-        return Piece(lo, hi, PieceKind.PRODUCT)
+        return Piece(lo, hi, Label.P)
 
     def tail_length_bound(self, n: int) -> Fraction:
         # telescoping: sum over k >= n of (1/(k+1) - 1/(k+2))

@@ -214,14 +214,6 @@ def build_iso_map(t1: TNorm, t2: TNorm) -> IsoWitness:
     return IsoWitness(verdict.witness.entry_map, segments)
 
 
-def _least_entry(t: TNorm, depth: int) -> SignatureEntry:
-    return compute_signature(t, depth).entries[0]
-
-
-def _greatest_entry(t: TNorm, depth: int) -> SignatureEntry:
-    return compute_signature(t, depth).entries[-1]
-
-
 def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
     """Certificate-driven three-valued decision when a side is lazy.
 
@@ -248,7 +240,7 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
     if f1.has_min_piece is not None and f2.has_min_piece is not None:
         if f1.has_min_piece != f2.has_min_piece:
             side = t1 if f1.has_min_piece else t2
-            entry = _least_entry(side, depth)
+            entry = compute_signature(side, depth).entries[0]
             if entry.lo != 0:
                 raise PreconditionError(
                     "least entry certified but not visible at this depth"
@@ -258,7 +250,7 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
     if f1.has_max_piece is not None and f2.has_max_piece is not None:
         if f1.has_max_piece != f2.has_max_piece:
             side = t1 if f1.has_max_piece else t2
-            entry = _greatest_entry(side, depth)
+            entry = compute_signature(side, depth).entries[-1]
             if entry.hi != 1:
                 raise PreconditionError(
                     "greatest entry certified but not visible at this depth"

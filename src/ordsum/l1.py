@@ -1,12 +1,13 @@
 """Truncated relational images of t-norms over the rational enumeration.
 
-A t-norm's entry list (pieces plus min-regions) turns into a finite
-relational structure over indices {0..N-1}: each entry contributes its
-least-index rational as a witness, witnesses below N populate rp / rl /
-rm by entry label, and the order relation compares witness values.  Two
-independent routes compute the same structure: `theta` reads the entry
-list geometrically, `theta_by_probing` asks only idempotence and
-product questions with bounded quantifier scans.
+A t-norm's signature (its P and L pieces and its M min-regions, left to
+right) turns into a finite relational structure over indices
+{0..N-1}: each entry contributes its least-index rational as a witness,
+witnesses below N populate rp / rl / rm by entry label, and the order
+relation compares witness values.  Two independent routes compute the
+same structure: `theta` reads the signature from `compute_signature`,
+`theta_by_probing` asks only idempotence and product questions with
+bounded quantifier scans.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .rationals import (
     rational_at,
     rational_index,
 )
-from .signature import Label
-from .tnorm import PieceKind, PreconditionError, TNorm, find_idempotent_power
+from .signature import Label, compute_signature
+from .tnorm import PreconditionError, TNorm, find_idempotent_power, uncovered
 
 __all__ = [
     "BoundInsufficiency",
@@ -36,9 +37,6 @@ __all__ = [
     "l1_iso_finite",
     "format_l1",
 ]
-
-_KIND_LABEL = {PieceKind.PRODUCT: Label.P, PieceKind.LUKASIEWICZ: Label.L}
-
 
 class BoundInsufficiency(RuntimeError):
     """A bounded quantifier scan could not certify its answer.
@@ -120,48 +118,6 @@ class L1Structure:
         return None
 
 
-_Entry = tuple[Fraction, Fraction, bool, Label]  # lo, hi, closed, label
-
-
-def _finite_entries(t: TNorm) -> list[_Entry]:
-    out: list[_Entry] = [
-        (p.lo, p.hi, False, _KIND_LABEL[p.kind]) for p in t.pieces
-    ]
-    out.extend((lo, hi, True, Label.M) for lo, hi in t.presentation.gaps())
-    out.sort(key=lambda e: e[0])
-    return out
-
-
-def _lazy_entries(t: TNorm, depth: int) -> list[_Entry]:
-    gen = t.generator
-    label = _KIND_LABEL[gen.kind]
-    out: list[_Entry] = []
-    for n in range(depth):
-        p = gen.piece_at(n)
-        out.append((p.lo, p.hi, False, label))
-    out.extend((lo, hi, True, Label.M) for lo, hi in gen.certified_m_gaps(depth))
-    out.sort(key=lambda e: e[0])
-    return out
-
-
-def _unresolved_regions(entries: list[_Entry]) -> list[tuple[Fraction, Fraction]]:
-    """Positive-length parts of [0,1] not covered by any entry.
-
-    Isolated boundary points between touching entries (and at 0 or 1
-    against a touching entry) are certifiably degenerate idempotents,
-    so they resolve to inactive and are not reported.
-    """
-    regions: list[tuple[Fraction, Fraction]] = []
-    cursor = Fraction(0)
-    for lo, hi, _closed, _label in entries:
-        if lo > cursor:
-            regions.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if cursor < 1:
-        regions.append((cursor, Fraction(1)))
-    return regions
-
-
 def _index_below(q: Fraction, size: int) -> int | None:
     """The enumeration index of q when it is below size, else None."""
     # index(p/d) >= d - 1, with equality only at 0/1, so a denominator
@@ -173,38 +129,34 @@ def _index_below(q: Fraction, size: int) -> int | None:
 
 
 def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
-    """The index structure of t at truncation size.
+    """The index structure of t at truncation size, read off its signature.
 
-    Finite presentations resolve completely.  Lazy ones read the pieces
-    and certified min-regions visible at `depth`; if any index below
-    size falls in territory the depth does not cover, the result is
-    marked qualified rather than guessed at.
+    Finite presentations resolve completely.  Lazy ones read the
+    signature truncated at `depth`: the pieces and certified min-regions
+    visible there.  If any index below size falls in territory the depth
+    does not cover, the result is marked qualified rather than guessed at.
     """
     if size < 1:
         raise PreconditionError("size must be >= 1")
-    if t.is_finite:
-        entries = _finite_entries(t)
-        qualified = False
-    else:
-        if depth is None:
-            raise PreconditionError("lazy presentations need a locate depth")
-        if depth < 1:
-            raise PreconditionError("depth must be >= 1")
-        entries = _lazy_entries(t, depth)
-        qualified = any(
-            _index_below(min_rational_in(lo, hi, closed=True), size) is not None
-            for lo, hi in _unresolved_regions(entries)
-        )
+    sig = compute_signature(t, depth)
+    # the complete signature covers [0, 1] up to isolated touching points,
+    # which are degenerate idempotents and stay inactive; a truncated one
+    # leaves regions that deeper pieces may still claim
+    qualified = not sig.complete and any(
+        _index_below(min_rational_in(lo, hi, closed=True), size) is not None
+        for lo, hi in uncovered(e.interval() for e in sig.entries)
+    )
     rp: set[int] = set()
     rl: set[int] = set()
     rm: set[int] = set()
     values: dict[int, Fraction] = {}
-    for lo, hi, closed, label in entries:
-        value = min_rational_in(lo, hi, closed=closed)
+    for e in sig.entries:
+        # a min region owns its endpoints, a piece only its interior
+        value = min_rational_in(e.lo, e.hi, closed=e.label is Label.M)
         idx = _index_below(value, size)
         if idx is None:
             continue
-        {Label.P: rp, Label.L: rl, Label.M: rm}[label].add(idx)
+        {Label.P: rp, Label.L: rl, Label.M: rm}[e.label].add(idx)
         values[idx] = value
     less = frozenset(
         (m, n) for m in values for n in values if values[m] < values[n]

@@ -35,7 +35,6 @@ from .tnorm import (
     InPiece,
     Piece,
     PieceGenerator,
-    PieceKind,
     PreconditionError,
     StructuralFacts,
     TNorm,
@@ -267,7 +266,7 @@ def build_intervals(order: LinearOrder, count: int) -> list[tuple[Fraction, Frac
 class OrderPieceGenerator(PieceGenerator):
     """Lazy pieces for an infinite order; piece n is I_n with Product label."""
 
-    kind = PieceKind.PRODUCT
+    kind = Label.P
 
     def __init__(self, order: LinearOrder):
         if order.size is not None:
@@ -289,7 +288,7 @@ class OrderPieceGenerator(PieceGenerator):
             raise PreconditionError(f"negative piece index {n}")
         self._placement.extend(n + 1)
         lo, hi = self._intervals[n]
-        return Piece(lo, hi, PieceKind.PRODUCT)
+        return Piece(lo, hi, Label.P)
 
     def tail_length_bound(self, n: int) -> Fraction:
         # sum over k >= n of 3^-(k+1)
@@ -319,7 +318,7 @@ class OrderPieceGenerator(PieceGenerator):
         if left is not None:
             lo, hi = intervals[left]
             if lo < q < hi:
-                return InPiece(left, Piece(lo, hi, PieceKind.PRODUCT))
+                return InPiece(left, Piece(lo, hi, Label.P))
             if q == lo or q == hi:
                 return IDEMPOTENT
         order = self.order
@@ -371,7 +370,7 @@ def order_tnorm(order: LinearOrder) -> TNorm:
     """The t-norm encoding an order; finite orders yield finite presentations."""
     if order.size is not None:
         pieces = tuple(
-            Piece(lo, hi, PieceKind.PRODUCT) for lo, hi in build_intervals(order, order.size)
+            Piece(lo, hi, Label.P) for lo, hi in build_intervals(order, order.size)
         )
         return TNorm(FinitePresentation(pieces))
     return TNorm(OrderPieceGenerator(order))

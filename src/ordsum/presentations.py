@@ -25,7 +25,7 @@ from .cantor import gap_tnorm, parse_system
 from .families import LADDER_NAMES, ladder_tnorm
 from .orders import order_tnorm, parse_order
 from .rationals import parse_rational
-from .tnorm import FinitePresentation, Piece, PieceKind, PreconditionError, TNorm
+from .tnorm import FinitePresentation, Label, Piece, PreconditionError, TNorm
 
 __all__ = [
     "PresentationError",
@@ -94,7 +94,7 @@ def parse_presentation_text(text: str) -> TNorm:
             lo = _fraction(fields[1], where)
             hi = _fraction(fields[2], where)
             try:
-                pieces.append(Piece(lo, hi, PieceKind(fields[3])))
+                pieces.append(Piece(lo, hi, Label(fields[3])))
             except ValueError as exc:
                 raise PresentationError(f"{where}: {exc}") from None
         elif fields[0] == "family":

@@ -12,10 +12,9 @@ encodings) reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
-from .tnorm import PieceGenerator, PreconditionError, TNorm
+from .tnorm import Label, PieceGenerator, PreconditionError, TNorm
 
 __all__ = [
     "Label",
@@ -26,12 +25,6 @@ __all__ = [
     "compute_signature",
     "format_signature",
 ]
-
-
-class Label(Enum):
-    P = "P"
-    L = "L"
-    M = "M"
 
 
 @dataclass(frozen=True)
@@ -107,18 +100,13 @@ def compute_signature(t: TNorm, depth: int | None = None) -> Signature:
     deeper pieces can only subdivide territory not yet claimed.
     """
     if t.is_finite:
-        entries = [
-            SignatureEntry(p.lo, p.hi, Label(p.kind.value)) for p in t.presentation.pieces
-        ]
+        entries = [SignatureEntry(p.lo, p.hi, p.kind) for p in t.presentation.pieces]
         entries.extend(SignatureEntry(lo, hi, Label.M) for lo, hi in t.presentation.gaps())
         return Signature(tuple(entries), complete=True)
     if depth is None or depth < 1:
         raise PreconditionError("lazy signatures need a positive truncation depth")
     gen: PieceGenerator = t.presentation
-    entries = [
-        SignatureEntry(p.lo, p.hi, Label(p.kind.value))
-        for p in (gen.piece_at(k) for k in range(depth))
-    ]
+    entries = [SignatureEntry(p.lo, p.hi, p.kind) for p in map(gen.piece_at, range(depth))]
     entries.extend(SignatureEntry(lo, hi, Label.M) for lo, hi in gen.certified_m_gaps(depth))
     return Signature(tuple(entries), complete=False, truncation_depth=depth)
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .rationals import check_unit
 
 __all__ = [
-    "PieceKind",
+    "Label",
     "Piece",
     "FinitePresentation",
     "PieceGenerator",
@@ -41,6 +41,7 @@ __all__ = [
     "check_axioms",
     "find_idempotent_power",
     "classify_piece",
+    "uncovered",
 ]
 
 
@@ -56,24 +57,29 @@ class LocateUnresolved(RuntimeError):
         self.depth = depth
 
 
-class PieceKind(Enum):
-    PRODUCT = "P"
-    LUKASIEWICZ = "L"
+class Label(Enum):
+    """Product, Lukasiewicz, or min (an interval of idempotents)."""
+
+    P = "P"
+    L = "L"
+    M = "M"
 
 
 @dataclass(frozen=True)
 class Piece:
-    """One labeled open interval (lo, hi) of an ordinal sum."""
+    """One open interval (lo, hi) of an ordinal sum, labeled P or L."""
 
     lo: Fraction
     hi: Fraction
-    kind: PieceKind
+    kind: Label
 
     def __post_init__(self):
         check_unit(self.lo)
         check_unit(self.hi)
         if self.lo >= self.hi:
             raise ValueError(f"piece needs lo < hi, got ({self.lo}, {self.hi})")
+        if self.kind is Label.M:
+            raise ValueError("a piece is labeled P or L; M marks idempotent intervals")
 
     @property
     def width(self) -> Fraction:
@@ -82,12 +88,9 @@ class Piece:
     def contains_open(self, q: Fraction) -> bool:
         return self.lo < q < self.hi
 
-    def contains_closed(self, q: Fraction) -> bool:
-        return self.lo <= q <= self.hi
-
     def combine(self, x: Fraction, y: Fraction) -> Fraction:
         """The piece formula; callers guarantee x, y in [lo, hi]."""
-        if self.kind is PieceKind.PRODUCT:
+        if self.kind is Label.P:
             return self.lo + (x - self.lo) * (y - self.lo) / (self.hi - self.lo)
         return max(self.lo, x + y - self.hi)
 
@@ -95,13 +98,13 @@ class Piece:
         """q combined with itself exponent times, in closed form."""
         if exponent < 1:
             raise ValueError("exponent must be >= 1")
-        if self.kind is PieceKind.PRODUCT:
+        if self.kind is Label.P:
             return self.lo + (q - self.lo) ** exponent / (self.hi - self.lo) ** (exponent - 1)
         return max(self.lo, self.hi - exponent * (self.hi - q))
 
     def nilpotency_index(self, q: Fraction) -> int:
         """Least l with the l-th power equal to lo (Lukasiewicz pieces only)."""
-        if self.kind is not PieceKind.LUKASIEWICZ:
+        if self.kind is not Label.L:
             raise PreconditionError("nilpotency index exists only in Lukasiewicz pieces")
         if not self.lo <= q < self.hi:
             raise PreconditionError(f"{q} not in [{self.lo}, {self.hi})")
@@ -133,15 +136,24 @@ class FinitePresentation:
 
     def gaps(self) -> list[tuple[Fraction, Fraction]]:
         """Maximal open intervals of [0, 1] not covered by piece closures."""
-        out = []
-        cursor = Fraction(0)
-        for p in self.pieces:
-            if p.lo > cursor:
-                out.append((cursor, p.lo))
-            cursor = p.hi
-        if cursor < 1:
-            out.append((cursor, Fraction(1)))
-        return out
+        return uncovered((p.lo, p.hi) for p in self.pieces)
+
+
+def uncovered(spans) -> list[tuple[Fraction, Fraction]]:
+    """Maximal open intervals of [0, 1] outside the closures of `spans`.
+
+    `spans` are (lo, hi) pairs sorted by lo and pairwise disjoint as
+    open intervals; a point where two spans touch is not reported.
+    """
+    out = []
+    cursor = Fraction(0)
+    for lo, hi in spans:
+        if lo > cursor:
+            out.append((cursor, lo))
+        cursor = hi
+    if cursor < 1:
+        out.append((cursor, Fraction(1)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,7 +202,7 @@ class PieceGenerator(ABC):
     length of every piece at position >= n (monotone, tending to 0).
     """
 
-    kind: PieceKind
+    kind: Label
     facts: StructuralFacts
     fingerprint: tuple[str, ...]
 
@@ -455,12 +467,12 @@ def find_idempotent_power(t: TNorm, q: Fraction, limit: int, depth: int | None =
     if isinstance(placed, UnknownAtDepth):
         return PowerSearch("unknown", None)
     piece = placed.piece
-    if piece.kind is PieceKind.PRODUCT:
+    if piece.kind is Label.P:
         return PowerSearch("no", None)
     return PowerSearch("yes", piece.nilpotency_index(q))
 
 
-def classify_piece(t: TNorm, lo: Fraction, hi: Fraction, samples: int = 8) -> PieceKind:
+def classify_piece(t: TNorm, lo: Fraction, hi: Fraction, samples: int = 8) -> Label:
     """Empirically classify a declared piece of a finite presentation.
 
     Samples interior rationals and iterates eval: a Lukasiewicz piece
@@ -486,7 +498,7 @@ def classify_piece(t: TNorm, lo: Fraction, hi: Fraction, samples: int = 8) -> Pi
                 break
         reached.add(hit)
     if reached == {True}:
-        return PieceKind.LUKASIEWICZ
+        return Label.L
     if reached == {False}:
-        return PieceKind.PRODUCT
+        return Label.P
     raise PreconditionError(f"samples disagree about ({lo}, {hi}); not a single piece")

@@ -9,14 +9,14 @@ from fractions import Fraction as F
 import pytest
 
 from ordsum.orders import FiniteOrder, order_tnorm
-from ordsum.tnorm import FinitePresentation, Piece, PieceKind, TNorm
+from ordsum.tnorm import FinitePresentation, Label, Piece, TNorm
 
 
 def tn(*pieces):
     """Finite t-norm from (lo, hi, kind) triples."""
     return TNorm(
         FinitePresentation(
-            tuple(Piece(F(lo), F(hi), PieceKind(kind)) for lo, hi, kind in pieces)
+            tuple(Piece(F(lo), F(hi), Label(kind)) for lo, hi, kind in pieces)
         )
     )
 

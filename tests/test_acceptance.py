@@ -34,7 +34,7 @@ from ordsum.orders import (
 )
 from ordsum.rationals import min_entry_in
 from ordsum.signature import compute_signature
-from ordsum.tnorm import Piece, PieceKind, check_axioms
+from ordsum.tnorm import Label, Piece, check_axioms
 
 GRID = [F(i, 20) for i in range(21)]
 
@@ -57,8 +57,8 @@ def test_a1_axiom_grid(finite_corpus):
     }
     for wanted in (
         (),
-        ((F(0), F(1), PieceKind.PRODUCT),),
-        ((F(0), F(1), PieceKind.LUKASIEWICZ),),
+        ((F(0), F(1), Label.P),),
+        ((F(0), F(1), Label.L),),
     ):
         if wanted not in shapes:
             failures.append(f"corpus lacks the basic presentation {wanted}")
@@ -312,7 +312,7 @@ def test_a13_nilpotency_closed_form():
     for round_no in range(20):
         den = rng.randint(5, 24)
         a, b = sorted(rng.sample(range(den + 1), 2))
-        piece = Piece(F(a, den), F(b, den), PieceKind.LUKASIEWICZ)
+        piece = Piece(F(a, den), F(b, den), Label.L)
         t = rng.randint(1, 9)
         u = rng.randint(t + 1, 10)
         q = piece.lo + piece.width * F(t, u)

@@ -11,14 +11,12 @@ from ordsum.cantor import (
     expand,
     format_gaps,
     gap_tnorm,
-    has_property_e,
     parse_system,
 )
 from ordsum.signature import Label
 from ordsum.tnorm import (
     IDEMPOTENT,
     InPiece,
-    PieceKind,
     PreconditionError,
     UnknownAtDepth,
     check_axioms,
@@ -100,9 +98,16 @@ def test_svc_measure_stays_small():
 
 
 def test_property_e():
-    assert has_property_e(MT, 6)
-    assert has_property_e(SVC, 6)
-    assert not has_property_e(NONE_SYS, 1)
+    """property_e holds exactly when every child keeps its parent's outer endpoints."""
+    for system in (MT, SVC, NONE_SYS):
+        levels, _ = expand(system, 6)
+        keeps = all(
+            children[2 * i][0] == box[0] and children[2 * i + 1][1] == box[1]
+            for parents, children in zip(levels, levels[1:])
+            for i, box in enumerate(parents)
+        )
+        assert system.property_e == keeps
+    assert MT.property_e and SVC.property_e and not NONE_SYS.property_e
 
 
 def test_analysis_middle_third():
@@ -133,7 +138,7 @@ def test_generator_enumeration_matches_expansion():
         _, collection = expand(system, 4)
         pieces = [gen.piece_at(n) for n in range(len(collection.gaps))]
         assert [(p.lo, p.hi) for p in pieces] == list(collection.gaps)
-        assert all(p.kind is PieceKind.PRODUCT for p in pieces)
+        assert all(p.kind is Label.P for p in pieces)
 
 
 def test_tail_bound_is_exact_remainder():

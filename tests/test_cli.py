@@ -52,6 +52,14 @@ class TestEval:
         assert main(["eval", f, "1/2", "1/2"]) == 2
         assert capsys.readouterr().err == "error: line 2: bad rational '0.25'\n"
 
+    def test_negative_x_rejected_as_a_number(self, write, capsys):
+        assert main(["eval", write("t", LUK_TEXT), "-1/2", "1/2"]) == 2
+        assert capsys.readouterr().err == "error: not a rational: '-1/2'\n"
+
+    def test_negative_y_rejected_as_a_number(self, write, capsys):
+        assert main(["eval", write("t", LUK_TEXT), "1/2", "-1/2"]) == 2
+        assert capsys.readouterr().err == "error: not a rational: '-1/2'\n"
+
     def test_non_reduced_point_accepted(self, write, capsys):
         assert main(["eval", write("t", PAIR_A_TEXT), "6/16", "3/8"]) == 0
         assert capsys.readouterr().out == "5/16\n"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ordsum.families import LadderGenerator, ladder_tnorm
 from ordsum.signature import Label, compute_signature
-from ordsum.tnorm import IDEMPOTENT, InPiece, PieceKind, check_axioms
+from ordsum.tnorm import IDEMPOTENT, InPiece, check_axioms
 
 F = Fraction
 
@@ -24,7 +24,7 @@ def test_rungs_tile_toward_the_anchor():
         for n in range(20):
             a, b = gen.piece_at(n), gen.piece_at(n + 1)
             shared = a.hi == b.lo or b.hi == a.lo
-            assert shared and a.kind is PieceKind.PRODUCT
+            assert shared and a.kind is Label.P
 
 
 def test_tail_bound_telescopes():

@@ -29,7 +29,6 @@ from ordsum.tnorm import (
     FinitePresentation,
     Piece,
     PieceGenerator,
-    PieceKind,
     PreconditionError,
     StructuralFacts,
     TNorm,
@@ -39,7 +38,7 @@ from ordsum.tnorm import (
 def tn(*pieces):
     return TNorm(
         FinitePresentation(
-            tuple(Piece(F(lo), F(hi), PieceKind(kind)) for lo, hi, kind in pieces)
+            tuple(Piece(F(lo), F(hi), Label(kind)) for lo, hi, kind in pieces)
         )
     )
 
@@ -124,14 +123,14 @@ class TestWitnessMap:
 class StubGenerator(PieceGenerator):
     """All structural facts unknown; used to exercise the UNKNOWN path."""
 
-    kind = PieceKind.PRODUCT
+    kind = Label.P
 
     def __init__(self, tag):
         self.fingerprint = ("stub", tag)
         self.facts = StructuralFacts(None, None, None)
 
     def piece_at(self, n):
-        return Piece(F(1, n + 3), F(1, n + 2), PieceKind.PRODUCT)
+        return Piece(F(1, n + 3), F(1, n + 2), Label.P)
 
     def tail_length_bound(self, n):
         return F(1, n + 2)

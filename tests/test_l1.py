@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordsum.l1 as l1
 from conftest import PAIR_A, PAIR_A_SWAPPED, PAIR_B, tn
@@ -126,10 +128,35 @@ class TestThetaLazy:
         assert counted and max(q.denominator for q in counted) <= 20
 
 
+# cuts of the random presentations sit on multiples of 1/PROBE_DEN, and
+# every entry (piece or min region) is at least 3/PROBE_DEN wide, so the
+# denominator-PROBE_DEN scans of theta_by_probing are definitive
+PROBE_DEN = 24
+
+
+@st.composite
+def coarse_presentations(draw):
+    cuts = [0]
+    while PROBE_DEN - cuts[-1] >= 6 and draw(st.booleans()):
+        cuts.append(draw(st.integers(cuts[-1] + 3, PROBE_DEN - 3)))
+    cuts.append(PROBE_DEN)
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        label = draw(st.sampled_from("PLM"))
+        if label != "M":  # an M segment is left to the min regions
+            pieces.append((F(lo, PROBE_DEN), F(hi, PROBE_DEN), label))
+    return tn(*pieces)
+
+
 class TestProbingRoute:
     def test_agrees_with_structural_route_on_corpus(self, finite_corpus):
         for t in finite_corpus:
             assert theta_by_probing(t, 16) == theta(t, 16)
+
+    @given(coarse_presentations(), st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_structural_route_on_random_presentations(self, t, size):
+        assert theta_by_probing(t, size, denominator_limit=PROBE_DEN) == theta(t, size)
 
     def test_single_lukasiewicz_piece_by_hand(self):
         s = theta_by_probing(tn((0, 1, "L")), 4)

@@ -27,7 +27,6 @@ from ordsum.tnorm import (
     IDEMPOTENT,
     InPiece,
     Piece,
-    PieceKind,
     PreconditionError,
     UnknownAtDepth,
     check_axioms,
@@ -91,7 +90,7 @@ def locate_by_scan(order, intervals, q, depth):
     placed = intervals[:depth]
     for n, (lo, hi) in enumerate(placed):
         if lo < q < hi:
-            return InPiece(n, Piece(lo, hi, PieceKind.PRODUCT))
+            return InPiece(n, Piece(lo, hi, Label.P))
         if q == lo or q == hi:
             return IDEMPOTENT
     below = [n for n in range(depth) if placed[n][1] < q]
@@ -247,7 +246,7 @@ def test_finite_order_tnorm_is_finite():
     t = order_tnorm(FiniteOrder([1, 0]))
     assert t.is_finite
     assert [(p.lo, p.hi) for p in t.pieces] == [(F(1, 9), F(2, 9)), (F(1, 3), F(2, 3))]
-    assert all(p.kind is PieceKind.PRODUCT for p in t.pieces)
+    assert all(p.kind is Label.P for p in t.pieces)
 
 
 def test_lazy_order_tnorm_basics():

@@ -10,7 +10,7 @@ from ordsum.presentations import (
     format_presentation,
     parse_presentation_text,
 )
-from ordsum.tnorm import PieceKind
+from ordsum.tnorm import Label
 
 
 def test_finite_round_trip():
@@ -18,8 +18,8 @@ def test_finite_round_trip():
     t = parse_presentation_text(text)
     assert t.is_finite
     assert [(p.lo, p.hi, p.kind) for p in t.pieces] == [
-        (F(1, 4), F(1, 2), PieceKind.PRODUCT),
-        (F(1, 2), F(3, 4), PieceKind.LUKASIEWICZ),
+        (F(1, 4), F(1, 2), Label.P),
+        (F(1, 2), F(3, 4), Label.L),
     ]
     assert format_presentation(t) == text
     assert t.eval(F(3, 8), F(3, 8)) == PAIR_A.eval(F(3, 8), F(3, 8))
@@ -108,6 +108,7 @@ def test_cantor_family():
         ("tnorm v1\nfamily limit-left\nfamily limit-right\n", "second family"),
         ("tnorm v1\nfamily limit-left\npiece 0 1 P\n", "after a family"),
         ("tnorm v1\npiece 0 1 P\nfamily limit-left\n", "after piece"),
+        ("tnorm v1\npiece 0 1 M\n", "want piece"),
     ],
 )
 def test_rejects(text, fragment):

@@ -15,14 +15,14 @@ from ordsum.signature import (
     is_dense_cover,
     prec,
 )
-from ordsum.tnorm import Piece, PieceKind, TNorm
+from ordsum.tnorm import Piece, TNorm
 
 
 def tn(*spec):
     return TNorm.from_pieces(Piece(F(a), F(b), k) for a, b, k in spec)
 
 
-TWO_PIECE = tn(("1/4", "1/2", PieceKind.PRODUCT), ("1/2", "3/4", PieceKind.LUKASIEWICZ))
+TWO_PIECE = tn(("1/4", "1/2", Label.P), ("1/2", "3/4", Label.L))
 
 
 def test_two_piece_signature():
@@ -44,17 +44,17 @@ def test_minimum_signature_is_single_m():
 
 
 def test_full_piece_signatures():
-    assert compute_signature(tn((0, 1, PieceKind.PRODUCT))).labels() == (Label.P,)
-    assert compute_signature(tn((0, 1, PieceKind.LUKASIEWICZ))).labels() == (Label.L,)
+    assert compute_signature(tn((0, 1, Label.P))).labels() == (Label.P,)
+    assert compute_signature(tn((0, 1, Label.L))).labels() == (Label.L,)
 
 
 def test_shared_endpoints_leave_no_m():
-    sig = compute_signature(tn((0, "1/2", PieceKind.LUKASIEWICZ), ("1/2", 1, PieceKind.PRODUCT)))
+    sig = compute_signature(tn((0, "1/2", Label.L), ("1/2", 1, Label.P)))
     assert sig.labels() == (Label.L, Label.P)
 
 
 def test_complete_signatures_are_dense_covers():
-    for t in (tn(), TWO_PIECE, tn(("1/3", "2/3", PieceKind.PRODUCT))):
+    for t in (tn(), TWO_PIECE, tn(("1/3", "2/3", Label.P))):
         assert is_dense_cover(compute_signature(t).entries)
 
 

@@ -14,8 +14,8 @@ from ordsum.cli import GRID_21
 from ordsum.tnorm import (
     AxiomReport,
     FinitePresentation,
+    Label,
     Piece,
-    PieceKind,
     PreconditionError,
     TNorm,
     Violation,
@@ -24,8 +24,8 @@ from ordsum.tnorm import (
     find_idempotent_power,
 )
 
-P = PieceKind.PRODUCT
-L = PieceKind.LUKASIEWICZ
+P = Label.P
+L = Label.L
 
 
 def tn(*spec):
@@ -86,6 +86,11 @@ def test_piece_outside_unit_rejected():
         Piece(F(1, 2), F(3, 2), P)
     with pytest.raises(ValueError):
         Piece(F(1, 2), F(1, 2), P)
+
+
+def test_piece_labeled_m_rejected():
+    with pytest.raises(ValueError, match="P or L"):
+        Piece(F(1, 4), F(1, 2), Label.M)
 
 
 def test_gaps():
