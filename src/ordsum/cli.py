@@ -19,20 +19,11 @@ import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .cantor import analyze_gap_order, format_gaps, parse_system
-from .iso import (
-    Iso,
-    Unknown,
-    build_iso_map,
-    decide_iso_finite,
-    decide_iso_lazy,
-    format_verdict,
-)
-from .l1 import format_l1, theta
-from .orders import build_intervals, order_tnorm, parse_order
+# `main` maps the errors of these three modules to exit codes, so every
+# command loads them.  Each command imports any other module it runs
+# inside its function, so a command loads only what it uses.
 from .presentations import PresentationError, load_presentation
 from .rationals import min_entry_in, parse_rational
-from .signature import compute_signature, format_signature
 from .tnorm import LocateUnresolved, PreconditionError, check_axioms
 
 GRID_21 = tuple(Fraction(i, 20) for i in range(21))
@@ -69,18 +60,23 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_signature(args) -> int:
+    from .signature import compute_signature, format_signature
+
     t = load_presentation(args.file)
     sys.stdout.write(format_signature(compute_signature(t, args.depth)))
     return 0
 
 
 def _cmd_iso(args) -> int:
+    from .iso import Iso, Unknown, decide_iso_finite, decide_iso_lazy, format_verdict
+    from .signature import compute_signature
+
     t1 = load_presentation(args.file_a)
     t2 = load_presentation(args.file_b)
     if t1.is_finite and t2.is_finite:
         verdict = decide_iso_finite(compute_signature(t1), compute_signature(t2))
         if isinstance(verdict, Iso):
-            verdict = Iso(build_iso_map(t1, t2))
+            verdict = Iso(verdict.witness.with_affine_map())
     else:
         verdict = decide_iso_lazy(t1, t2, args.depth)
     sys.stdout.write(format_verdict(verdict))
@@ -88,6 +84,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    from .l1 import format_l1, theta
+
     t = load_presentation(args.file)
     if t.is_finite:
         s = theta(t, args.size)
@@ -98,12 +96,16 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_from_lo(args) -> int:
+    from .orders import build_intervals, parse_order
+
     for lo, hi in build_intervals(parse_order(args.order), args.count):
         print(f"({lo}, {hi})")
     return 0
 
 
 def _cmd_cantor(args) -> int:
+    from .cantor import analyze_gap_order, format_gaps, parse_system
+
     system = parse_system(args.system)
     facts = analyze_gap_order(system, args.depth)
     sys.stdout.write(format_gaps(facts.collection))
@@ -120,6 +122,9 @@ def _cmd_cantor(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from .l1 import theta
+    from .orders import build_intervals, order_tnorm, parse_order
+
     order = parse_order(args.order)
     count = args.count
     t = order_tnorm(order)

@@ -157,6 +157,17 @@ class IsoWitness:
         i = max(bisect_right(starts, x) - 1, 0)
         return self.map_pieces[i].apply(x)
 
+    def with_affine_map(self) -> IsoWitness:
+        """This matching plus the affine map sending each entry onto its partner.
+
+        Only a matching of two complete signatures covers [0,1], so only
+        such a matching gives a full map.
+        """
+        segments = tuple(
+            AffineSegment(a.lo, a.hi, b.lo, b.hi) for a, b in self.entry_map
+        )
+        return IsoWitness(self.entry_map, segments)
+
 
 @dataclass(frozen=True)
 class Iso:
@@ -208,10 +219,7 @@ def build_iso_map(t1: TNorm, t2: TNorm) -> IsoWitness:
     verdict = decide_iso_finite(compute_signature(t1), compute_signature(t2))
     if not isinstance(verdict, Iso):
         raise PreconditionError(f"not isomorphic: {verdict.reason.tag}")
-    segments = tuple(
-        AffineSegment(a.lo, a.hi, b.lo, b.hi) for a, b in verdict.witness.entry_map
-    )
-    return IsoWitness(verdict.witness.entry_map, segments)
+    return verdict.witness.with_affine_map()
 
 
 def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:

@@ -21,9 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
-from .cantor import gap_tnorm, parse_system
-from .families import LADDER_NAMES, ladder_tnorm
-from .orders import order_tnorm, parse_order
 from .rationals import parse_rational
 from .tnorm import FinitePresentation, Label, Piece, PreconditionError, TNorm
 
@@ -49,16 +46,16 @@ def _fraction(token: str, where: str) -> Fraction:
 
 
 def _build_family(args: list[str], where: str) -> TNorm:
+    # a family's module is imported only when a line names it, so a
+    # finite file loads no family module
     if not args:
         raise PresentationError(f"{where}: family needs a name")
     name, rest = args[0], args[1:]
-    if name in LADDER_NAMES:
-        if rest:
-            raise PresentationError(f"{where}: {name} takes no arguments")
-        return ladder_tnorm(name)
     if name == "theta":
         if len(rest) != 1:
             raise PresentationError(f"{where}: theta takes one order spec")
+        from .orders import order_tnorm, parse_order
+
         try:
             return order_tnorm(parse_order(rest[0]))
         except ValueError as exc:
@@ -66,10 +63,18 @@ def _build_family(args: list[str], where: str) -> TNorm:
     if name == "cantor":
         if len(rest) != 1:
             raise PresentationError(f"{where}: cantor takes one system spec")
+        from .cantor import gap_tnorm, parse_system
+
         try:
             return gap_tnorm(parse_system(rest[0]))
         except ValueError as exc:
             raise PresentationError(f"{where}: {exc}") from None
+    from .families import LADDER_NAMES, ladder_tnorm
+
+    if name in LADDER_NAMES:
+        if rest:
+            raise PresentationError(f"{where}: {name} takes no arguments")
+        return ladder_tnorm(name)
     raise PresentationError(f"{where}: unknown family {name!r}")
 
 
@@ -122,6 +127,8 @@ def format_presentation(t: TNorm) -> str:
     if t.is_finite:
         lines.extend(f"piece {p.lo} {p.hi} {p.kind.value}" for p in t.pieces)
     else:
+        from .families import LADDER_NAMES
+
         fp = t.generator.fingerprint
         if fp[0] in LADDER_NAMES:
             lines.append(f"family {fp[0]}")

@@ -1,10 +1,17 @@
 """Isomorphism verdicts: finite label sequences, witnesses, lazy certificates."""
 
+import io
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordsum.cantor import gap_tnorm, parse_system
+from ordsum.cli import main
 from ordsum.families import ladder_tnorm
 from ordsum.iso import (
     CardinalityMismatch,
@@ -24,6 +31,7 @@ from ordsum.iso import (
     format_verdict,
 )
 from ordsum.orders import order_tnorm, parse_order
+from ordsum.presentations import format_presentation
 from ordsum.signature import Label, Signature, SignatureEntry, compute_signature
 from ordsum.tnorm import (
     FinitePresentation,
@@ -82,7 +90,52 @@ class TestFiniteDecision:
             decide_iso_finite(lazy_sig, compute_signature(PAIR_A))
 
 
+CUT_POINTS = st.integers(2, 40).flatmap(
+    lambda d: st.integers(1, d - 1).map(lambda k: F(k, d))
+)
+
+
+@st.composite
+def isomorphic_pairs(draw):
+    """One signature label sequence tiled over two random sets of cuts."""
+    labels = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            labels.append("M")
+        labels.append(draw(st.sampled_from("PL")))
+    if not labels or draw(st.booleans()):
+        labels.append("M")
+
+    def tiling():
+        size = len(labels) - 1
+        cuts = sorted(draw(st.sets(CUT_POINTS, min_size=size, max_size=size)))
+        bounds = [F(0), *cuts, F(1)]
+        spans = zip(bounds, bounds[1:], labels)
+        return tn(*[(lo, hi, k) for lo, hi, k in spans if k != "M"]), bounds
+
+    return tiling(), tiling()
+
+
 class TestWitnessMap:
+    @given(isomorphic_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_random_isomorphic_pairs(self, pair):
+        (t1, bounds), (t2, _) = pair
+        witness = build_iso_map(t1, t2)
+        grid = sorted({*bounds, *((a + b) / 2 for a, b in zip(bounds, bounds[1:]))})
+        w = witness.apply
+        for x in grid:
+            for y in grid:
+                assert w(t1.eval(x, y)) == t2.eval(w(x), w(y))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp, name) for name in ("a.tnorm", "b.tnorm")]
+            for path, t in zip(paths, (t1, t2)):
+                path.write_text(format_presentation(t))
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["iso", *map(str, paths)]) == 0
+        assert out.getvalue() == format_verdict(Iso(witness))
+
     def test_map_fixes_endpoints_and_increases(self):
         witness = build_iso_map(PAIR_A, PAIR_B)
         assert witness.apply(F(0)) == 0

@@ -22,6 +22,7 @@ from ordsum.orders import (
     parse_order,
     sampled_distance,
 )
+from ordsum.presentations import parse_presentation_text
 from ordsum.signature import Label, compute_signature
 from ordsum.tnorm import (
     IDEMPOTENT,
@@ -259,17 +260,30 @@ def test_lazy_order_tnorm_basics():
     assert report.ok
 
 
-def test_truncations_approach_each_other_within_bound():
-    t = order_tnorm(ZetaOrder())
-    pts = [F(i, 8) for i in range(9)]
+LAZY_FAMILIES = [
+    *(f"theta {name}" for name in NAMED_ORDERS),
+    "limit-left",
+    "limit-right",
+    *(f"cantor cantor:{name}" for name in ("middle-third", "svc", "non-e")),
+]
+
+
+@pytest.mark.parametrize("family", LAZY_FAMILIES, ids=lambda f: f.split()[-1])
+def test_truncations_approach_each_other_within_bound(family):
+    t = parse_presentation_text(f"tnorm v1\nfamily {family}\n")
+    grid = [F(i, 8) for i in range(9)]
     for n in [1, 2, 4]:
         deep = t.truncation(n + 8)
         bound = 2 * t.generator.tail_length_bound(n)
+        # grid points can all miss the pieces past n, where the two differ
+        pts = grid + [(p.lo + p.hi) / 2 for p in deep.pieces]
+        errors = []
         for x in pts:
             for y in pts:
                 value, stated = t.eval_approx(x, y, n)
                 assert stated == bound
-                assert abs(value - deep.eval(x, y)) <= bound
+                errors.append(abs(value - deep.eval(x, y)))
+        assert 0 < max(errors) <= bound
 
 
 def test_generator_facts():

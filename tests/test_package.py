@@ -1,7 +1,11 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and each command loads only what it runs."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +27,49 @@ def test_label_is_shared():
     from ordsum.tnorm import Label
 
     assert SignatureLabel is Label
+
+
+# runs one command in a fresh interpreter, then names the ordsum modules it loaded
+LOADED_BY = """
+import sys
+from ordsum.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("ordsum."))), file=sys.stderr)
+sys.exit(code)
+"""
+
+FILES = {
+    "finite.tnorm": "piece 1/4 1/2 P\npiece 1/2 3/4 L",
+    "cantor.tnorm": "family cantor cantor:svc",
+    "theta.tnorm": "family theta omega",
+    "ladder.tnorm": "family limit-left",
+}
+BASE = {"cli", "presentations", "rationals", "tnorm"}
+
+COMMANDS = [
+    ("eval finite.tnorm 1/3 2/5", BASE),
+    ("axioms finite.tnorm", BASE),
+    ("surface finite.tnorm 3", BASE),
+    ("signature finite.tnorm", BASE | {"signature"}),
+    ("iso finite.tnorm finite.tnorm", BASE | {"iso", "signature"}),
+    ("theta finite.tnorm 4", BASE | {"l1", "signature"}),
+    ("eval cantor.tnorm 1/3 2/5", BASE | {"cantor", "signature"}),
+    ("eval theta.tnorm 1/3 2/5", BASE | {"orders", "signature"}),
+    ("eval ladder.tnorm 1/3 2/5", BASE | {"families", "signature"}),
+    ("from-lo omega 3", BASE | {"orders", "signature"}),
+    ("cantor cantor:svc 2", BASE | {"cantor", "signature"}),
+    ("roundtrip omega 3", BASE | {"l1", "orders", "signature"}),
+]
+
+
+@pytest.mark.parametrize("command, expected", COMMANDS, ids=[c for c, _ in COMMANDS])
+def test_command_loads_only_what_it_runs(tmp_path, command, expected):
+    for name, body in FILES.items():
+        (tmp_path / name).write_text(f"tnorm v1\n{body}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ordsum.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_BY, *command.split()],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.split() == sorted(f"ordsum.{name}" for name in expected)
