@@ -1,8 +1,9 @@
 """Nested binary interval systems and the t-norms on their removed gaps.
 
-A rule refines each closed box [l, r] into two disjoint closed children;
-what it removes from the box stays removed forever, so every removed gap
-is an open interval that persists at all later depths.  Three rules ship:
+A rule splits each closed box [l, r] into two disjoint closed children
+and the open gaps it removes; what it removes from the box stays removed
+forever, so every removed gap persists at all later depths.  Three rules
+ship:
 
     middle-third   children [l, l+w/3], [r-w/3, r]; removes the middle third
     svc            removes a centered gap of length 4^-(d+1) at box depth d
@@ -14,15 +15,17 @@ their gap orders are dense without endpoints.  The third drops the left
 endpoint at every step: the root gap (0, 1/4) is a least gap, and each
 abandoned endpoint glues two gaps together into a successor pair.
 
-Gaps are enumerated depth-first by level, left to right inside a level,
-and the gap t-norm puts a Product piece on each gap.
+Gaps are enumerated breadth-first: level by level, left to right inside
+a level.  The gap t-norm puts a Product piece on each gap.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import islice
 
 from .rationals import check_unit
 from .signature import Label, SignatureEntry
@@ -54,6 +57,7 @@ __all__ = [
 ]
 
 Box = tuple[Fraction, Fraction]
+Split = tuple[tuple[Box, Box], tuple[Box, ...]]  # children, then gaps, left to right
 MAX_EXPAND_DEPTH = 16
 
 
@@ -64,15 +68,11 @@ class MiddleThirdRule:
     gaps_per_node = 1
     total_gap_length = Fraction(1)
 
-    def children(self, box: Box, depth: int) -> tuple[Box, Box]:
+    def split(self, box: Box, depth: int) -> Split:
         lo, hi = box
         w = hi - lo
-        return (lo, lo + w / 3), (hi - w / 3, hi)
-
-    def node_gaps(self, box: Box, depth: int) -> list[Box]:
-        lo, hi = box
-        w = hi - lo
-        return [(lo + w / 3, hi - w / 3)]
+        a, b = lo + w / 3, hi - w / 3
+        return ((lo, a), (b, hi)), ((a, b),)
 
     def gap_length(self, depth: int) -> Fraction:
         return Fraction(1, 3 ** (depth + 1))
@@ -87,17 +87,12 @@ class SvcRule:
     gaps_per_node = 1
     total_gap_length = Fraction(1, 2)
 
-    def children(self, box: Box, depth: int) -> tuple[Box, Box]:
+    def split(self, box: Box, depth: int) -> Split:
         lo, hi = box
-        g = Fraction(1, 4 ** (depth + 1))
         mid = (lo + hi) / 2
-        return (lo, mid - g / 2), (mid + g / 2, hi)
-
-    def node_gaps(self, box: Box, depth: int) -> list[Box]:
-        lo, hi = box
-        g = Fraction(1, 4 ** (depth + 1))
-        mid = (lo + hi) / 2
-        return [(mid - g / 2, mid + g / 2)]
+        half = self.gap_length(depth) / 2
+        a, b = mid - half, mid + half
+        return ((lo, a), (b, hi)), ((a, b),)
 
     def gap_length(self, depth: int) -> Fraction:
         return Fraction(1, 4 ** (depth + 1))
@@ -112,15 +107,11 @@ class NonERule:
     gaps_per_node = 2
     total_gap_length = Fraction(1)
 
-    def children(self, box: Box, depth: int) -> tuple[Box, Box]:
+    def split(self, box: Box, depth: int) -> Split:
         lo, hi = box
         w = hi - lo
-        return (lo + w / 4, lo + w / 2), (lo + 3 * w / 4, hi)
-
-    def node_gaps(self, box: Box, depth: int) -> list[Box]:
-        lo, hi = box
-        w = hi - lo
-        return [(lo, lo + w / 4), (lo + w / 2, lo + 3 * w / 4)]
+        a, b, c = lo + w / 4, lo + w / 2, lo + 3 * w / 4
+        return ((a, b), (c, hi)), ((lo, a), (b, c))
 
     def gap_length(self, depth: int) -> Fraction:
         return Fraction(1, 4 ** (depth + 1))
@@ -173,19 +164,29 @@ def _check_depth(depth: int) -> None:
         raise PreconditionError(f"expansion depth capped at {MAX_EXPAND_DEPTH}")
 
 
-def expand(system: CantorSystem, depth: int) -> tuple[list[list[Box]], GapCollection]:
-    """All boxes for levels 0..depth and the gaps removed on the way there."""
+def _walk(rule):
+    """Every gap in removal order, holding only the boxes not yet split."""
+    boxes = deque([(Fraction(0), Fraction(1))])
+    depth = 0
+    while True:
+        for _ in range(len(boxes)):  # exactly the boxes of this level
+            children, gaps = rule.split(boxes.popleft(), depth)
+            boxes.extend(children)
+            yield from gaps
+        depth += 1
+
+
+def _gap_index(rule, node_depth: int, node_pos: int, which: int) -> int:
+    per = rule.gaps_per_node
+    return per * (2**node_depth - 1) + per * node_pos + which
+
+
+def expand(system: CantorSystem, depth: int) -> GapCollection:
+    """The gaps removed by all nodes shallower than `depth`."""
     _check_depth(depth)
     rule = system.rule
-    levels: list[list[Box]] = [[(Fraction(0), Fraction(1))]]
-    gaps: list[Box] = []
-    for d in range(depth):
-        nxt: list[Box] = []
-        for box in levels[d]:
-            gaps.extend(rule.node_gaps(box, d))
-            nxt.extend(rule.children(box, d))
-        levels.append(nxt)
-    return levels, GapCollection(tuple(gaps), depth)
+    count = _gap_index(rule, depth, 0, 0)  # every gap above level `depth`
+    return GapCollection(tuple(islice(_walk(rule), count)), depth)
 
 
 @dataclass(frozen=True)
@@ -207,10 +208,9 @@ def _successor_witness(ordered: list[Box]) -> tuple[Box, Box] | None:
 
 
 def analyze_gap_order(system: CantorSystem, depth: int) -> GapOrderFacts:
-    _check_depth(depth)
     rule = system.rule
-    _, collection = expand(system, depth)
-    gaps = list(collection.gaps)
+    collection = expand(system, depth)
+    gaps = collection.gaps
 
     if any(g[0] == 0 for g in gaps):
         has_min = True
@@ -237,28 +237,6 @@ def analyze_gap_order(system: CantorSystem, depth: int) -> GapOrderFacts:
     return GapOrderFacts(dense, has_min, has_max, witness, collection)
 
 
-def _gap_index(rule, node_depth: int, node_pos: int, which: int) -> int:
-    per = rule.gaps_per_node
-    return per * (2**node_depth - 1) + per * node_pos + which
-
-
-def _gap_coords(rule, index: int) -> tuple[int, int, int]:
-    per = rule.gaps_per_node
-    node_depth = 0
-    while per * (2 ** (node_depth + 1) - 1) <= index:
-        node_depth += 1
-    rest = index - per * (2**node_depth - 1)
-    return node_depth, rest // per, rest % per
-
-
-def _box_at(rule, node_depth: int, node_pos: int) -> Box:
-    box: Box = (Fraction(0), Fraction(1))
-    for d in range(node_depth):
-        bit = (node_pos >> (node_depth - 1 - d)) & 1
-        box = rule.children(box, d)[bit]
-    return box
-
-
 class CantorGapGenerator(PieceGenerator):
     """Product pieces on the removed gaps, level by level, left to right."""
 
@@ -267,6 +245,8 @@ class CantorGapGenerator(PieceGenerator):
     def __init__(self, system: CantorSystem):
         self.system = system
         self.rule = system.rule
+        self._gaps: list[Box] = []  # gaps 0..len-1, read off self._walk
+        self._walk = _walk(self.rule)
         self.fingerprint = ("cantor", system.name)
         self.facts = StructuralFacts(
             has_min_piece=not self.rule.keeps_left_endpoint,
@@ -277,9 +257,10 @@ class CantorGapGenerator(PieceGenerator):
     def piece_at(self, n: int) -> Piece:
         if n < 0:
             raise PreconditionError(f"negative piece index {n}")
-        node_depth, node_pos, which = _gap_coords(self.rule, n)
-        box = _box_at(self.rule, node_depth, node_pos)
-        lo, hi = self.rule.node_gaps(box, node_depth)[which]
+        gaps = self._gaps
+        if n >= len(gaps):
+            gaps.extend(islice(self._walk, n + 1 - len(gaps)))
+        lo, hi = gaps[n]
         return Piece(lo, hi, Label.P)
 
     def tail_length_bound(self, n: int) -> Fraction:
@@ -296,7 +277,11 @@ class CantorGapGenerator(PieceGenerator):
         return tail
 
     def locate(self, q: Fraction, depth: int):
-        """Descend the box tree at most `depth` levels looking for q's gap."""
+        """Descend the box tree at most `depth` levels looking for q's gap.
+
+        Unlike `PieceGenerator.locate`, `depth` counts tree levels, not
+        pieces: it covers the first `gaps_per_node * (2**depth - 1)` gaps.
+        """
         check_unit(q)
         if depth < 1:
             raise PreconditionError("locate depth must be >= 1")
@@ -305,11 +290,12 @@ class CantorGapGenerator(PieceGenerator):
         for d in range(depth):
             if q == box[0] or q == box[1]:
                 return IDEMPOTENT
-            for which, (lo, hi) in enumerate(self.rule.node_gaps(box, d)):
+            children, gaps = self.rule.split(box, d)
+            for which, (lo, hi) in enumerate(gaps):
                 if lo < q < hi:
                     index = _gap_index(self.rule, d, node_pos, which)
                     return InPiece(index, Piece(lo, hi, Label.P))
-            for bit, child in enumerate(self.rule.children(box, d)):
+            for bit, child in enumerate(children):
                 if child[0] <= q <= child[1]:
                     box = child
                     node_pos = 2 * node_pos + bit
@@ -321,6 +307,11 @@ class CantorGapGenerator(PieceGenerator):
         return UnknownAtDepth(depth)
 
     def successor_pair(self, depth: int):
+        """A pair of adjacent gaps among those of the first `depth` tree levels.
+
+        As in `locate`, `depth` counts tree levels, not pieces; it is
+        capped at MAX_EXPAND_DEPTH.
+        """
         facts = analyze_gap_order(self.system, min(depth, MAX_EXPAND_DEPTH))
         if facts.successor_witness is None:
             return None

@@ -1,11 +1,14 @@
 """Box refinement rules, gap enumeration, and gap-order analysis."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ordsum.cantor import (
     CantorGapGenerator,
+    CantorSystem,
     GapCollection,
     analyze_gap_order,
     expand,
@@ -29,6 +32,44 @@ SVC = parse_system("cantor:svc")
 NONE_SYS = parse_system("cantor:non-e")
 
 
+def oracle_expand(system, depth):
+    """Every level of boxes 0..depth and the gaps removed on the way there.
+
+    The library's walk keeps one level at a time; this keeps them all, so
+    the tests can read the boxes and check the walk's removal order.
+    """
+    levels = [[(F(0), F(1))]]
+    gaps = []
+    for d in range(depth):
+        nxt = []
+        for box in levels[d]:
+            children, node_gaps = system.rule.split(box, d)
+            gaps.extend(node_gaps)
+            nxt.extend(children)
+        levels.append(nxt)
+    return levels, tuple(gaps)
+
+
+def counting_system(system):
+    """`system` with a rule that counts how often it splits each node."""
+
+    class Counting(type(system.rule)):
+        def __init__(self):
+            self.calls = Counter()
+
+        def split(self, box, depth):
+            self.calls[depth, box] += 1
+            return super().split(box, depth)
+
+    return CantorSystem(Counting())
+
+
+def middle_third_gap(d, p):
+    """The gap of node (d, p), from p's binary digits read in base 3."""
+    b = int(format(p, "b"), 3)
+    return F(6 * b + 1, 3 ** (d + 1)), F(6 * b + 2, 3 ** (d + 1))
+
+
 def test_parse_system():
     assert MT.name == "middle-third" and MT.property_e
     assert not NONE_SYS.property_e
@@ -38,9 +79,9 @@ def test_parse_system():
 
 
 def test_middle_third_expansion():
-    levels, gaps = expand(MT, 2)
+    levels, gaps = oracle_expand(MT, 2)
     assert levels[1] == [(F(0), F(1, 3)), (F(2, 3), F(1))]
-    assert sorted(gaps.gaps) == [
+    assert sorted(gaps) == [
         (F(1, 9), F(2, 9)),
         (F(1, 3), F(2, 3)),
         (F(7, 9), F(8, 9)),
@@ -48,26 +89,71 @@ def test_middle_third_expansion():
 
 
 def test_svc_expansion():
-    levels, gaps = expand(SVC, 2)
+    levels, gaps = oracle_expand(SVC, 2)
     assert levels[1] == [(F(0), F(3, 8)), (F(5, 8), F(1))]
-    assert gaps.gaps[0] == (F(3, 8), F(5, 8))
-    assert gaps.gaps[1] == (F(5, 32), F(7, 32))
+    assert gaps[0] == (F(3, 8), F(5, 8))
+    assert gaps[1] == (F(5, 32), F(7, 32))
     widths = {hi - lo for lo, hi in levels[2]}
     assert widths == {F(5, 32)}
 
 
 def test_non_e_expansion():
-    levels, gaps = expand(NONE_SYS, 2)
+    levels, gaps = oracle_expand(NONE_SYS, 2)
     assert levels[1] == [(F(1, 4), F(1, 2)), (F(3, 4), F(1))]
-    assert gaps.gaps[:2] == ((F(0), F(1, 4)), (F(1, 2), F(3, 4)))
-    assert (F(1, 4), F(5, 16)) in gaps.gaps
+    assert gaps[:2] == ((F(0), F(1, 4)), (F(1, 2), F(3, 4)))
+    assert (F(1, 4), F(5, 16)) in gaps
+
+
+@pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
+def test_walk_matches_level_list_oracle(system):
+    for depth in range(11):
+        _, gaps = oracle_expand(system, depth)
+        assert expand(system, depth) == GapCollection(gaps, depth)
+    gen = CantorGapGenerator(system)
+    order = list(range(len(gaps)))
+    random.Random(8).shuffle(order)
+    for n in order:
+        piece = gen.piece_at(n)
+        assert (piece.lo, piece.hi) == gaps[n]
+
+
+@pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
+def test_walk_splits_each_node_once(system):
+    for depth in range(11):
+        counted = counting_system(system)
+        expand(counted, depth)
+        assert sum(counted.rule.calls.values()) == 2**depth - 1
+    counted = counting_system(system)
+    gen = CantorGapGenerator(counted)
+    count = 2000
+    order = list(range(count))
+    random.Random(8).shuffle(order)
+    for n in [*range(count), *order]:
+        gen.piece_at(n)
+    # one walk serves every read; a descent from the root per piece would
+    # split the root 2000 times
+    assert max(counted.rule.calls.values()) == 1
+    assert sum(counted.rule.calls.values()) == -(-count // system.rule.gaps_per_node)
+
+
+def test_middle_third_closed_form():
+    want = [middle_third_gap(d, p) for d in range(10) for p in range(2**d)]
+    gen = CantorGapGenerator(MT)
+    assert [(p.lo, p.hi) for p in map(gen.piece_at, range(len(want)))] == want
+    for depth in range(11):
+        count = 2**depth - 1
+        assert expand(MT, depth).gaps == tuple(want[:count])
+        for index, (lo, hi) in enumerate(want[:count]):
+            placed = gen.locate((lo + hi) / 2, depth)
+            assert placed == InPiece(index, placed.piece)
+            assert (placed.piece.lo, placed.piece.hi) == (lo, hi)
 
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
 def test_gap_monotonicity(system):
     previous: set = set()
     for depth in range(9):
-        _, collection = expand(system, depth)
+        collection = expand(system, depth)
         current = set(collection.gaps)
         assert previous <= current
         previous = current
@@ -75,7 +161,7 @@ def test_gap_monotonicity(system):
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
 def test_boxes_nest_and_shrink(system):
-    levels, _ = expand(system, 8)
+    levels, _ = oracle_expand(system, 8)
     for d in range(8):
         for i, parent in enumerate(levels[d]):
             left, right = levels[d + 1][2 * i], levels[d + 1][2 * i + 1]
@@ -85,14 +171,14 @@ def test_boxes_nest_and_shrink(system):
 
 def test_middle_third_measure():
     for depth in range(1, 9):
-        _, collection = expand(MT, depth)
+        collection = expand(MT, depth)
         total = sum(hi - lo for lo, hi in collection.gaps)
         assert total == 1 - F(2, 3) ** depth
 
 
 def test_svc_measure_stays_small():
     for depth in range(1, 9):
-        _, collection = expand(SVC, depth)
+        collection = expand(SVC, depth)
         total = sum(hi - lo for lo, hi in collection.gaps)
         assert total <= F(1, 2)
 
@@ -100,7 +186,7 @@ def test_svc_measure_stays_small():
 def test_property_e():
     """property_e holds exactly when every child keeps its parent's outer endpoints."""
     for system in (MT, SVC, NONE_SYS):
-        levels, _ = expand(system, 6)
+        levels, _ = oracle_expand(system, 6)
         keeps = all(
             children[2 * i][0] == box[0] and children[2 * i + 1][1] == box[1]
             for parents, children in zip(levels, levels[1:])
@@ -135,7 +221,7 @@ def test_property_e_systems_show_no_witness(system):
 def test_generator_enumeration_matches_expansion():
     for system in (MT, SVC, NONE_SYS):
         gen = CantorGapGenerator(system)
-        _, collection = expand(system, 4)
+        collection = expand(system, 4)
         pieces = [gen.piece_at(n) for n in range(len(collection.gaps))]
         assert [(p.lo, p.hi) for p in pieces] == list(collection.gaps)
         assert all(p.kind is Label.P for p in pieces)
@@ -144,7 +230,7 @@ def test_generator_enumeration_matches_expansion():
 def test_tail_bound_is_exact_remainder():
     for system in (MT, SVC, NONE_SYS):
         gen = CantorGapGenerator(system)
-        _, collection = expand(system, 5)
+        collection = expand(system, 5)
         running = gen.rule.total_gap_length
         assert gen.tail_length_bound(0) == running
         for n, (lo, hi) in enumerate(collection.gaps):
@@ -176,7 +262,7 @@ def test_locate_non_e_endpoints():
 def test_locate_index_agrees_with_enumeration():
     for system in (MT, SVC, NONE_SYS):
         gen = CantorGapGenerator(system)
-        _, collection = expand(system, 4)
+        collection = expand(system, 4)
         for index, (lo, hi) in enumerate(collection.gaps):
             mid = (lo + hi) / 2
             placed = gen.locate(mid, 4)
@@ -216,7 +302,7 @@ def test_depth_guard():
 
 
 def test_format_gaps():
-    _, collection = expand(NONE_SYS, 1)
+    collection = expand(NONE_SYS, 1)
     text = format_gaps(collection)
     assert text == "gaps depth=1 count=2\n( 0 , 1/4 )\n( 1/2 , 3/4 )\n"
     assert isinstance(collection, GapCollection)
