@@ -28,10 +28,10 @@ from fractions import Fraction
 from itertools import islice
 
 from .rationals import check_unit
-from .signature import Label, SignatureEntry
 from .tnorm import (
     IDEMPOTENT,
     InPiece,
+    Label,
     Piece,
     PieceGenerator,
     PreconditionError,
@@ -243,7 +243,6 @@ class CantorGapGenerator(PieceGenerator):
     kind = Label.P
 
     def __init__(self, system: CantorSystem):
-        self.system = system
         self.rule = system.rule
         self._gaps: list[Box] = []  # gaps 0..len-1, read off self._walk
         self._walk = _walk(self.rule)
@@ -305,21 +304,6 @@ class CantorGapGenerator(PieceGenerator):
         if q == box[0] or q == box[1]:
             return IDEMPOTENT
         return UnknownAtDepth(depth)
-
-    def successor_pair(self, depth: int):
-        """A pair of adjacent gaps among those of the first `depth` tree levels.
-
-        As in `locate`, `depth` counts tree levels, not pieces; it is
-        capped at MAX_EXPAND_DEPTH.
-        """
-        facts = analyze_gap_order(self.system, min(depth, MAX_EXPAND_DEPTH))
-        if facts.successor_witness is None:
-            return None
-        (a, b) = facts.successor_witness
-        return (
-            SignatureEntry(a[0], a[1], Label.P),
-            SignatureEntry(b[0], b[1], Label.P),
-        )
 
 
 def gap_tnorm(system: CantorSystem) -> TNorm:

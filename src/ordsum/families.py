@@ -13,10 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rationals import check_unit
-from .signature import Label, SignatureEntry
 from .tnorm import (
     IDEMPOTENT,
     InPiece,
+    Label,
     Piece,
     PieceGenerator,
     PreconditionError,
@@ -85,16 +85,6 @@ class LadderGenerator(PieceGenerator):
         if piece.contains_open(q):
             return InPiece(n, piece)
         return IDEMPOTENT
-
-    def successor_pair(self, depth: int):
-        if depth < 2:
-            return None
-        a = self.piece_at(1) if self.anchor == "limit-right" else self.piece_at(0)
-        b = self.piece_at(0) if self.anchor == "limit-right" else self.piece_at(1)
-        return (
-            SignatureEntry(a.lo, a.hi, Label.P),
-            SignatureEntry(b.lo, b.hi, Label.P),
-        )
 
 
 def ladder_tnorm(anchor: str) -> TNorm:

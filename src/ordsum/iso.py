@@ -275,7 +275,7 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
         return Iso(IsoWitness(pairs))
     if d1 is True or d2 is True:
         other = t2 if d1 is True else t1
-        pair = other.generator.successor_pair(depth)
+        pair = compute_signature(other, depth).successor_pair()
         if pair is not None:
             return NotIso(SuccessorPairPresent(pair))
         dense_other = d2 if d1 is True else d1

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import check_unit, rational_at
-from .signature import Label, SignatureEntry
 from .tnorm import (
     IDEMPOTENT,
     FinitePresentation,
     InPiece,
+    Label,
     Piece,
     PieceGenerator,
     PreconditionError,
@@ -321,49 +321,34 @@ class OrderPieceGenerator(PieceGenerator):
                 return InPiece(left, Piece(lo, hi, Label.P))
             if q == lo or q == hi:
                 return IDEMPOTENT
-        order = self.order
-        if left is None:
-            if right is not None and right == order.min_element:
-                return IDEMPOTENT
-        elif right is None:
-            if left == order.max_element:
-                return IDEMPOTENT
-        elif order.adjacent(left, right):
+        if self._gap_is_final(left, right):
             return IDEMPOTENT
         return UnknownAtDepth(depth)
 
-    def certified_m_gaps(self, depth: int) -> list[tuple[Fraction, Fraction]]:
-        """Gaps between placed pieces that no later piece can enter.
+    def _gap_is_final(self, left: int | None, right: int | None) -> bool:
+        """Whether no later piece can enter the gap between placed neighbours.
 
-        A gap between positionally consecutive pieces m, n is final exactly
-        when m is immediately below n in the order; the outer gaps are
-        final when the order's global extreme is already placed.
+        None stands for the end of [0, 1] on that side.  A gap between
+        pieces m, n is final exactly when m is immediately below n in the
+        order; an outer gap is final when the order's extreme on that
+        side is already placed.
         """
-        by_pos = self._built_by_position(depth)
-        out: list[tuple[Fraction, Fraction]] = []
-        first, last = by_pos[0], by_pos[-1]
-        if first == self.order.min_element:
-            out.append((Fraction(0), self._intervals[first][0]))
-        for m, n in zip(by_pos, by_pos[1:]):
-            if self.order.adjacent(m, n):
-                out.append((self._intervals[m][1], self._intervals[n][0]))
-        if last == self.order.max_element:
-            out.append((self._intervals[last][1], Fraction(1)))
-        return out
+        if left is None:
+            return right is not None and right == self.order.min_element
+        if right is None:
+            return left == self.order.max_element
+        return self.order.adjacent(left, right)
 
-    def successor_pair(self, depth: int):
-        gaps = self.certified_m_gaps(depth)
-        if not gaps:
-            return None
-        lo, hi = gaps[0]
-        gap_entry = SignatureEntry(lo, hi, Label.M)
-        for n in range(depth):
-            a, b = self._intervals[n]
-            if b == lo:
-                return (SignatureEntry(a, b, Label.P), gap_entry)
-            if a == hi:
-                return (gap_entry, SignatureEntry(a, b, Label.P))
-        return None
+    def certified_m_gaps(self, depth: int) -> list[tuple[Fraction, Fraction]]:
+        """Gaps between placed pieces that no later piece can enter."""
+        intervals = self._intervals
+        ends = [None, *self._built_by_position(depth), None]
+        return [
+            (intervals[m][1] if m is not None else Fraction(0),
+             intervals[n][0] if n is not None else Fraction(1))
+            for m, n in zip(ends, ends[1:])
+            if self._gap_is_final(m, n)
+        ]
 
 
 def order_tnorm(order: LinearOrder) -> TNorm:

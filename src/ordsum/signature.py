@@ -78,6 +78,16 @@ class Signature:
     def labels(self) -> tuple[Label, ...]:
         return tuple(e.label for e in self.entries)
 
+    def successor_pair(self) -> tuple[SignatureEntry, SignatureEntry] | None:
+        """The leftmost two consecutive entries sharing an endpoint, or None.
+
+        Sound on a truncated signature: its pieces and certified M gaps
+        are all final, and nothing fits between two entries that share
+        an endpoint, so they are consecutive in the complete signature.
+        """
+        pairs = zip(self.entries, self.entries[1:])
+        return next(((a, b) for a, b in pairs if a.hi == b.lo), None)
+
 
 def is_dense_cover(entries) -> bool:
     """True iff entries are nonempty, pairwise disjoint, and their closures cover [0, 1]."""

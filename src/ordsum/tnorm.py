@@ -200,6 +200,9 @@ class PieceGenerator(ABC):
     piece_at(1), ... of pairwise disjoint pieces, all of `kind`, and
     certify `tail_length_bound(n)`, an exact upper bound on the summed
     length of every piece at position >= n (monotone, tending to 0).
+    The contract is `piece_at`, `tail_length_bound`, `locate` and
+    `certified_m_gaps`; certificates about the order of the entries,
+    such as a successor pair, are read off `compute_signature`.
     """
 
     kind: Label
@@ -226,10 +229,6 @@ class PieceGenerator(ABC):
     def certified_m_gaps(self, depth: int) -> list[tuple[Fraction, Fraction]]:
         """Maximal idempotent intervals certified final at this depth."""
         return []
-
-    def successor_pair(self, depth: int):
-        """Two signature entries sharing an endpoint, if certified; else None."""
-        return None
 
 
 class TNorm:

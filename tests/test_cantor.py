@@ -16,11 +16,12 @@ from ordsum.cantor import (
     gap_tnorm,
     parse_system,
 )
-from ordsum.signature import Label
+from ordsum.signature import Label, compute_signature
 from ordsum.tnorm import (
     IDEMPOTENT,
     InPiece,
     PreconditionError,
+    TNorm,
     UnknownAtDepth,
     check_axioms,
 )
@@ -274,12 +275,14 @@ def test_generator_facts():
     mt = CantorGapGenerator(MT)
     assert mt.facts.dense_no_endpoints is True
     assert mt.facts.has_min_piece is False and mt.facts.has_max_piece is False
-    assert mt.successor_pair(6) is None
+    # depth counts pieces: 63 are the gaps of the first 6 levels
+    assert compute_signature(TNorm(mt), 63).successor_pair() is None
 
     ne = CantorGapGenerator(NONE_SYS)
     assert ne.facts.has_min_piece is True
     assert ne.facts.dense_no_endpoints is False
-    pair = ne.successor_pair(2)
+    # the two root gaps and the first gap of level 1, which meets (0, 1/4)
+    pair = compute_signature(TNorm(ne), 3).successor_pair()
     assert pair is not None
     assert pair[0].hi == pair[1].lo == F(1, 4)
     assert pair[0].label is Label.P

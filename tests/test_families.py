@@ -68,12 +68,13 @@ def test_structural_certificates():
     assert not left.facts.dense_no_endpoints
     assert left.certified_m_gaps(10) == []
 
-    pair = left.successor_pair(4)
+    t = ladder_tnorm("limit-left")
+    pair = compute_signature(t, 4).successor_pair()
     assert pair is not None
     first, second = pair
     assert first.hi == second.lo == F(1, 2)
     assert first.label is Label.P and second.label is Label.P
-    assert left.successor_pair(1) is None
+    assert compute_signature(t, 1).successor_pair() is None
 
 
 def test_signature_prefix_and_axioms():

@@ -1,6 +1,7 @@
 """Isomorphism verdicts: finite label sequences, witnesses, lazy certificates."""
 
 import io
+import re
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction as F
@@ -272,9 +273,11 @@ class TestLazyDecision:
         verdict = decide_iso_lazy(t1, t2, 2)
         assert isinstance(verdict, NotIso)
         assert isinstance(verdict.reason, SuccessorPairPresent)
-        gap, piece = verdict.reason.entries
+        # the leftmost shared endpoint: zeta's -1 sits at (1/9, 2/9), and
+        # the certified gap up to 0's piece (1/3, 2/3) follows it
+        piece, gap = verdict.reason.entries
+        assert (piece.lo, piece.hi, piece.label) == (F(1, 9), F(2, 9), Label.P)
         assert (gap.lo, gap.hi, gap.label) == (F(2, 9), F(1, 3), Label.M)
-        assert (piece.lo, piece.hi, piece.label) == (F(1, 3), F(2, 3), Label.P)
         # deeper truncations keep producing a shared-endpoint witness
         for depth in range(3, 9):
             deeper = decide_iso_lazy(t1, t2, depth)
@@ -354,3 +357,67 @@ class TestFormatting:
     def test_unknown_verdict(self):
         text = format_verdict(Unknown(7))
         assert text.splitlines()[0] == "UNKNOWN depth=7"
+
+
+# one family file per shipped family: the ten lazy ones and one finite
+FAMILIES = [
+    "limit-left",
+    "limit-right",
+    "theta omega",
+    "theta omega_star",
+    "theta zeta",
+    "theta eta",
+    "theta omega_plus_omega_star",
+    "cantor cantor:middle-third",
+    "cantor cantor:svc",
+    "cantor cantor:non-e",
+    "theta finite:2,0,1",
+]
+# `ordsum iso ROW COLUMN 30`, rows and columns in FAMILIES order:
+# = ISO, m MinimumExistsMismatch, M MaximumExistsMismatch,
+# c CardinalityMismatch, s SuccessorPairPresent, ? UNKNOWN
+VERDICTS_AT_30 = """\
+=m?mmmMmm?c
+m=m?MMmMMmc
+?m=mmmMmm?c
+m?m=MMmMMmc
+mMmM=smssmc
+mMmMs=m==mc
+MmMmmm=mmMc
+mMmMs=m==mc
+mMmMs=m==mc
+?m?mmmMmm=c
+cccccccccc=
+"""
+VERDICT_CODES = {
+    "ISO": "=",
+    "MinimumExistsMismatch": "m",
+    "MaximumExistsMismatch": "M",
+    "CardinalityMismatch": "c",
+    "SuccessorPairPresent": "s",
+    "UNKNOWN": "?",
+}
+
+
+def test_family_verdict_matrix(tmp_path):
+    paths = []
+    for i, family in enumerate(FAMILIES):
+        path = tmp_path / f"f{i}.tnorm"
+        path.write_text(f"tnorm v1\nfamily {family}\n")
+        paths.append(str(path))
+    rows = []
+    for a in paths:
+        row = ""
+        for b in paths:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["iso", a, b, "30"])
+            head = out.getvalue().splitlines()[0]
+            word = re.match(r"(?:NOT_ISO )?(\w+)", head)[1]
+            row += VERDICT_CODES[word]
+            assert code == (4 if word == "UNKNOWN" else 0)
+            if word == "SuccessorPairPresent":
+                _, first_hi, second_lo, _ = re.findall(r"\d+(?:/\d+)?", head)
+                assert F(first_hi) == F(second_lo), head
+        rows.append(row)
+    assert "\n".join(rows) + "\n" == VERDICTS_AT_30

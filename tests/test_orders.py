@@ -29,6 +29,7 @@ from ordsum.tnorm import (
     InPiece,
     Piece,
     PreconditionError,
+    TNorm,
     UnknownAtDepth,
     check_axioms,
 )
@@ -324,11 +325,11 @@ def test_certified_gaps_omega_star():
 def test_certified_gaps_eta_empty():
     gen = OrderPieceGenerator(EtaOrder())
     assert gen.certified_m_gaps(8) == []
-    assert gen.successor_pair(8) is None
+    assert compute_signature(TNorm(gen), 8).successor_pair() is None
 
 
 def test_successor_pair_shares_endpoint():
-    left, right = OrderPieceGenerator(OmegaOrder()).successor_pair(2)
+    left, right = compute_signature(order_tnorm(OmegaOrder()), 2).successor_pair()
     assert (left.label, right.label) == (Label.M, Label.P)
     assert left.hi == right.lo == F(1, 3)
 

@@ -15,6 +15,7 @@ from ordsum.signature import (
     is_dense_cover,
     prec,
 )
+from ordsum.presentations import parse_presentation_text
 from ordsum.tnorm import Piece, TNorm
 
 
@@ -112,3 +113,43 @@ def test_format_signature():
         "L 1/2 3/4\n"
         "M 3/4 1\n"
     )
+
+
+# each lazy family, and the first depth at which its truncated signature
+# shows a successor pair (None: the family is dense and never shows one)
+FIRST_SUCCESSOR_DEPTH = {
+    "limit-left": 2,
+    "limit-right": 2,
+    "theta omega": 1,
+    "theta omega_star": 1,
+    "theta zeta": 2,
+    "theta eta": None,
+    "theta omega_plus_omega_star": 1,
+    "cantor cantor:middle-third": None,
+    "cantor cantor:svc": None,
+    "cantor cantor:non-e": 3,
+}
+
+
+@pytest.mark.parametrize("family, first", FIRST_SUCCESSOR_DEPTH.items())
+def test_successor_pair_is_sound_on_truncations(family, first):
+    t = parse_presentation_text(f"tnorm v1\nfamily {family}\n")
+    found = []
+    for depth in range(1, 41):
+        pair = compute_signature(t, depth).successor_pair()
+        if pair is None:
+            continue
+        found.append(depth)
+        a, b = pair
+        assert a.hi == b.lo
+        # deeper pieces never come between the two entries
+        deeper = compute_signature(t, depth + 20).entries
+        assert deeper[deeper.index(a) + 1] == b
+    assert (found[0] if found else None) == first
+
+
+def test_successor_pair_is_leftmost():
+    sig = compute_signature(tn((0, "1/4", Label.P), ("1/2", "3/4", Label.L), ("3/4", 1, Label.P)))
+    assert sig.successor_pair() == (sig.entries[0], sig.entries[1])
+    apart = (SignatureEntry(F(0), F(1, 4), Label.P), SignatureEntry(F(1, 2), F(1), Label.P))
+    assert Signature(apart, complete=False, truncation_depth=2).successor_pair() is None
