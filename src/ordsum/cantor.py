@@ -197,7 +197,7 @@ class GapOrderFacts:
     has_min: bool | None
     has_max: bool | None
     successor_witness: tuple[Box, Box] | None
-    collection: GapCollection  # the expansion the facts were read from
+    collection: GapCollection  # the expansion the witness was read from
 
 
 def _successor_witness(ordered: list[Box]) -> tuple[Box, Box] | None:
@@ -208,25 +208,13 @@ def _successor_witness(ordered: list[Box]) -> tuple[Box, Box] | None:
 
 
 def analyze_gap_order(system: CantorSystem, depth: int) -> GapOrderFacts:
-    rule = system.rule
+    """The gaps of `expand(system, depth)` and the order facts of all gaps.
+
+    `has_min` and `has_max` are the generator's `StructuralFacts`, which
+    hold for the complete gap order at every depth.
+    """
     collection = expand(system, depth)
-    gaps = collection.gaps
-
-    if any(g[0] == 0 for g in gaps):
-        has_min = True
-    elif rule.keeps_left_endpoint:
-        # the leftmost box chain pins 0 forever, so gaps pile up toward 0
-        has_min = False
-    else:
-        has_min = None
-
-    if any(g[1] == 1 for g in gaps):
-        has_max = True
-    elif rule.keeps_right_endpoint:
-        has_max = False
-    else:
-        has_max = None
-
+    facts = CantorGapGenerator(system).facts
     witness = _successor_witness(collection.by_position)
     if system.property_e:
         dense = True
@@ -234,7 +222,7 @@ def analyze_gap_order(system: CantorSystem, depth: int) -> GapOrderFacts:
         dense = False
     else:
         dense = None
-    return GapOrderFacts(dense, has_min, has_max, witness, collection)
+    return GapOrderFacts(dense, facts.has_min_piece, facts.has_max_piece, witness, collection)
 
 
 class CantorGapGenerator(PieceGenerator):

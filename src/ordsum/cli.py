@@ -24,7 +24,7 @@ from functools import cmp_to_key
 # inside its function, so a command loads only what it uses.
 from .presentations import PresentationError, load_presentation
 from .rationals import min_entry_in, parse_rational
-from .tnorm import LocateUnresolved, PreconditionError, check_axioms
+from .tnorm import PreconditionError, check_axioms
 
 GRID_21 = tuple(Fraction(i, 20) for i in range(21))
 LAZY_TRUNCATION = 12
@@ -237,9 +237,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except LocateUnresolved as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import check_unit, rational_at
@@ -88,13 +87,6 @@ class LinearOrder(ABC):
             raise PreconditionError(f"negative element {n}")
         if self.size is not None and n >= self.size:
             raise PreconditionError(f"element {n} outside finite order of size {self.size}")
-
-    def cmp(self, m: int, n: int) -> int:
-        self._check_index(m)
-        self._check_index(n)
-        if m == n:
-            return 0
-        return -1 if self.less(m, n) else 1
 
 
 class OmegaOrder(LinearOrder):
@@ -197,6 +189,8 @@ class FiniteOrder(LinearOrder):
         return self.ranks[m] < self.ranks[n]
 
     def adjacent(self, m, n):
+        self._check_index(m)
+        self._check_index(n)
         return self._position[n] == self._position[m] + 1
 
 

@@ -9,7 +9,7 @@ Denominator 1 contributes 0 and 1; denominator d >= 2 contributes its
 phi(d) reduced numerators in ascending order.  Every rational in [0, 1]
 appears exactly once, so the enumeration has an exact inverse
 (`rational_index`) and a least-index search over intervals
-(`min_index_in`).  All arithmetic is `fractions.Fraction` or `int`;
+(`min_entry_in`).  All arithmetic is `fractions.Fraction` or `int`;
 nothing here is approximate.
 
 Index arithmetic never walks the enumeration across denominators.
@@ -46,7 +46,6 @@ __all__ = [
     "rational_index",
     "min_rational_in",
     "min_entry_in",
-    "min_index_in",
     "fractions_up_to",
     "count_up_to",
 ]
@@ -271,11 +270,6 @@ def min_entry_in(
     """
     q = min_rational_in(lo, hi, closed)
     return rational_index(q), q
-
-
-def min_index_in(lo: Fraction, hi: Fraction, closed: bool = False) -> int:
-    """Least n with q_n in the interval (lo, hi), or [lo, hi] when closed."""
-    return min_entry_in(lo, hi, closed)[0]
 
 
 def fractions_up_to(max_denominator: int) -> list[tuple[Fraction, int]]:

@@ -20,8 +20,6 @@ __all__ = [
     "Label",
     "SignatureEntry",
     "Signature",
-    "prec",
-    "is_dense_cover",
     "compute_signature",
     "format_signature",
 ]
@@ -43,15 +41,6 @@ class SignatureEntry:
 
     def interval(self) -> tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
-
-
-def prec(e1: SignatureEntry, e2: SignatureEntry) -> bool:
-    """Strict left-to-right order on disjoint entries."""
-    if e1.hi <= e2.lo:
-        return True
-    if e2.hi <= e1.lo:
-        return False
-    raise ValueError(f"entries overlap: ({e1.lo}, {e1.hi}) and ({e2.lo}, {e2.hi})")
 
 
 @dataclass(frozen=True)
@@ -87,19 +76,6 @@ class Signature:
         """
         pairs = zip(self.entries, self.entries[1:])
         return next(((a, b) for a, b in pairs if a.hi == b.lo), None)
-
-
-def is_dense_cover(entries) -> bool:
-    """True iff entries are nonempty, pairwise disjoint, and their closures cover [0, 1]."""
-    items = sorted(entries, key=lambda e: e.lo)
-    if not items:
-        return False
-    if items[0].lo != 0 or items[-1].hi != 1:
-        return False
-    for a, b in zip(items, items[1:]):
-        if a.hi != b.lo:
-            return False
-    return True
 
 
 def compute_signature(t: TNorm, depth: int | None = None) -> Signature:

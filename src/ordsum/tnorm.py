@@ -34,27 +34,17 @@ __all__ = [
     "UnknownAtDepth",
     "TNorm",
     "PreconditionError",
-    "LocateUnresolved",
     "AxiomReport",
     "Violation",
     "PowerSearch",
     "check_axioms",
     "find_idempotent_power",
-    "classify_piece",
     "uncovered",
 ]
 
 
 class PreconditionError(ValueError):
     """An operation was invoked outside its stated preconditions."""
-
-
-class LocateUnresolved(RuntimeError):
-    """A lazy locate came back unknown where a resolved answer was required."""
-
-    def __init__(self, depth: int):
-        super().__init__(f"locate unresolved at depth {depth}")
-        self.depth = depth
 
 
 class Label(Enum):
@@ -93,14 +83,6 @@ class Piece:
         if self.kind is Label.P:
             return self.lo + (x - self.lo) * (y - self.lo) / (self.hi - self.lo)
         return max(self.lo, x + y - self.hi)
-
-    def power(self, q: Fraction, exponent: int) -> Fraction:
-        """q combined with itself exponent times, in closed form."""
-        if exponent < 1:
-            raise ValueError("exponent must be >= 1")
-        if self.kind is Label.P:
-            return self.lo + (q - self.lo) ** exponent / (self.hi - self.lo) ** (exponent - 1)
-        return max(self.lo, self.hi - exponent * (self.hi - q))
 
     def nilpotency_index(self, q: Fraction) -> int:
         """Least l with the l-th power equal to lo (Lukasiewicz pieces only)."""
@@ -311,43 +293,6 @@ class TNorm:
             return IDEMPOTENT
         return self.presentation.locate(q, depth)
 
-    def is_idempotent(self, q: Fraction, depth: int | None = None) -> bool | None:
-        """Whether q * q == q; None when a lazy locate cannot decide."""
-        if self.is_finite:
-            return self.eval(q, q) == q
-        if depth is None:
-            raise PreconditionError("lazy idempotence check needs a locate depth")
-        placed = self.presentation.locate(q, depth)
-        if placed is IDEMPOTENT:
-            return True
-        if isinstance(placed, InPiece):
-            return False
-        return None
-
-    def power(self, q: Fraction, exponent: int, depth: int | None = None) -> Fraction:
-        """q * q * ... * q with exponent factors.
-
-        Finite presentations fold eval directly.  Lazy ones resolve q's
-        piece first and use the in-piece closed form; an unresolved
-        locate raises LocateUnresolved.
-        """
-        if exponent < 1:
-            raise ValueError("exponent must be >= 1")
-        check_unit(q)
-        if self.is_finite:
-            value = q
-            for _ in range(exponent - 1):
-                value = self.eval(value, q)
-            return value
-        if depth is None:
-            raise PreconditionError("lazy power needs a locate depth")
-        placed = self.presentation.locate(q, depth)
-        if placed is IDEMPOTENT:
-            return q
-        if isinstance(placed, InPiece):
-            return placed.piece.power(q, exponent)
-        raise LocateUnresolved(placed.depth)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -469,35 +414,3 @@ def find_idempotent_power(t: TNorm, q: Fraction, limit: int, depth: int | None =
     if piece.kind is Label.P:
         return PowerSearch("no", None)
     return PowerSearch("yes", piece.nilpotency_index(q))
-
-
-def classify_piece(t: TNorm, lo: Fraction, hi: Fraction, samples: int = 8) -> Label:
-    """Empirically classify a declared piece of a finite presentation.
-
-    Samples interior rationals and iterates eval: a Lukasiewicz piece
-    drives every sample down to exactly lo within samples+1 steps, a
-    Product piece never attains lo.  Serves as a self-check oracle that
-    must agree with the declared kind.
-    """
-    if not t.is_finite:
-        raise PreconditionError("classification reads exact eval; truncate lazy presentations first")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    reached: set[bool] = set()
-    for k in range(1, samples + 1):
-        q = lo + Fraction(k, samples + 1) * (hi - lo)
-        if t.eval(q, q) == q:
-            raise PreconditionError(f"({lo}, {hi}) is not a piece of this t-norm: {q} is idempotent")
-        value = q
-        hit = False
-        for _ in range(samples + 1):
-            value = t.eval(value, q)
-            if value == lo:
-                hit = True
-                break
-        reached.add(hit)
-    if reached == {True}:
-        return Label.L
-    if reached == {False}:
-        return Label.P
-    raise PreconditionError(f"samples disagree about ({lo}, {hi}); not a single piece")

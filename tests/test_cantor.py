@@ -211,6 +211,42 @@ def test_analysis_non_e():
     assert facts.successor_witness == ((F(0), F(1, 4)), (F(1, 4), F(5, 16)))
 
 
+def gap_scan_facts(system, depth):
+    """(has_min, has_max) read off one expansion by scanning its gaps.
+
+    A gap at 0 (at 1) is a least (greatest) gap.  A rule that keeps that
+    endpoint pins it at every depth, so gaps pile up toward it and none
+    is extreme.  Otherwise a scan that finds no such gap decides nothing.
+    """
+    gaps = expand(system, depth).gaps
+    rule = system.rule
+
+    def scan(touches, keeps):
+        if any(touches(g) for g in gaps):
+            return True
+        return False if keeps else None
+
+    return (
+        scan(lambda g: g[0] == 0, rule.keeps_left_endpoint),
+        scan(lambda g: g[1] == 1, rule.keeps_right_endpoint),
+    )
+
+
+@pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
+def test_order_facts_agree_with_gap_scan(system):
+    rule = system.rule
+    for depth in range(13):
+        facts = analyze_gap_order(system, depth)
+        for fact, scanned in zip((facts.has_min, facts.has_max), gap_scan_facts(system, depth)):
+            if scanned is not None:
+                assert fact is scanned, (depth, facts)
+        gaps = facts.collection.gaps
+        if rule.keeps_left_endpoint:
+            assert all(lo != 0 for lo, _ in gaps)
+        if rule.keeps_right_endpoint:
+            assert all(hi != 1 for _, hi in gaps)
+
+
 @pytest.mark.parametrize("system", [MT, SVC])
 def test_property_e_systems_show_no_witness(system):
     for depth in range(9):

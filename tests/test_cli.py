@@ -216,6 +216,18 @@ class TestCantor:
             "successor_witness none\n"
         )
 
+    def test_non_e_depth_zero_has_a_least_gap(self, capsys):
+        # no gap is removed yet, but the rule certifies (0, 1/4) as least
+        assert main(["cantor", "cantor:non-e", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "gaps depth=0 count=0\n"
+            "property_E false\n"
+            "dense unknown\n"
+            "has_min true\n"
+            "has_max false\n"
+            "successor_witness none\n"
+        )
+
     def test_middle_third_depth_two(self, capsys):
         assert main(["cantor", "cantor:middle-third", "2"]) == 0
         assert capsys.readouterr().out == (

@@ -211,12 +211,12 @@ def test_order_metadata():
 
     zeta = ZetaOrder()
     assert zeta.min_element is None and zeta.max_element is None and not zeta.dense
-    assert zeta.cmp(1, 2) == -1
+    assert zeta.less(1, 2) and not zeta.less(2, 1)
     assert zeta.adjacent(1, 0) and zeta.adjacent(0, 2) and zeta.adjacent(3, 1)
 
     eta = EtaOrder()
     assert eta.dense and eta.min_element is None and eta.max_element is None
-    assert eta.cmp(2, 3) == 1
+    assert eta.less(3, 2) and not eta.less(2, 3)
     assert not eta.adjacent(0, 2)
 
     both = OmegaPlusOmegaStarOrder()
@@ -233,7 +233,12 @@ def test_finite_order_reads_ranks_positionally():
     assert order.adjacent(1, 3) and order.adjacent(3, 2) and order.adjacent(2, 0)
     assert not order.adjacent(1, 2)
     with pytest.raises(PreconditionError):
-        order.cmp(0, 4)
+        order.less(0, 4)
+    pair = FiniteOrder([1, 0])
+    with pytest.raises(PreconditionError):
+        pair.adjacent(0, 5)
+    with pytest.raises(PreconditionError):
+        pair.adjacent(-1, 0)
 
 
 def test_parse_order():
@@ -357,11 +362,7 @@ def test_locate_unknown_until_gap_settles():
     placed = gen.locate(F(1, 10), 2)
     assert placed == UnknownAtDepth(2)
     assert gen.locate(F(1, 10), 4) is IDEMPOTENT
-
-    t = order_tnorm(ZetaOrder())
-    assert t.is_idempotent(F(1, 10), depth=2) is None
-    assert t.is_idempotent(F(1, 10), depth=4) is True
-    assert t.is_idempotent(F(1, 2), depth=1) is False
+    assert isinstance(gen.locate(F(1, 2), 1), InPiece)
 
 
 def test_agreement_ball_check():

