@@ -24,7 +24,7 @@ from functools import cmp_to_key
 # inside its function, so a command loads only what it uses.
 from .presentations import PresentationError, load_presentation
 from .rationals import min_entry_in, parse_rational
-from .tnorm import PreconditionError, check_axioms
+from .tnorm import Label, PreconditionError, check_axioms
 
 GRID_21 = tuple(Fraction(i, 20) for i in range(21))
 LAZY_TRUNCATION = 12
@@ -86,11 +86,8 @@ def _cmd_iso(args) -> int:
 def _cmd_theta(args) -> int:
     from .l1 import format_l1, theta
 
-    t = load_presentation(args.file)
-    if t.is_finite:
-        s = theta(t, args.size)
-    else:
-        s = theta(t, args.size, depth=args.depth)
+    # a finite presentation resolves completely and ignores the depth
+    s = theta(load_presentation(args.file), args.size, depth=args.depth)
     sys.stdout.write(format_l1(s))
     return 0
 
@@ -133,14 +130,12 @@ def _cmd_roundtrip(args) -> int:
         idx, _value = min_entry_in(lo, hi)
         witness_piece[idx] = n
     size = 1 + max(witness_piece)
-    if t.is_finite:
-        s = theta(t, size)
-    else:
-        s = theta(t, size, depth=count)
-    recovered = [witness_piece.get(idx, -1) for idx in s.chain() if idx in s.rp]
+    s = theta(t, size, depth=count)
+    rp = [idx for idx, label in s.entries if label is Label.P]
+    recovered = [witness_piece.get(idx, -1) for idx in rp]
     ascending = cmp_to_key(lambda m, n: -1 if order.less(m, n) else 1)
     expected = sorted(range(count), key=ascending)
-    ok = recovered == expected and not s.rl and s.rp == frozenset(witness_piece)
+    ok = recovered == expected and not s.rl and set(rp) == set(witness_piece)
     print(f"pieces {count} size {size}")
     print("recovered " + " ".join(str(n) for n in recovered))
     print("expected " + " ".join(str(n) for n in expected))

@@ -3,9 +3,10 @@
 A t-norm's signature (its P and L pieces and its M min-regions, left to
 right) turns into a finite relational structure over indices
 {0..N-1}: each entry contributes its least-index rational as a witness,
-witnesses below N populate rp / rl / rm by entry label, and the order
-relation compares witness values.  Two independent routes compute the
-same structure: `theta` reads the signature from `compute_signature`,
+and the witnesses below N, sorted by value and labeled by entry, form
+a labeled chain.  The relations rp / rl / rm and the order relation
+are read off that chain.  Two independent routes compute the same
+structure: `theta` reads the signature from `compute_signature`,
 `theta_by_probing` asks only idempotence and product questions with
 bounded quantifier scans.
 """
@@ -52,8 +53,11 @@ class BoundInsufficiency(RuntimeError):
 
 @dataclass(frozen=True)
 class L1Structure:
-    """Relations over {0..size-1}; indices outside rp|rl|rm are inactive.
+    """A labeled chain over {0..size-1}; indices off the chain are inactive.
 
+    `entries` holds the active indices in ascending order, each with its
+    label.  The relations rp, rl, rm and the strict linear order `less`
+    are read off it, so they are disjoint and linear by construction.
     `qualified` is set when some index below size could not be resolved
     at the configured depth; such structures must not enter isomorphism
     comparisons.  `size` may be astronomically large: nothing here
@@ -61,61 +65,50 @@ class L1Structure:
     """
 
     size: int
-    rp: frozenset[int]
-    rl: frozenset[int]
-    rm: frozenset[int]
-    less: frozenset[tuple[int, int]]
+    entries: tuple[tuple[int, Label], ...]
     qualified: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "rp", frozenset(self.rp))
-        object.__setattr__(self, "rl", frozenset(self.rl))
-        object.__setattr__(self, "rm", frozenset(self.rm))
-        object.__setattr__(self, "less", frozenset(self.less))
+        object.__setattr__(self, "entries", tuple(self.entries))
         if self.size < 1:
             raise ValueError("size must be >= 1")
-        if self.rp & self.rl or self.rp & self.rm or self.rl & self.rm:
-            raise ValueError("rp, rl, rm must be pairwise disjoint")
-        active = self.active
-        for group in (self.rp, self.rl, self.rm):
-            for n in group:
-                if not 0 <= n < self.size:
-                    raise ValueError(f"index {n} outside 0..{self.size - 1}")
-        for m, n in self.less:
-            if m not in active or n not in active:
-                raise ValueError(f"less relates inactive indices ({m}, {n})")
-            if m == n:
-                raise ValueError(f"less is irreflexive, got ({m}, {n})")
-        # a strict linear order is exactly a chain: sort by how many
-        # elements each dominates and recheck every pair
-        chain = self.chain()
-        expected = {
-            (chain[i], chain[j])
-            for i in range(len(chain))
-            for j in range(i + 1, len(chain))
-        }
-        if set(self.less) != expected:
-            raise ValueError("less is not a strict linear order on the active set")
+        indices = self.chain()
+        if len(set(indices)) != len(indices):
+            raise ValueError("an index appears twice in the chain")
+        for n in indices:
+            if not 0 <= n < self.size:
+                raise ValueError(f"index {n} outside 0..{self.size - 1}")
+
+    def chain(self) -> tuple[int, ...]:
+        """Active indices in ascending order."""
+        return tuple(n for n, _ in self.entries)
+
+    def _group(self, label: Label) -> frozenset[int]:
+        return frozenset(n for n, entry_label in self.entries if entry_label is label)
+
+    @property
+    def rp(self) -> frozenset[int]:
+        return self._group(Label.P)
+
+    @property
+    def rl(self) -> frozenset[int]:
+        return self._group(Label.L)
+
+    @property
+    def rm(self) -> frozenset[int]:
+        return self._group(Label.M)
 
     @property
     def active(self) -> frozenset[int]:
-        return self.rp | self.rl | self.rm
+        return frozenset(self.chain())
 
-    def chain(self) -> tuple[int, ...]:
-        """Active indices in ascending less order."""
-        below = {n: 0 for n in self.active}
-        for _, n in self.less:
-            below[n] += 1
-        return tuple(sorted(below, key=lambda n: (below[n], n)))
+    @property
+    def less(self) -> frozenset[tuple[int, int]]:
+        indices = self.chain()
+        return frozenset((m, n) for i, m in enumerate(indices) for n in indices[i + 1:])
 
     def label_of(self, n: int) -> Label | None:
-        if n in self.rp:
-            return Label.P
-        if n in self.rl:
-            return Label.L
-        if n in self.rm:
-            return Label.M
-        return None
+        return dict(self.entries).get(n)
 
 
 def _index_below(q: Fraction, size: int) -> int | None:
@@ -146,22 +139,14 @@ def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
         _index_below(min_rational_in(lo, hi, closed=True), size) is not None
         for lo, hi in uncovered(e.interval() for e in sig.entries)
     )
-    rp: set[int] = set()
-    rl: set[int] = set()
-    rm: set[int] = set()
-    values: dict[int, Fraction] = {}
+    witnesses: list[tuple[Fraction, int, Label]] = []
     for e in sig.entries:
         # a min region owns its endpoints, a piece only its interior
         value = min_rational_in(e.lo, e.hi, closed=e.label is Label.M)
         idx = _index_below(value, size)
-        if idx is None:
-            continue
-        {Label.P: rp, Label.L: rl, Label.M: rm}[e.label].add(idx)
-        values[idx] = value
-    less = frozenset(
-        (m, n) for m in values for n in values if values[m] < values[n]
-    )
-    return L1Structure(size, frozenset(rp), frozenset(rl), frozenset(rm), less, qualified)
+        if idx is not None:
+            witnesses.append((value, idx, e.label))
+    return L1Structure(size, tuple((n, label) for _, n, label in sorted(witnesses)), qualified)
 
 
 def theta_by_probing(
@@ -210,31 +195,22 @@ def theta_by_probing(
     def min_witnessed(m: Fraction, n: Fraction) -> bool:
         return t.eval(m, n) == min(m, n)
 
-    rp: set[int] = set()
-    rl: set[int] = set()
-    rm: set[int] = set()
-    values: dict[int, Fraction] = {}
+    witnesses: list[tuple[Fraction, int, Label]] = []
     for n in range(size):
         qn = rational_at(n)
-        values[n] = qn
         if t.eval(qn, qn) != qn:
             if not all(min_witnessed(rational_at(i), qn) for i in range(n)):
                 continue
-            found = None
             value = qn
-            for exponent in range(2, power_limit + 1):
+            for _ in range(2, power_limit + 1):
                 value = t.eval(value, qn)
                 if t.eval(value, value) == value:
-                    found = exponent
+                    label = Label.L
                     break
-            if found is not None:
-                rl.add(n)
             else:
                 search = find_idempotent_power(t, qn, power_limit)
-                if search.outcome == "yes":
-                    rl.add(n)
-                else:
-                    rp.add(n)
+                label = Label.L if search.outcome == "yes" else Label.P
+            witnesses.append((qn, n, label))
         else:
             witnessed = False
             vacuous = False
@@ -277,15 +253,8 @@ def theta_by_probing(
                 settled = False
                 break
             if settled:
-                rm.add(n)
-    active_values = {n: values[n] for n in rp | rl | rm}
-    less = frozenset(
-        (m, n)
-        for m in active_values
-        for n in active_values
-        if active_values[m] < active_values[n]
-    )
-    return L1Structure(size, frozenset(rp), frozenset(rl), frozenset(rm), less, False)
+                witnesses.append((qn, n, Label.M))
+    return L1Structure(size, tuple((n, label) for _, n, label in sorted(witnesses)))
 
 
 @dataclass(frozen=True)
@@ -309,8 +278,8 @@ def subbasis_predicates(t: TNorm, m: int, n: int) -> SubbasisRecord:
 
 
 def _canonical(s: L1Structure) -> tuple[tuple[str, ...], int]:
-    labels = tuple(s.label_of(n).value for n in s.chain())
-    return labels, s.size - len(s.active)
+    labels = tuple(label.value for _, label in s.entries)
+    return labels, s.size - len(s.entries)
 
 
 def l1_iso_finite(a: L1Structure, b: L1Structure) -> bool:

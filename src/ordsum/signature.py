@@ -45,10 +45,9 @@ class SignatureEntry:
 
 @dataclass(frozen=True)
 class Signature:
-    """Entries sorted left to right; complete or truncated at a depth."""
+    """Entries sorted left to right; complete unless truncated at a depth."""
 
     entries: tuple[SignatureEntry, ...]
-    complete: bool
     truncation_depth: int | None = None
 
     def __post_init__(self):
@@ -59,10 +58,10 @@ class Signature:
                 raise ValueError(f"entries overlap: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})")
             if a.hi == b.lo and a.label is Label.M and b.label is Label.M:
                 raise ValueError("two adjacent M entries would merge; signature malformed")
-        if self.complete and self.truncation_depth is not None:
-            raise ValueError("complete signatures carry no truncation depth")
-        if not self.complete and self.truncation_depth is None:
-            raise ValueError("truncated signatures must state their depth")
+
+    @property
+    def complete(self) -> bool:
+        return self.truncation_depth is None
 
     def labels(self) -> tuple[Label, ...]:
         return tuple(e.label for e in self.entries)
@@ -88,13 +87,13 @@ def compute_signature(t: TNorm, depth: int | None = None) -> Signature:
     if t.is_finite:
         entries = [SignatureEntry(p.lo, p.hi, p.kind) for p in t.presentation.pieces]
         entries.extend(SignatureEntry(lo, hi, Label.M) for lo, hi in t.presentation.gaps())
-        return Signature(tuple(entries), complete=True)
+        return Signature(tuple(entries))
     if depth is None or depth < 1:
         raise PreconditionError("lazy signatures need a positive truncation depth")
     gen: PieceGenerator = t.presentation
     entries = [SignatureEntry(p.lo, p.hi, p.kind) for p in map(gen.piece_at, range(depth))]
     entries.extend(SignatureEntry(lo, hi, Label.M) for lo, hi in gen.certified_m_gaps(depth))
-    return Signature(tuple(entries), complete=False, truncation_depth=depth)
+    return Signature(tuple(entries), truncation_depth=depth)
 
 
 def format_signature(sig: Signature) -> str:

@@ -12,7 +12,7 @@ from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
-from conftest import FINITE_CORPUS, PAIR_A, PAIR_A_SWAPPED, PAIR_B, tn
+from conftest import PAIR_A, PAIR_A_SWAPPED, PAIR_B, tn
 from ordsum.cantor import gap_tnorm, parse_system
 from ordsum.families import ladder_tnorm
 from ordsum.iso import (

@@ -308,7 +308,7 @@ class TestBackAndForth:
     @staticmethod
     def dense_sig(los, label=Label.P):
         entries = tuple(SignatureEntry(F(lo), F(lo) + F(1, 100), label) for lo in los)
-        return Signature(entries, complete=False, truncation_depth=len(entries))
+        return Signature(entries, truncation_depth=len(entries))
 
     def test_alternating_rounds_respect_order(self):
         s1 = self.dense_sig([F(i, 10) for i in range(1, 9)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import ordsum.l1 as l1
 from conftest import PAIR_A, PAIR_A_SWAPPED, PAIR_B, tn
+from ordsum.cantor import gap_tnorm, parse_system
 from ordsum.l1 import (
     BoundInsufficiency,
     L1Structure,
@@ -26,25 +27,50 @@ from ordsum.tnorm import PreconditionError, find_idempotent_power
 
 
 class TestStructureValidation:
-    def test_overlapping_groups_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            L1Structure(4, frozenset({1}), frozenset({1}), frozenset(), frozenset())
+    def test_repeated_index_rejected(self):
+        with pytest.raises(ValueError, match="twice"):
+            L1Structure(4, ((1, Label.P), (1, Label.L)))
 
-    def test_less_on_inactive_rejected(self):
-        with pytest.raises(ValueError, match="inactive"):
-            L1Structure(4, frozenset({1}), frozenset(), frozenset(), frozenset({(1, 2)}))
+    def test_index_beyond_size_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            L1Structure(4, ((1, Label.P), (4, Label.M)))
 
-    def test_less_must_be_linear(self):
-        with pytest.raises(ValueError, match="linear"):
-            L1Structure(
-                4, frozenset({1, 2, 3}), frozenset(), frozenset(),
-                frozenset({(1, 2), (2, 3)}),  # missing (1, 3)
-            )
+    def test_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="size"):
+            L1Structure(0, ())
 
     def test_chain_orders_active_indices(self):
         s = theta(PAIR_A, 8)
         assert s.chain() == (0, 3, 4, 1)
         assert [s.label_of(n) for n in s.chain()] == [Label.M, Label.P, Label.L, Label.M]
+
+
+def _oracle_less(s):
+    """The order relation built pair by pair from the witness values."""
+    values = {n: rational_at(n) for n in s.active}
+    return {(m, n) for m in values for n in values if values[m] < values[n]}
+
+
+class TestChainAgainstPairwiseOracle:
+    def test_finite_corpus(self, finite_corpus):
+        for t in finite_corpus:
+            for size in range(6, 41):
+                s = theta(t, size)
+                assert s.less == _oracle_less(s)
+                # probing costs quadratic in size; the ends and the
+                # corpus size of the probing tests keep this fast
+                if size in (6, 16, 40):
+                    assert theta_by_probing(t, size) == s
+
+    @pytest.mark.parametrize("t", [
+        order_tnorm(parse_order("omega")),
+        order_tnorm(parse_order("eta")),
+        gap_tnorm(parse_system("cantor:svc")),
+    ], ids=["omega", "eta", "cantor-svc"])
+    def test_lazy_families(self, t):
+        for size in (6, 20, 40):
+            s = theta(t, size, depth=12)
+            assert s.less == _oracle_less(s)
 
 
 class TestThetaFinite:

@@ -1,5 +1,5 @@
-"""Package surface: every exported name resolves and is used, every import is used,
-and each command loads only what it runs."""
+"""Package surface: every exported name resolves and is used, every import in
+the package and its tests is used, and each command loads only what it runs."""
 
 import ast
 import importlib
@@ -16,6 +16,10 @@ import ordsum
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ordsum.__path__))
 SRC = Path(ordsum.__file__).parent
+TESTS = Path(__file__).parent
+# the source of each package module by name, and of each test file by "tests/<stem>"
+SOURCES = {name: SRC / f"{name}.py" for name in MODULES}
+SOURCES.update((f"tests/{path.stem}", path) for path in sorted(TESTS.glob("*.py")))
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 # Exported names that no module or benchmark calls, kept because the
@@ -29,7 +33,7 @@ PAPER_API = (
 
 
 def _tree(name):
-    return ast.parse((SRC / f"{name}.py").read_text())
+    return ast.parse(SOURCES[name].read_text())
 
 
 def _exported(name):
@@ -44,7 +48,7 @@ def test_all_names_resolve(name):
     assert not missing, f"ordsum.{name}.__all__ lists missing names {missing}"
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", SOURCES)
 def test_no_unused_imports(name):
     tree = _tree(name)
     imported = set()
@@ -52,8 +56,9 @@ def test_no_unused_imports(name):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
             imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = sorted(imported - used - set(_exported(name)))
-    assert not unused, f"ordsum.{name} imports unused names {unused}"
+    exported = _exported(name) if name in MODULES else ()
+    unused = sorted(imported - used - set(exported))
+    assert not unused, f"{name} imports unused names {unused}"
 
 
 def _references():

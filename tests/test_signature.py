@@ -89,7 +89,6 @@ def test_adjacent_m_entries_rejected():
                 SignatureEntry(F(0), F(1, 2), Label.M),
                 SignatureEntry(F(1, 2), F(1), Label.M),
             ),
-            complete=True,
         )
 
 
@@ -153,4 +152,4 @@ def test_successor_pair_is_leftmost():
     sig = compute_signature(tn((0, "1/4", Label.P), ("1/2", "3/4", Label.L), ("3/4", 1, Label.P)))
     assert sig.successor_pair() == (sig.entries[0], sig.entries[1])
     apart = (SignatureEntry(F(0), F(1, 4), Label.P), SignatureEntry(F(1, 2), F(1), Label.P))
-    assert Signature(apart, complete=False, truncation_depth=2).successor_pair() is None
+    assert Signature(apart, truncation_depth=2).successor_pair() is None

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from ordsum.cli import GRID_21
 from ordsum.tnorm import (
     AxiomReport,
-    FinitePresentation,
     Label,
     Piece,
     PreconditionError,
