@@ -289,9 +289,10 @@ def back_and_forth(s1: Signature, s2: Signature, k: int) -> tuple:
 
     Rounds alternate sides; each round matches the leftmost unmatched
     entry against the leftmost partner lying in the position window its
-    already-matched neighbors dictate.  Raises when a window is empty in
-    the truncation, which certified-dense inputs only hit by being cut
-    too shallow.
+    already-matched neighbors dictate.  The matching preserves order, so
+    every matched partner lies outside that window and its leftmost
+    position is free.  Raises when a window is empty in the truncation,
+    which certified-dense inputs only hit by being cut too shallow.
     """
     if k < 0:
         raise PreconditionError("negative round count")
@@ -300,35 +301,22 @@ def back_and_forth(s1: Signature, s2: Signature, k: int) -> tuple:
         raise PreconditionError("back-and-forth needs one uniform shared label")
     e1, e2 = s1.entries, s2.entries
     matched: list[tuple[int, int]] = []
-
-    def window(own: list[int], other: list[int], pos: int, limit: int) -> tuple[int, int]:
-        lo, hi = -1, limit
-        for o, p in zip(own, other):
-            if o < pos:
-                lo = max(lo, p)
-            else:
-                hi = min(hi, p)
-        return lo, hi
-
     for round_no in range(k):
         forward = round_no % 2 == 0
-        used_src = [m[0] if forward else m[1] for m in matched]
-        used_dst = [m[1] if forward else m[0] for m in matched]
-        src_entries = e1 if forward else e2
-        dst_entries = e2 if forward else e1
+        src_entries, dst_entries = (e1, e2) if forward else (e2, e1)
+        partner_of = dict(matched if forward else ((j, i) for i, j in matched))
         try:
-            pick = next(i for i in range(len(src_entries)) if i not in used_src)
+            pick = next(i for i in range(len(src_entries)) if i not in partner_of)
         except StopIteration:
             raise PreconditionError(f"source side exhausted at round {round_no}") from None
-        lo, hi = window(used_src, used_dst, pick, len(dst_entries))
-        partner = next(
-            (j for j in range(lo + 1, hi) if j not in used_dst), None
-        )
-        if partner is None:
+        # every source left of pick is matched, and the partners keep their order
+        lo = partner_of.get(pick - 1, -1)
+        hi = min((j for i, j in partner_of.items() if i > pick), default=len(dst_entries))
+        if lo + 1 >= hi:
             raise PreconditionError(
                 f"no partner in the truncation at round {round_no}"
             )
-        matched.append((pick, partner) if forward else (partner, pick))
+        matched.append((pick, lo + 1) if forward else (lo + 1, pick))
     return tuple((e1[i], e2[j]) for i, j in matched)
 
 

@@ -13,10 +13,8 @@ bounded quantifier scans.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .rationals import (
     count_up_to,
@@ -99,16 +97,9 @@ class L1Structure:
         return self._group(Label.M)
 
     @property
-    def active(self) -> frozenset[int]:
-        return frozenset(self.chain())
-
-    @property
     def less(self) -> frozenset[tuple[int, int]]:
         indices = self.chain()
         return frozenset((m, n) for i, m in enumerate(indices) for n in indices[i + 1:])
-
-    def label_of(self, n: int) -> Label | None:
-        return dict(self.entries).get(n)
 
 
 def _index_below(q: Fraction, size: int) -> int | None:
@@ -162,7 +153,11 @@ def theta_by_probing(
     quantifiers cut down: power exponents run to power_limit (the
     structural closed form answers beyond it), and scans over "every
     rational" run over the denominator <= denominator_limit prefix of
-    the enumeration.  The scan answers are definitive whenever every
+    the enumeration.  A size beyond that prefix is refused, so every
+    index below size is itself a scan rational, and each quantifier
+    reads scan positions: q_i is the scan value at position at[i], and
+    "only idempotents strictly between q_i and q_n" is a difference of
+    prefix counts.  The scan answers are definitive whenever every
     piece is wider than 2/denominator_limit; an acceptance that would
     rest on an unprobed region raises BoundInsufficiency instead of
     guessing.
@@ -177,83 +172,64 @@ def theta_by_probing(
             f"size {size} exceeds the denominator <= {denominator_limit} prefix",
         )
     scan = fractions_up_to(denominator_limit)
-    scan_values = [q for q, _ in scan]
-    idem = [t.eval(q, q) == q for q, _ in scan]
-    # prefix counts of non-idempotent scan rationals, for O(log) interval checks
-    prefix = [0]
+    value = [q for q, _ in scan]
+    # the scan lists every index below count_up_to(denominator_limit)
+    at = [0] * len(scan)
+    for pos, (_, n) in enumerate(scan):
+        at[n] = pos
+    idem = [t.eval(q, q) == q for q in value]
+    # bad[j]: how many scan positions below j hold a non-idempotent
+    bad = [0]
     for flag in idem:
-        prefix.append(prefix[-1] + (0 if flag else 1))
+        bad.append(bad[-1] + (not flag))
 
-    def scan_between(i: int, j: int) -> tuple[int, int]:
-        """(total, non-idempotent) scan rationals at positions i..j-1."""
-        return max(0, j - i), prefix[j] - prefix[i] if j > i else 0
+    def idempotent(pos: int) -> bool:
+        return 0 <= pos < len(idem) and idem[pos]
 
-    def scan_count(lo: Fraction, hi: Fraction) -> tuple[int, int]:
-        """(total, non-idempotent) scan rationals strictly inside (lo, hi)."""
-        return scan_between(bisect_right(scan_values, lo), bisect_left(scan_values, hi))
-
-    def min_witnessed(m: Fraction, n: Fraction) -> bool:
-        return t.eval(m, n) == min(m, n)
-
-    witnesses: list[tuple[Fraction, int, Label]] = []
+    witnesses: list[tuple[int, int, Label]] = []
     for n in range(size):
-        qn = rational_at(n)
-        if t.eval(qn, qn) != qn:
-            if not all(min_witnessed(rational_at(i), qn) for i in range(n)):
+        p = at[n]
+        qn = value[p]
+        if not idem[p]:
+            if not all(t.eval(value[at[i]], qn) == min(value[at[i]], qn) for i in range(n)):
                 continue
-            value = qn
+            power = qn
             for _ in range(2, power_limit + 1):
-                value = t.eval(value, qn)
-                if t.eval(value, value) == value:
+                power = t.eval(power, qn)
+                if t.eval(power, power) == power:
                     label = Label.L
                     break
             else:
                 search = find_idempotent_power(t, qn, power_limit)
                 label = Label.L if search.outcome == "yes" else Label.P
-            witnesses.append((qn, n, label))
+            witnesses.append((p, n, label))
+            continue
+        # a min-region companion is an idempotent scan rational with only
+        # idempotents, at least one, strictly between it and q_n: the
+        # nearest such lies two positions away, on one side or the other
+        if not (idempotent(p - 1) and idempotent(p - 2)
+                or idempotent(p + 1) and idempotent(p + 2)):
+            # an idempotent immediate neighbour leaves nothing scanned
+            # between the two, so a piece could hide there
+            if idempotent(p - 1) or idempotent(p + 1):
+                raise BoundInsufficiency(
+                    "denominator",
+                    f"cannot certify a min-region companion for index {n}",
+                )
+            continue
+        # q_n is the region's witness unless an earlier index shares it,
+        # that is, no non-idempotent scan rational separates the two
+        for i in range(n):
+            lo, hi = sorted((at[i], p))
+            if hi - lo == 1:
+                raise BoundInsufficiency(
+                    "denominator",
+                    f"no scan rationals between indices {i} and {n}",
+                )
+            if bad[hi] == bad[lo + 1]:
+                break
         else:
-            witnessed = False
-            vacuous = False
-            # scan positions below `below` hold values < qn, from `above` on > qn
-            below = bisect_left(scan_values, qn)
-            above = bisect_right(scan_values, qn)
-            for pos in chain(range(below), range(above, len(scan))):
-                if not idem[pos]:
-                    continue
-                if pos < below:
-                    total, bad = scan_between(pos + 1, below)
-                else:
-                    total, bad = scan_between(above, pos)
-                if bad:
-                    continue
-                if total == 0:
-                    vacuous = True
-                    continue
-                witnessed = True
-                break
-            if not witnessed:
-                if vacuous:
-                    raise BoundInsufficiency(
-                        "denominator",
-                        f"cannot certify a min-region companion for index {n}",
-                    )
-                continue
-            settled = True
-            for i in range(n):
-                qi = rational_at(i)
-                lo, hi = min(qi, qn), max(qi, qn)
-                total, bad = scan_count(lo, hi)
-                if bad:
-                    continue
-                if total == 0:
-                    raise BoundInsufficiency(
-                        "denominator",
-                        f"no scan rationals between indices {i} and {n}",
-                    )
-                settled = False
-                break
-            if settled:
-                witnesses.append((qn, n, Label.M))
+            witnesses.append((p, n, Label.M))
     return L1Structure(size, tuple((n, label) for _, n, label in sorted(witnesses)))
 
 

@@ -64,7 +64,9 @@ class LinearOrder(ABC):
     The structural attributes are certificates: for every order shipped
     here, `min_element`/`max_element` are the actual extremes or None
     exactly when no extreme exists, `dense` states order density, and
-    `adjacent(m, n)` decides immediate succession.
+    `adjacent(m, n)` decides immediate succession.  Both refuse an
+    element outside the order, then ask the subclass's `_less` and
+    `_adjacent`.
     """
 
     name: str
@@ -73,13 +75,23 @@ class LinearOrder(ABC):
     max_element: int | None = None
     dense: bool = False
 
-    @abstractmethod
     def less(self, m: int, n: int) -> bool:
+        self._check_index(m)
+        self._check_index(n)
+        return self._less(m, n)
+
+    def adjacent(self, m: int, n: int) -> bool:
+        """Whether m lies immediately below n with nothing between."""
+        self._check_index(m)
+        self._check_index(n)
+        return self._adjacent(m, n)
+
+    @abstractmethod
+    def _less(self, m: int, n: int) -> bool:
         raise NotImplementedError
 
     @abstractmethod
-    def adjacent(self, m: int, n: int) -> bool:
-        """Whether m lies immediately below n with nothing between."""
+    def _adjacent(self, m: int, n: int) -> bool:
         raise NotImplementedError
 
     def _check_index(self, n: int) -> None:
@@ -95,10 +107,10 @@ class OmegaOrder(LinearOrder):
     name = "omega"
     min_element = 0
 
-    def less(self, m, n):
+    def _less(self, m, n):
         return m < n
 
-    def adjacent(self, m, n):
+    def _adjacent(self, m, n):
         return n == m + 1
 
 
@@ -108,10 +120,10 @@ class OmegaStarOrder(LinearOrder):
     name = "omega_star"
     max_element = 0
 
-    def less(self, m, n):
+    def _less(self, m, n):
         return m > n
 
-    def adjacent(self, m, n):
+    def _adjacent(self, m, n):
         return n == m - 1
 
 
@@ -124,10 +136,10 @@ class ZetaOrder(LinearOrder):
 
     name = "zeta"
 
-    def less(self, m, n):
+    def _less(self, m, n):
         return _zeta_image(m) < _zeta_image(n)
 
-    def adjacent(self, m, n):
+    def _adjacent(self, m, n):
         return _zeta_image(n) == _zeta_image(m) + 1
 
 
@@ -137,10 +149,10 @@ class EtaOrder(LinearOrder):
     name = "eta"
     dense = True
 
-    def less(self, m, n):
+    def _less(self, m, n):
         return rational_at(m + 2) < rational_at(n + 2)
 
-    def adjacent(self, m, n):
+    def _adjacent(self, m, n):
         return False
 
 
@@ -155,10 +167,10 @@ class OmegaPlusOmegaStarOrder(LinearOrder):
     def _key(n: int) -> tuple[int, int]:
         return (0, n) if n % 2 == 0 else (1, -n)
 
-    def less(self, m, n):
+    def _less(self, m, n):
         return self._key(m) < self._key(n)
 
-    def adjacent(self, m, n):
+    def _adjacent(self, m, n):
         if m % 2 == 0 and n % 2 == 0:
             return n == m + 2
         if m % 2 == 1 and n % 2 == 1:
@@ -183,14 +195,10 @@ class FiniteOrder(LinearOrder):
         self.max_element = ordered[-1]
         self.name = "finite:" + ",".join(str(r) for r in ranks)
 
-    def less(self, m, n):
-        self._check_index(m)
-        self._check_index(n)
+    def _less(self, m, n):
         return self.ranks[m] < self.ranks[n]
 
-    def adjacent(self, m, n):
-        self._check_index(m)
-        self._check_index(n)
+    def _adjacent(self, m, n):
         return self._position[n] == self._position[m] + 1
 
 

@@ -35,10 +35,6 @@ class SignatureEntry:
         if not 0 <= self.lo < self.hi <= 1:
             raise ValueError(f"bad entry interval ({self.lo}, {self.hi})")
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def interval(self) -> tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
 

@@ -304,6 +304,62 @@ class TestLazyDecision:
         assert decide_iso_lazy(t1, t2, 5) == Unknown(5)
 
 
+def oracle_back_and_forth(s1, s2, k):
+    """`back_and_forth` with each round's window and partner found by search.
+
+    The window comes from every matched pair, and the partner is the
+    first window position no pair uses.  The library takes the window's
+    first position, which order preservation leaves free.
+    """
+    if k < 0:
+        raise PreconditionError("negative round count")
+    if len(set(s1.labels()) | set(s2.labels())) > 1:
+        raise PreconditionError("back-and-forth needs one uniform shared label")
+    e1, e2 = s1.entries, s2.entries
+    matched = []
+    for round_no in range(k):
+        forward = round_no % 2 == 0
+        used_src = [m[0] if forward else m[1] for m in matched]
+        used_dst = [m[1] if forward else m[0] for m in matched]
+        src_entries, dst_entries = (e1, e2) if forward else (e2, e1)
+        pick = next((i for i in range(len(src_entries)) if i not in used_src), None)
+        if pick is None:
+            raise PreconditionError(f"source side exhausted at round {round_no}")
+        lo, hi = -1, len(dst_entries)
+        for o, p in zip(used_src, used_dst):
+            if o < pick:
+                lo = max(lo, p)
+            else:
+                hi = min(hi, p)
+        partner = next((j for j in range(lo + 1, hi) if j not in used_dst), None)
+        if partner is None:
+            raise PreconditionError(f"no partner in the truncation at round {round_no}")
+        matched.append((pick, partner) if forward else (partner, pick))
+    return tuple((e1[i], e2[j]) for i, j in matched)
+
+
+@st.composite
+def uniform_signature_pairs(draw):
+    """Two truncated signatures of up to ten entries, all with one label."""
+    label = draw(st.sampled_from([Label.P, Label.L]))
+
+    def signature():
+        n = draw(st.integers(0, 10))
+        entries = tuple(
+            SignatureEntry(F(i, n + 1), F(2 * i + 1, 2 * n + 2), label) for i in range(n)
+        )
+        return Signature(entries, truncation_depth=n + 1)
+
+    return signature(), signature()
+
+
+def matching_outcome(route, s1, s2, k):
+    try:
+        return route(s1, s2, k)
+    except PreconditionError as err:
+        return str(err)
+
+
 class TestBackAndForth:
     @staticmethod
     def dense_sig(los, label=Label.P):
@@ -318,6 +374,13 @@ class TestBackAndForth:
         for a1, b1 in pairs:
             for a2, b2 in pairs:
                 assert (a1.lo < a2.lo) == (b1.lo < b2.lo)
+
+    @given(uniform_signature_pairs(), st.integers(-1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_search_oracle(self, pair, k):
+        s1, s2 = pair
+        want = matching_outcome(oracle_back_and_forth, s1, s2, k)
+        assert matching_outcome(back_and_forth, s1, s2, k) == want
 
     def test_zero_rounds_is_empty(self):
         s = self.dense_sig([F(1, 10)])

@@ -1,6 +1,7 @@
 """Index structures over the rational enumeration: both routes, frozen values."""
 
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from ordsum.l1 import (
     theta_by_probing,
 )
 from ordsum.orders import parse_order, order_tnorm
-from ordsum.rationals import rational_at
+from ordsum.rationals import count_up_to, fractions_up_to, rational_at
 from ordsum.signature import Label
 from ordsum.tnorm import PreconditionError, find_idempotent_power
 
@@ -42,12 +43,12 @@ class TestStructureValidation:
     def test_chain_orders_active_indices(self):
         s = theta(PAIR_A, 8)
         assert s.chain() == (0, 3, 4, 1)
-        assert [s.label_of(n) for n in s.chain()] == [Label.M, Label.P, Label.L, Label.M]
+        assert [label for _, label in s.entries] == [Label.M, Label.P, Label.L, Label.M]
 
 
 def _oracle_less(s):
     """The order relation built pair by pair from the witness values."""
-    values = {n: rational_at(n) for n in s.active}
+    values = {n: rational_at(n) for n in s.chain()}
     return {(m, n) for m in values for n in values if values[m] < values[n]}
 
 
@@ -174,6 +175,113 @@ def coarse_presentations(draw):
     return tn(*pieces)
 
 
+def oracle_theta_by_probing(t, size, power_limit=64, denominator_limit=32):
+    """`theta_by_probing` with every quantifier a scan over the enumeration.
+
+    Each q_i comes from `rational_at`, each "only idempotents between"
+    from bisecting the sorted scan, and a min-region companion from a
+    pass over every scan position.  The library reads scan positions
+    instead; the two must agree, raises included.
+    """
+    if size > count_up_to(denominator_limit):
+        raise BoundInsufficiency(
+            "denominator",
+            f"size {size} exceeds the denominator <= {denominator_limit} prefix",
+        )
+    scan_values = [q for q, _ in fractions_up_to(denominator_limit)]
+    idem = [t.eval(q, q) == q for q in scan_values]
+    prefix = [0]
+    for flag in idem:
+        prefix.append(prefix[-1] + (0 if flag else 1))
+
+    def scan_between(i, j):
+        """(total, non-idempotent) scan rationals at positions i..j-1."""
+        return max(0, j - i), prefix[j] - prefix[i] if j > i else 0
+
+    witnesses = []
+    for n in range(size):
+        qn = rational_at(n)
+        if t.eval(qn, qn) != qn:
+            if not all(t.eval(rational_at(i), qn) == min(rational_at(i), qn) for i in range(n)):
+                continue
+            value = qn
+            for _ in range(2, power_limit + 1):
+                value = t.eval(value, qn)
+                if t.eval(value, value) == value:
+                    label = Label.L
+                    break
+            else:
+                search = find_idempotent_power(t, qn, power_limit)
+                label = Label.L if search.outcome == "yes" else Label.P
+            witnesses.append((qn, n, label))
+            continue
+        witnessed = vacuous = False
+        below = bisect_left(scan_values, qn)
+        above = bisect_right(scan_values, qn)
+        for pos in itertools.chain(range(below), range(above, len(scan_values))):
+            if not idem[pos]:
+                continue
+            if pos < below:
+                total, bad = scan_between(pos + 1, below)
+            else:
+                total, bad = scan_between(above, pos)
+            if bad:
+                continue
+            if total == 0:
+                vacuous = True
+                continue
+            witnessed = True
+            break
+        if not witnessed:
+            if vacuous:
+                raise BoundInsufficiency(
+                    "denominator",
+                    f"cannot certify a min-region companion for index {n}",
+                )
+            continue
+        settled = True
+        for i in range(n):
+            qi = rational_at(i)
+            lo, hi = min(qi, qn), max(qi, qn)
+            total, bad = scan_between(
+                bisect_right(scan_values, lo), bisect_left(scan_values, hi)
+            )
+            if bad:
+                continue
+            if total == 0:
+                raise BoundInsufficiency(
+                    "denominator",
+                    f"no scan rationals between indices {i} and {n}",
+                )
+            settled = False
+            break
+        if settled:
+            witnesses.append((qn, n, Label.M))
+    return L1Structure(size, tuple((n, label) for _, n, label in sorted(witnesses)))
+
+
+ENDPOINTS = st.integers(2, 40).flatmap(
+    lambda d: st.integers(1, d - 1).map(lambda k: F(k, d))
+)
+
+
+@st.composite
+def fine_presentations(draw):
+    """Pieces between random cuts of denominator <= 40, some far too thin to scan."""
+    cuts = sorted(draw(st.sets(ENDPOINTS, max_size=6)))
+    bounds = [F(0), *cuts, F(1)]
+    labels = draw(st.lists(st.sampled_from("PLM"), min_size=len(bounds) - 1,
+                           max_size=len(bounds) - 1))
+    return tn(*[(lo, hi, k) for lo, hi, k in zip(bounds, bounds[1:], labels) if k != "M"])
+
+
+def probing_outcome(route, t, size, denominator_limit):
+    try:
+        return route(t, size, denominator_limit=denominator_limit)
+    except BoundInsufficiency as err:
+        return err.bound, str(err)
+
+
 class TestProbingRoute:
     def test_agrees_with_structural_route_on_corpus(self, finite_corpus):
         for t in finite_corpus:
@@ -183,6 +291,13 @@ class TestProbingRoute:
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_structural_route_on_random_presentations(self, t, size):
         assert theta_by_probing(t, size, denominator_limit=PROBE_DEN) == theta(t, size)
+
+    @given(fine_presentations(), st.integers(2, 32), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_scan_oracle(self, t, denominator_limit, data):
+        size = data.draw(st.integers(1, count_up_to(denominator_limit) + 2))
+        want = probing_outcome(oracle_theta_by_probing, t, size, denominator_limit)
+        assert probing_outcome(theta_by_probing, t, size, denominator_limit) == want
 
     def test_single_lukasiewicz_piece_by_hand(self):
         s = theta_by_probing(tn((0, 1, "L")), 4)
@@ -260,8 +375,9 @@ class TestIsoOfStructures:
         perms = list(itertools.permutations(range(6)))
 
         def brute(a, b):
+            label_a, label_b = dict(a.entries), dict(b.entries)
             for xi in perms:
-                if all(a.label_of(n) == b.label_of(xi[n]) for n in range(6)) and {
+                if all(label_a.get(n) == label_b.get(xi[n]) for n in range(6)) and {
                     (xi[m], xi[n]) for m, n in a.less
                 } == set(b.less):
                     return True

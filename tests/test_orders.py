@@ -241,6 +241,15 @@ def test_finite_order_reads_ranks_positionally():
         pair.adjacent(-1, 0)
 
 
+@pytest.mark.parametrize("name", sorted(NAMED_ORDERS))
+def test_named_orders_reject_negative_elements(name):
+    order = NAMED_ORDERS[name]()
+    for relation in (order.less, order.adjacent):
+        for m, n in ((-3, 0), (0, -1), (-1, -2)):
+            with pytest.raises(PreconditionError, match="negative"):
+                relation(m, n)
+
+
 def test_parse_order():
     assert parse_order("omega").name == "omega"
     assert parse_order("finite:3,0,2,1").name == "finite:3,0,2,1"

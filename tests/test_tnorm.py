@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ordsum.cli import GRID_21
 from ordsum.tnorm import (
     AxiomReport,
+    FinitePresentation,
     Label,
     Piece,
     PreconditionError,
@@ -27,7 +28,7 @@ L = Label.L
 
 
 def tn(*spec):
-    return TNorm.from_pieces(Piece(F(a), F(b), k) for a, b, k in spec)
+    return TNorm(FinitePresentation(tuple(Piece(F(a), F(b), k) for a, b, k in spec)))
 
 
 MINIMUM = tn()
@@ -212,7 +213,7 @@ def _presentations(draw):
         kind = draw(st.sampled_from([None, P, L]))
         if kind is not None:
             pieces.append(Piece(lo, hi, kind))
-    return TNorm.from_pieces(pieces), cuts
+    return TNorm(FinitePresentation(tuple(pieces))), cuts
 
 
 @given(data=st.data())
@@ -280,7 +281,7 @@ def test_find_idempotent_power_structural():
 
 def test_nilpotency_closed_form_matches_iteration():
     piece = Piece(F(1, 5), F(4, 5), L)
-    t = TNorm.from_pieces([piece])
+    t = TNorm(FinitePresentation((piece,)))
     for q in (F(1, 4), F(1, 2), F(3, 5), F(7, 10), F(79, 100)):
         want = piece.nilpotency_index(q)
         value = q
