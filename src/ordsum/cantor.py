@@ -38,6 +38,7 @@ from .tnorm import (
     StructuralFacts,
     TNorm,
     UnknownAtDepth,
+    first_shared_endpoint,
 )
 
 __all__ = [
@@ -200,13 +201,6 @@ class GapOrderFacts:
     collection: GapCollection  # the expansion the witness was read from
 
 
-def _successor_witness(ordered: list[Box]) -> tuple[Box, Box] | None:
-    for a, b in zip(ordered, ordered[1:]):
-        if a[1] == b[0]:
-            return (a, b)
-    return None
-
-
 def analyze_gap_order(system: CantorSystem, depth: int) -> GapOrderFacts:
     """The gaps of `expand(system, depth)` and the order facts of all gaps.
 
@@ -215,7 +209,9 @@ def analyze_gap_order(system: CantorSystem, depth: int) -> GapOrderFacts:
     """
     collection = expand(system, depth)
     facts = CantorGapGenerator(system).facts
-    witness = _successor_witness(collection.by_position)
+    ordered = collection.by_position
+    i = first_shared_endpoint(ordered)
+    witness = None if i is None else (ordered[i], ordered[i + 1])
     if system.property_e:
         dense = True
     elif witness is not None:

@@ -68,15 +68,13 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    from .iso import Iso, Unknown, decide_iso_finite, decide_iso_lazy, format_verdict
+    from .iso import Unknown, decide_iso_finite, decide_iso_lazy, format_verdict
     from .signature import compute_signature
 
     t1 = load_presentation(args.file_a)
     t2 = load_presentation(args.file_b)
     if t1.is_finite and t2.is_finite:
         verdict = decide_iso_finite(compute_signature(t1), compute_signature(t2))
-        if isinstance(verdict, Iso):
-            verdict = Iso(verdict.witness.with_affine_map())
     else:
         verdict = decide_iso_lazy(t1, t2, args.depth)
     sys.stdout.write(format_verdict(verdict))

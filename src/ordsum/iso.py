@@ -19,18 +19,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .signature import Label, Signature, SignatureEntry, compute_signature
+from .rationals import check_unit
+from .signature import Signature, SignatureEntry, compute_signature
 from .tnorm import PreconditionError, TNorm
 
 __all__ = [
-    "MinimumExistsMismatch",
-    "MaximumExistsMismatch",
-    "SuccessorPairPresent",
-    "DensityMismatch",
-    "CardinalityMismatch",
-    "FiniteLabelSequenceMismatch",
-    "AffineSegment",
-    "IsoWitness",
     "Iso",
     "NotIso",
     "Unknown",
@@ -43,147 +36,32 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MinimumExistsMismatch:
-    label: Label
+class Iso:
+    """Matched entry pairs; `full` when they tile [0,1], as complete signatures do.
 
-    @property
-    def tag(self) -> str:
-        return f"MinimumExistsMismatch({self.label.value})"
-
-    @property
-    def detail(self) -> str:
-        return (
-            f"one side has a least entry labeled {self.label.value}; "
-            "the other is certified to have no least entry"
-        )
-
-
-@dataclass(frozen=True)
-class MaximumExistsMismatch:
-    label: Label
-
-    @property
-    def tag(self) -> str:
-        return f"MaximumExistsMismatch({self.label.value})"
-
-    @property
-    def detail(self) -> str:
-        return (
-            f"one side has a greatest entry labeled {self.label.value}; "
-            "the other is certified to have no greatest entry"
-        )
-
-
-@dataclass(frozen=True)
-class SuccessorPairPresent:
-    entries: tuple[SignatureEntry, SignatureEntry]
-
-    @property
-    def tag(self) -> str:
-        a, b = self.entries
-        return f"SuccessorPairPresent(({a.lo}, {a.hi}), ({b.lo}, {b.hi}))"
-
-    @property
-    def detail(self) -> str:
-        a, b = self.entries
-        return (
-            f"one side has adjacent entries sharing an endpoint: "
-            f"({a.lo}, {a.hi}) {a.label.value} then ({b.lo}, {b.hi}) {b.label.value}; "
-            "the other side is certified order-dense"
-        )
-
-
-@dataclass(frozen=True)
-class DensityMismatch:
-    @property
-    def tag(self) -> str:
-        return "DensityMismatch"
-
-    @property
-    def detail(self) -> str:
-        return "exactly one side is certified dense without endpoints"
-
-
-@dataclass(frozen=True)
-class CardinalityMismatch:
-    @property
-    def tag(self) -> str:
-        return "CardinalityMismatch"
-
-    @property
-    def detail(self) -> str:
-        return (
-            "one side has finitely many pieces; "
-            "the other lists infinitely many disjoint pieces"
-        )
-
-
-@dataclass(frozen=True)
-class FiniteLabelSequenceMismatch:
-    position: int
-
-    @property
-    def tag(self) -> str:
-        return f"FiniteLabelSequenceMismatch({self.position})"
-
-    @property
-    def detail(self) -> str:
-        return f"label sequences first differ at position {self.position}"
-
-
-@dataclass(frozen=True)
-class AffineSegment:
-    src_lo: Fraction
-    src_hi: Fraction
-    dst_lo: Fraction
-    dst_hi: Fraction
-
-    def apply(self, x: Fraction) -> Fraction:
-        scale = (self.dst_hi - self.dst_lo) / (self.src_hi - self.src_lo)
-        return self.dst_lo + (x - self.src_lo) * scale
-
-
-@dataclass(frozen=True)
-class IsoWitness:
-    """Matched entry pairs, plus a full unit-interval map in the finite case."""
+    A full matching is a piecewise-affine map of [0,1]: each entry goes
+    affinely onto its partner.
+    """
 
     entry_map: tuple[tuple[SignatureEntry, SignatureEntry], ...]
-    map_pieces: tuple[AffineSegment, ...] | None = None
+    full: bool = False
 
     def apply(self, x: Fraction) -> Fraction:
-        if self.map_pieces is None:
+        check_unit(x)
+        if not self.full:
             raise PreconditionError("witness carries no full map")
-        starts = [seg.src_lo for seg in self.map_pieces]
-        i = max(bisect_right(starts, x) - 1, 0)
-        return self.map_pieces[i].apply(x)
-
-    def with_affine_map(self) -> IsoWitness:
-        """This matching plus the affine map sending each entry onto its partner.
-
-        Only a matching of two complete signatures covers [0,1], so only
-        such a matching gives a full map.
-        """
-        segments = tuple(
-            AffineSegment(a.lo, a.hi, b.lo, b.hi) for a, b in self.entry_map
-        )
-        return IsoWitness(self.entry_map, segments)
-
-
-@dataclass(frozen=True)
-class Iso:
-    witness: IsoWitness
+        starts = [a.lo for a, _ in self.entry_map]
+        a, b = self.entry_map[bisect_right(starts, x) - 1]
+        return b.lo + (x - a.lo) * (b.hi - b.lo) / (a.hi - a.lo)
 
 
 @dataclass(frozen=True)
 class NotIso:
-    reason: (
-        MinimumExistsMismatch
-        | MaximumExistsMismatch
-        | SuccessorPairPresent
-        | DensityMismatch
-        | CardinalityMismatch
-        | FiniteLabelSequenceMismatch
-    )
+    """A certificate: its tag, one line of detail, and the entries it cites."""
+
+    tag: str
+    detail: str
+    entries: tuple[SignatureEntry, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -197,16 +75,19 @@ def decide_iso_finite(s1: Signature, s2: Signature) -> Iso | NotIso:
         raise PreconditionError("finite decision needs complete signatures")
     l1, l2 = s1.labels(), s2.labels()
     if l1 == l2:
-        return Iso(IsoWitness(tuple(zip(s1.entries, s2.entries))))
+        return Iso(tuple(zip(s1.entries, s2.entries)), full=True)
     position = 0
     for a, b in zip(l1, l2):
         if a is not b:
             break
         position += 1
-    return NotIso(FiniteLabelSequenceMismatch(position))
+    return NotIso(
+        f"FiniteLabelSequenceMismatch({position})",
+        f"label sequences first differ at position {position}",
+    )
 
 
-def build_iso_map(t1: TNorm, t2: TNorm) -> IsoWitness:
+def build_iso_map(t1: TNorm, t2: TNorm) -> Iso:
     """Piecewise-affine unit-interval map sending each entry onto its partner.
 
     Complete signatures tile [0,1] (entries share endpoints), so the
@@ -218,8 +99,8 @@ def build_iso_map(t1: TNorm, t2: TNorm) -> IsoWitness:
         raise PreconditionError("full witness maps need finite presentations")
     verdict = decide_iso_finite(compute_signature(t1), compute_signature(t2))
     if not isinstance(verdict, Iso):
-        raise PreconditionError(f"not isomorphic: {verdict.reason.tag}")
-    return verdict.witness.with_affine_map()
+        raise PreconditionError(f"not isomorphic: {verdict.tag}")
+    return verdict
 
 
 def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
@@ -237,33 +118,35 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
     if t1.is_finite or t2.is_finite:
-        return NotIso(CardinalityMismatch())
+        return NotIso(
+            "CardinalityMismatch",
+            "one side has finitely many pieces; "
+            "the other lists infinitely many disjoint pieces",
+        )
     g1, g2 = t1.generator, t2.generator
     f1, f2 = g1.facts, g2.facts
 
     if g1.fingerprint == g2.fingerprint:
         entries = compute_signature(t1, min(depth, 8)).entries
-        return Iso(IsoWitness(tuple((e, e) for e in entries)))
+        return Iso(tuple((e, e) for e in entries))
 
-    if f1.has_min_piece is not None and f2.has_min_piece is not None:
-        if f1.has_min_piece != f2.has_min_piece:
-            side = t1 if f1.has_min_piece else t2
-            entry = compute_signature(side, depth).entries[0]
-            if entry.lo != 0:
-                raise PreconditionError(
-                    "least entry certified but not visible at this depth"
-                )
-            return NotIso(MinimumExistsMismatch(entry.label))
-
-    if f1.has_max_piece is not None and f2.has_max_piece is not None:
-        if f1.has_max_piece != f2.has_max_piece:
-            side = t1 if f1.has_max_piece else t2
-            entry = compute_signature(side, depth).entries[-1]
-            if entry.hi != 1:
-                raise PreconditionError(
-                    "greatest entry certified but not visible at this depth"
-                )
-            return NotIso(MaximumExistsMismatch(entry.label))
+    # each end: the entry's position, and the endpoint of [0,1] it must touch
+    ends = (
+        ("Minimum", "least", f1.has_min_piece, f2.has_min_piece, 0, 0),
+        ("Maximum", "greatest", f1.has_max_piece, f2.has_max_piece, -1, 1),
+    )
+    for name, end, has1, has2, at, bound in ends:
+        if has1 is None or has2 is None or has1 == has2:
+            continue
+        entry = compute_signature(t1 if has1 else t2, depth).entries[at]
+        if entry.interval()[at] != bound:
+            raise PreconditionError(f"{end} entry certified but not visible at this depth")
+        label = entry.label.value
+        return NotIso(
+            f"{name}ExistsMismatch({label})",
+            f"one side has a {end} entry labeled {label}; "
+            f"the other is certified to have no {end} entry",
+        )
 
     d1, d2 = f1.dense_no_endpoints, f2.dense_no_endpoints
     if d1 is True and d2 is True:
@@ -271,16 +154,24 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
             return Unknown(depth)
         s1 = compute_signature(t1, depth)
         s2 = compute_signature(t2, depth)
-        pairs = back_and_forth(s1, s2, min(8, depth))
-        return Iso(IsoWitness(pairs))
+        return Iso(back_and_forth(s1, s2, min(8, depth)))
     if d1 is True or d2 is True:
         other = t2 if d1 is True else t1
         pair = compute_signature(other, depth).successor_pair()
         if pair is not None:
-            return NotIso(SuccessorPairPresent(pair))
+            a, b = pair
+            return NotIso(
+                f"SuccessorPairPresent(({a.lo}, {a.hi}), ({b.lo}, {b.hi}))",
+                f"one side has adjacent entries sharing an endpoint: "
+                f"({a.lo}, {a.hi}) {a.label.value} then ({b.lo}, {b.hi}) {b.label.value}; "
+                "the other side is certified order-dense",
+                pair,
+            )
         dense_other = d2 if d1 is True else d1
         if dense_other is False:
-            return NotIso(DensityMismatch())
+            return NotIso(
+                "DensityMismatch", "exactly one side is certified dense without endpoints"
+            )
     return Unknown(depth)
 
 
@@ -322,18 +213,16 @@ def back_and_forth(s1: Signature, s2: Signature, k: int) -> tuple:
 
 def format_verdict(verdict: Iso | NotIso | Unknown) -> str:
     if isinstance(verdict, Iso):
+        pairs = verdict.entry_map
         lines = ["ISO"]
-        for a, b in verdict.witness.entry_map:
+        for a, b in pairs:
             lines.append(
                 f"  ({a.lo}, {a.hi}) {a.label.value} ~ ({b.lo}, {b.hi}) {b.label.value}"
             )
-        if verdict.witness.map_pieces is not None:
-            for seg in verdict.witness.map_pieces:
-                lines.append(
-                    f"  [{seg.src_lo}, {seg.src_hi}] -> [{seg.dst_lo}, {seg.dst_hi}]"
-                )
+        if verdict.full:
+            lines.extend(f"  [{a.lo}, {a.hi}] -> [{b.lo}, {b.hi}]" for a, b in pairs)
     elif isinstance(verdict, NotIso):
-        lines = [f"NOT_ISO {verdict.reason.tag}", f"  {verdict.reason.detail}"]
+        lines = [f"NOT_ISO {verdict.tag}", f"  {verdict.detail}"]
     else:
         lines = [
             f"UNKNOWN depth={verdict.depth}",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tnorm import Label, PieceGenerator, PreconditionError, TNorm
+from .tnorm import Label, PieceGenerator, PreconditionError, TNorm, first_shared_endpoint
 
 __all__ = [
     "Label",
@@ -69,8 +69,8 @@ class Signature:
         are all final, and nothing fits between two entries that share
         an endpoint, so they are consecutive in the complete signature.
         """
-        pairs = zip(self.entries, self.entries[1:])
-        return next(((a, b) for a, b in pairs if a.hi == b.lo), None)
+        i = first_shared_endpoint(e.interval() for e in self.entries)
+        return None if i is None else (self.entries[i], self.entries[i + 1])
 
 
 def compute_signature(t: TNorm, depth: int | None = None) -> Signature:

@@ -20,6 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import pairwise
 
 from .rationals import check_unit
 
@@ -40,6 +41,7 @@ __all__ = [
     "check_axioms",
     "find_idempotent_power",
     "uncovered",
+    "first_shared_endpoint",
 ]
 
 
@@ -136,6 +138,17 @@ def uncovered(spans) -> list[tuple[Fraction, Fraction]]:
     if cursor < 1:
         out.append((cursor, Fraction(1)))
     return out
+
+
+def first_shared_endpoint(spans) -> int | None:
+    """Index of the first of `spans` that ends where the next one begins, or None.
+
+    `spans` are (lo, hi) pairs sorted by lo.
+    """
+    for i, ((_, hi), (lo, _)) in enumerate(pairwise(spans)):
+        if hi == lo:
+            return i
+    return None
 
 
 @dataclass(frozen=True)

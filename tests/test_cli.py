@@ -8,6 +8,25 @@ PAIR_A_TEXT = "tnorm v1\npiece 1/4 1/2 P\npiece 1/2 3/4 L\n"
 PAIR_B_TEXT = "tnorm v1\npiece 1/10 1/5 P\npiece 1/5 9/10 L\n"
 LUK_TEXT = "tnorm v1\npiece 0 1 L\n"
 
+# (family a, family b, depth, the whole stdout of `ordsum iso`)
+LAZY_NOT_ISO = [
+    ("theta omega", "limit-right", "6",
+     "NOT_ISO MinimumExistsMismatch(M)\n"
+     "  one side has a least entry labeled M; "
+     "the other is certified to have no least entry\n"),
+    ("theta omega", "theta omega_plus_omega_star", "6",
+     "NOT_ISO MaximumExistsMismatch(M)\n"
+     "  one side has a greatest entry labeled M; "
+     "the other is certified to have no greatest entry\n"),
+    ("theta eta", "theta zeta", "2",
+     "NOT_ISO SuccessorPairPresent((1/9, 2/9), (2/9, 1/3))\n"
+     "  one side has adjacent entries sharing an endpoint: "
+     "(1/9, 2/9) P then (2/9, 1/3) M; the other side is certified order-dense\n"),
+    ("theta eta", "theta zeta", "1",
+     "NOT_ISO DensityMismatch\n"
+     "  exactly one side is certified dense without endpoints\n"),
+]
+
 
 @pytest.fixture
 def write(tmp_path):
@@ -112,8 +131,19 @@ class TestIso:
         a = write("a", "tnorm v1\nfamily limit-left\n")
         b = write("b", "tnorm v1\nfamily limit-right\n")
         assert main(["iso", a, b]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "NOT_ISO MinimumExistsMismatch(P)"
+        assert capsys.readouterr().out == (
+            "NOT_ISO MinimumExistsMismatch(P)\n"
+            "  one side has a least entry labeled P; "
+            "the other is certified to have no least entry\n"
+        )
+
+    @pytest.mark.parametrize("family_a, family_b, depth, expected", LAZY_NOT_ISO,
+                             ids=["minimum", "maximum", "successor-pair", "density"])
+    def test_lazy_not_iso(self, write, capsys, family_a, family_b, depth, expected):
+        a = write("a", f"tnorm v1\nfamily {family_a}\n")
+        b = write("b", f"tnorm v1\nfamily {family_b}\n")
+        assert main(["iso", a, b, depth]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_finite_iso_prints_witness_map(self, write, capsys):
         a = write("a", PAIR_A_TEXT)
@@ -135,15 +165,19 @@ class TestIso:
         a = write("a", PAIR_A_TEXT)
         b = write("b", "tnorm v1\npiece 1/4 1/2 L\npiece 1/2 3/4 P\n")
         assert main(["iso", a, b]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "NOT_ISO FiniteLabelSequenceMismatch(1)"
-        assert "position 1" in lines[1]
+        assert capsys.readouterr().out == (
+            "NOT_ISO FiniteLabelSequenceMismatch(1)\n"
+            "  label sequences first differ at position 1\n"
+        )
 
     def test_undecided_pair_exits_four(self, write, capsys):
         a = write("a", "tnorm v1\nfamily limit-left\n")
         b = write("b", "tnorm v1\nfamily theta omega\n")
         assert main(["iso", a, b]) == 4
-        assert capsys.readouterr().out.splitlines()[0] == "UNKNOWN depth=8"
+        assert capsys.readouterr().out == (
+            "UNKNOWN depth=8\n"
+            "  no certified invariant separates the presentations at this depth\n"
+        )
 
     def test_mixed_finite_lazy_rejected(self, write, capsys):
         a = write("a", PAIR_A_TEXT)

@@ -15,15 +15,8 @@ from ordsum.cantor import gap_tnorm, parse_system
 from ordsum.cli import main
 from ordsum.families import ladder_tnorm
 from ordsum.iso import (
-    CardinalityMismatch,
-    DensityMismatch,
-    FiniteLabelSequenceMismatch,
     Iso,
-    IsoWitness,
-    MaximumExistsMismatch,
-    MinimumExistsMismatch,
     NotIso,
-    SuccessorPairPresent,
     Unknown,
     back_and_forth,
     build_iso_map,
@@ -62,28 +55,29 @@ class TestFiniteDecision:
     def test_matching_label_sequences(self):
         verdict = decide_iso_finite(compute_signature(PAIR_A), compute_signature(PAIR_B))
         assert isinstance(verdict, Iso)
-        got = [(a.label, b.label) for a, b in verdict.witness.entry_map]
+        got = [(a.label, b.label) for a, b in verdict.entry_map]
         assert got == [(Label.M, Label.M), (Label.P, Label.P), (Label.L, Label.L), (Label.M, Label.M)]
 
     def test_swapped_kinds_differ_at_first_piece(self):
         verdict = decide_iso_finite(
             compute_signature(PAIR_A), compute_signature(PAIR_B_SWAPPED)
         )
-        assert verdict == NotIso(FiniteLabelSequenceMismatch(1))
-        assert verdict.reason.tag == "FiniteLabelSequenceMismatch(1)"
+        assert verdict == NotIso(
+            "FiniteLabelSequenceMismatch(1)", "label sequences first differ at position 1"
+        )
 
     def test_prefix_mismatch_lands_at_shorter_length(self):
         # [P, M] against [P]: sequences agree through position 0
         half = tn((0, F(1, 2), "P"))
         full = tn((0, 1, "P"))
         verdict = decide_iso_finite(compute_signature(half), compute_signature(full))
-        assert verdict == NotIso(FiniteLabelSequenceMismatch(1))
+        assert verdict.tag == "FiniteLabelSequenceMismatch(1)"
 
     def test_minimum_is_isomorphic_to_itself_only(self):
         sig = compute_signature(MINIMUM)
         assert isinstance(decide_iso_finite(sig, sig), Iso)
         other = compute_signature(tn((0, 1, "L")))
-        assert decide_iso_finite(sig, other) == NotIso(FiniteLabelSequenceMismatch(0))
+        assert decide_iso_finite(sig, other).tag == "FiniteLabelSequenceMismatch(0)"
 
     def test_incomplete_signature_rejected(self):
         lazy_sig = compute_signature(ladder_tnorm("limit-left"), depth=3)
@@ -135,7 +129,7 @@ class TestWitnessMap:
             out = io.StringIO()
             with redirect_stdout(out):
                 assert main(["iso", *map(str, paths)]) == 0
-        assert out.getvalue() == format_verdict(Iso(witness))
+        assert out.getvalue() == format_verdict(witness)
 
     def test_map_fixes_endpoints_and_increases(self):
         witness = build_iso_map(PAIR_A, PAIR_B)
@@ -169,19 +163,27 @@ class TestWitnessMap:
             build_iso_map(PAIR_A, ladder_tnorm("limit-right"))
 
     def test_witness_without_map_cannot_apply(self):
-        bare = IsoWitness(entry_map=())
+        bare = Iso(())
         with pytest.raises(PreconditionError):
             bare.apply(F(1, 2))
 
+    @pytest.mark.parametrize("x", [F(3, 2), F(-1), 0.5], ids=["above", "below", "float"])
+    def test_map_rejects_points_outside_the_unit_interval(self, x):
+        # TNorm.eval rejects the same points
+        with pytest.raises(ValueError):
+            PAIR_A.eval(x, x)
+        with pytest.raises(ValueError):
+            build_iso_map(PAIR_A, PAIR_B).apply(x)
+
 
 class StubGenerator(PieceGenerator):
-    """All structural facts unknown; used to exercise the UNKNOWN path."""
+    """Structural facts unknown unless given; used to exercise the UNKNOWN path."""
 
     kind = Label.P
 
-    def __init__(self, tag):
+    def __init__(self, tag, facts=StructuralFacts(None, None, None)):
         self.fingerprint = ("stub", tag)
-        self.facts = StructuralFacts(None, None, None)
+        self.facts = facts
 
     def piece_at(self, n):
         return Piece(F(1, n + 3), F(1, n + 2), Label.P)
@@ -217,44 +219,43 @@ class TestLazyDecision:
         ids=["ladder", "eta", "cantor"],
     )
     def test_finite_vs_lazy_is_cardinality_mismatch(self, finite, lazy):
-        assert decide_iso_lazy(finite, lazy, 1) == NotIso(CardinalityMismatch())
-        assert decide_iso_lazy(lazy, finite, 8) == NotIso(CardinalityMismatch())
+        assert decide_iso_lazy(finite, lazy, 1).tag == "CardinalityMismatch"
+        assert decide_iso_lazy(lazy, finite, 8).tag == "CardinalityMismatch"
 
     def test_same_fingerprint_short_circuits(self):
         t1 = order_tnorm(parse_order("omega"))
         t2 = order_tnorm(parse_order("omega"))
         verdict = decide_iso_lazy(t1, t2, 6)
         assert isinstance(verdict, Iso)
-        assert all(a == b for a, b in verdict.witness.entry_map)
+        assert all(a == b for a, b in verdict.entry_map)
 
     def test_ladder_anchors_disagree_on_least_entry(self):
         left = ladder_tnorm("limit-left")
         right = ladder_tnorm("limit-right")
         for depth in range(4, 17):
             verdict = decide_iso_lazy(left, right, depth)
-            assert verdict == NotIso(MinimumExistsMismatch(Label.P))
-            assert verdict.reason.tag == "MinimumExistsMismatch(P)"
+            assert verdict.tag == "MinimumExistsMismatch(P)"
         # argument order is immaterial
-        assert decide_iso_lazy(right, left, 8) == NotIso(MinimumExistsMismatch(Label.P))
+        assert decide_iso_lazy(right, left, 8).tag == "MinimumExistsMismatch(P)"
 
     def test_order_with_least_element_shows_a_min_gap(self):
         t1 = order_tnorm(parse_order("omega"))
         t2 = ladder_tnorm("limit-right")
         verdict = decide_iso_lazy(t1, t2, 6)
-        assert verdict == NotIso(MinimumExistsMismatch(Label.M))
+        assert verdict.tag == "MinimumExistsMismatch(M)"
 
     def test_greatest_entry_mismatch(self):
         t1 = order_tnorm(parse_order("omega"))
         t2 = order_tnorm(parse_order("omega_plus_omega_star"))
         verdict = decide_iso_lazy(t1, t2, 6)
-        assert verdict == NotIso(MaximumExistsMismatch(Label.M))
+        assert verdict.tag == "MaximumExistsMismatch(M)"
 
     def test_cantor_middle_third_vs_svc_is_iso(self):
         t1 = gap_tnorm(parse_system("cantor:middle-third"))
         t2 = gap_tnorm(parse_system("cantor:svc"))
         verdict = decide_iso_lazy(t1, t2, 8)
         assert isinstance(verdict, Iso)
-        pairs = verdict.witness.entry_map
+        pairs = verdict.entry_map
         assert len(pairs) == 8
         for a1, b1 in pairs:
             for a2, b2 in pairs:
@@ -265,38 +266,53 @@ class TestLazyDecision:
         t2 = gap_tnorm(parse_system("cantor:non-e"))
         for depth in range(2, 9):
             verdict = decide_iso_lazy(t1, t2, depth)
-            assert verdict == NotIso(MinimumExistsMismatch(Label.P))
+            assert verdict.tag == "MinimumExistsMismatch(P)"
 
     def test_dense_vs_successor_witness(self):
         t1 = order_tnorm(parse_order("eta"))
         t2 = order_tnorm(parse_order("zeta"))
         verdict = decide_iso_lazy(t1, t2, 2)
         assert isinstance(verdict, NotIso)
-        assert isinstance(verdict.reason, SuccessorPairPresent)
+        assert verdict.tag.startswith("SuccessorPairPresent(")
         # the leftmost shared endpoint: zeta's -1 sits at (1/9, 2/9), and
         # the certified gap up to 0's piece (1/3, 2/3) follows it
-        piece, gap = verdict.reason.entries
+        piece, gap = verdict.entries
         assert (piece.lo, piece.hi, piece.label) == (F(1, 9), F(2, 9), Label.P)
         assert (gap.lo, gap.hi, gap.label) == (F(2, 9), F(1, 3), Label.M)
         # deeper truncations keep producing a shared-endpoint witness
         for depth in range(3, 9):
             deeper = decide_iso_lazy(t1, t2, depth)
-            assert isinstance(deeper.reason, SuccessorPairPresent)
-            a, b = deeper.reason.entries
+            assert deeper.tag.startswith("SuccessorPairPresent(")
+            a, b = deeper.entries
             assert a.hi == b.lo
 
     def test_dense_vs_certified_non_dense_without_witness(self):
         # at depth 1 zeta has one piece and no certified gap yet
         t1 = order_tnorm(parse_order("eta"))
         t2 = order_tnorm(parse_order("zeta"))
-        assert decide_iso_lazy(t1, t2, 1) == NotIso(DensityMismatch())
+        assert decide_iso_lazy(t1, t2, 1).tag == "DensityMismatch"
 
     def test_dense_pairs_match_by_back_and_forth(self):
         t1 = order_tnorm(parse_order("eta"))
         t2 = gap_tnorm(parse_system("cantor:middle-third"))
         verdict = decide_iso_lazy(t1, t2, 8)
         assert isinstance(verdict, Iso)
-        assert len(verdict.witness.entry_map) == 8
+        assert len(verdict.entry_map) == 8
+
+    @pytest.mark.parametrize(
+        "end, facts",
+        [
+            ("least", lambda has: StructuralFacts(has, None, None)),
+            ("greatest", lambda has: StructuralFacts(None, has, None)),
+        ],
+        ids=["least", "greatest"],
+    )
+    def test_certified_end_must_show_in_the_truncation(self, end, facts):
+        # the stub's pieces (1/(n+3), 1/(n+2)) touch neither 0 nor 1
+        t1 = TNorm(StubGenerator("a", facts(True)))
+        t2 = TNorm(StubGenerator("b", facts(False)))
+        with pytest.raises(PreconditionError, match=f"^{end} entry certified but not visible"):
+            decide_iso_lazy(t1, t2, 5)
 
     def test_unknown_when_no_certificate_applies(self):
         t1 = TNorm(StubGenerator("a"))
@@ -413,7 +429,10 @@ class TestFormatting:
         assert text.endswith("\n")
 
     def test_not_iso_verdict_carries_tag_and_detail(self):
-        text = format_verdict(NotIso(FiniteLabelSequenceMismatch(1)))
+        verdict = decide_iso_finite(
+            compute_signature(PAIR_A), compute_signature(PAIR_B_SWAPPED)
+        )
+        text = format_verdict(verdict)
         assert text.splitlines()[0] == "NOT_ISO FiniteLabelSequenceMismatch(1)"
         assert "position 1" in text
 
