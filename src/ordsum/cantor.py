@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 
@@ -46,15 +45,13 @@ __all__ = [
     "MiddleThirdRule",
     "SvcRule",
     "NonERule",
-    "CantorSystem",
-    "GapCollection",
     "GapOrderFacts",
     "parse_system",
     "expand",
     "analyze_gap_order",
     "CantorGapGenerator",
     "gap_tnorm",
-    "format_gaps",
+    "format_gap_order",
 ]
 
 Box = tuple[Fraction, Fraction]
@@ -118,23 +115,11 @@ class NonERule:
         return Fraction(1, 4 ** (depth + 1))
 
 
+_Rule = MiddleThirdRule | SvcRule | NonERule
 _RULES = {rule.name: rule for rule in (MiddleThirdRule(), SvcRule(), NonERule())}
 
 
-@dataclass(frozen=True)
-class CantorSystem:
-    rule: MiddleThirdRule | SvcRule | NonERule
-
-    @property
-    def name(self) -> str:
-        return self.rule.name
-
-    @property
-    def property_e(self) -> bool:
-        return self.rule.keeps_left_endpoint and self.rule.keeps_right_endpoint
-
-
-def parse_system(spec: str) -> CantorSystem:
+def parse_system(spec: str) -> _Rule:
     """System spec strings: "cantor:middle-third", "cantor:svc", "cantor:non-e"."""
     spec = spec.strip()
     if not spec.startswith("cantor:"):
@@ -142,20 +127,7 @@ def parse_system(spec: str) -> CantorSystem:
     name = spec[len("cantor:"):]
     if name not in _RULES:
         raise ValueError(f"unknown system: {name!r}")
-    return CantorSystem(_RULES[name])
-
-
-@dataclass(frozen=True)
-class GapCollection:
-    """Removed gaps of all nodes shallower than `depth`, in removal order."""
-
-    gaps: tuple[Box, ...]
-    depth: int
-
-    @cached_property
-    def by_position(self) -> list[Box]:
-        """The gaps left to right, sorted once per collection."""
-        return sorted(self.gaps)
+    return _RULES[name]
 
 
 def _check_depth(depth: int) -> None:
@@ -182,59 +154,62 @@ def _gap_index(rule, node_depth: int, node_pos: int, which: int) -> int:
     return per * (2**node_depth - 1) + per * node_pos + which
 
 
-def expand(system: CantorSystem, depth: int) -> GapCollection:
-    """The gaps removed by all nodes shallower than `depth`."""
+def expand(rule: _Rule, depth: int) -> tuple[Box, ...]:
+    """The gaps removed by all nodes shallower than `depth`, in removal order."""
     _check_depth(depth)
-    rule = system.rule
     count = _gap_index(rule, depth, 0, 0)  # every gap above level `depth`
-    return GapCollection(tuple(islice(_walk(rule), count)), depth)
+    return tuple(islice(_walk(rule), count))
 
 
 @dataclass(frozen=True)
 class GapOrderFacts:
-    """Certified order facts about the full gap collection (None = unknown)."""
+    """The gaps of one expansion, left to right, and certified order facts
+    about the full gap collection (None = unknown)."""
 
+    depth: int
+    gaps: list[Box]
+    property_e: bool
     dense: bool | None
     has_min: bool | None
     has_max: bool | None
     successor_witness: tuple[Box, Box] | None
-    collection: GapCollection  # the expansion the witness was read from
 
 
-def analyze_gap_order(system: CantorSystem, depth: int) -> GapOrderFacts:
-    """The gaps of `expand(system, depth)` and the order facts of all gaps.
+def analyze_gap_order(rule: _Rule, depth: int) -> GapOrderFacts:
+    """The gaps of `expand(rule, depth)` and the order facts of all gaps.
 
-    `has_min` and `has_max` are the generator's `StructuralFacts`, which
-    hold for the complete gap order at every depth.
+    `property_e`, `has_min` and `has_max` are the generator's
+    `StructuralFacts`, which hold for the complete gap order at every depth.
     """
-    collection = expand(system, depth)
-    facts = CantorGapGenerator(system).facts
-    ordered = collection.by_position
-    i = first_shared_endpoint(ordered)
-    witness = None if i is None else (ordered[i], ordered[i + 1])
-    if system.property_e:
-        dense = True
-    elif witness is not None:
-        dense = False
-    else:
-        dense = None
-    return GapOrderFacts(dense, facts.has_min_piece, facts.has_max_piece, witness, collection)
+    gaps = sorted(expand(rule, depth))
+    facts = CantorGapGenerator(rule).facts
+    i = first_shared_endpoint(gaps)
+    witness = None if i is None else (gaps[i], gaps[i + 1])
+    property_e = facts.dense_no_endpoints
+    # a successor pair refutes density; without property E nothing certifies it
+    dense = True if property_e else (False if witness is not None else None)
+    return GapOrderFacts(
+        depth, gaps, property_e, dense, facts.has_min_piece, facts.has_max_piece, witness
+    )
 
 
 class CantorGapGenerator(PieceGenerator):
-    """Product pieces on the removed gaps, level by level, left to right."""
+    """Product pieces on the removed gaps, level by level, left to right.
 
-    kind = Label.P
+    A rule that keeps both endpoints of every box has property E: its
+    gaps pile up toward every box endpoint, so their order is dense
+    without endpoints.
+    """
 
-    def __init__(self, system: CantorSystem):
-        self.rule = system.rule
+    def __init__(self, rule: _Rule):
+        self.rule = rule
         self._gaps: list[Box] = []  # gaps 0..len-1, read off self._walk
-        self._walk = _walk(self.rule)
-        self.fingerprint = ("cantor", system.name)
+        self._walk = _walk(rule)
+        self.family = f"cantor cantor:{rule.name}"
         self.facts = StructuralFacts(
-            has_min_piece=not self.rule.keeps_left_endpoint,
-            has_max_piece=not self.rule.keeps_right_endpoint,
-            dense_no_endpoints=system.property_e,
+            has_min_piece=not rule.keeps_left_endpoint,
+            has_max_piece=not rule.keeps_right_endpoint,
+            dense_no_endpoints=rule.keeps_left_endpoint and rule.keeps_right_endpoint,
         )
 
     def piece_at(self, n: int) -> Piece:
@@ -290,12 +265,27 @@ class CantorGapGenerator(PieceGenerator):
         return UnknownAtDepth(depth)
 
 
-def gap_tnorm(system: CantorSystem) -> TNorm:
-    return TNorm(CantorGapGenerator(system))
+def gap_tnorm(rule: _Rule) -> TNorm:
+    return TNorm(CantorGapGenerator(rule))
 
 
-def format_gaps(collection: GapCollection) -> str:
-    lines = [f"gaps depth={collection.depth} count={len(collection.gaps)}"]
-    for lo, hi in collection.by_position:
-        lines.append(f"( {lo} , {hi} )")
+def _tri(value: bool | None) -> str:
+    return "unknown" if value is None else str(value).lower()
+
+
+def format_gap_order(facts: GapOrderFacts) -> str:
+    """The gap dump, left to right, then one line per order fact."""
+    lines = [f"gaps depth={facts.depth} count={len(facts.gaps)}"]
+    lines.extend(f"( {lo} , {hi} )" for lo, hi in facts.gaps)
+    lines += [
+        f"property_E {_tri(facts.property_e)}",
+        f"dense {_tri(facts.dense)}",
+        f"has_min {_tri(facts.has_min)}",
+        f"has_max {_tri(facts.has_max)}",
+    ]
+    if facts.successor_witness is None:
+        lines.append("successor_witness none")
+    else:
+        (a, b), (c, d) = facts.successor_witness
+        lines.append(f"successor_witness ( {a} , {b} ) ( {c} , {d} )")
     return "\n".join(lines) + "\n"

@@ -30,12 +30,6 @@ GRID_21 = tuple(Fraction(i, 20) for i in range(21))
 LAZY_TRUNCATION = 12
 
 
-def _tri(value: bool | None) -> str:
-    if value is None:
-        return "unknown"
-    return "true" if value else "false"
-
-
 def _cmd_eval(args) -> int:
     t = load_presentation(args.file)
     x, y = parse_rational(args.x), parse_rational(args.y)
@@ -99,20 +93,9 @@ def _cmd_from_lo(args) -> int:
 
 
 def _cmd_cantor(args) -> int:
-    from .cantor import analyze_gap_order, format_gaps, parse_system
+    from .cantor import analyze_gap_order, format_gap_order, parse_system
 
-    system = parse_system(args.system)
-    facts = analyze_gap_order(system, args.depth)
-    sys.stdout.write(format_gaps(facts.collection))
-    print(f"property_E {_tri(system.property_e)}")
-    print(f"dense {_tri(facts.dense)}")
-    print(f"has_min {_tri(facts.has_min)}")
-    print(f"has_max {_tri(facts.has_max)}")
-    if facts.successor_witness is None:
-        print("successor_witness none")
-    else:
-        (a, b), (c, d) = facts.successor_witness
-        print(f"successor_witness ( {a} , {b} ) ( {c} , {d} )")
+    sys.stdout.write(format_gap_order(analyze_gap_order(parse_system(args.system), args.depth)))
     return 0
 
 

@@ -32,13 +32,11 @@ LADDER_NAMES = ("limit-left", "limit-right")
 class LadderGenerator(PieceGenerator):
     """Product rungs accumulating at 1 (limit-left) or at 0 (limit-right)."""
 
-    kind = Label.P
-
     def __init__(self, anchor: str):
         if anchor not in LADDER_NAMES:
             raise ValueError(f"unknown ladder: {anchor!r}")
         self.anchor = anchor
-        self.fingerprint = (anchor,)
+        self.family = anchor
         left = anchor == "limit-left"
         self.facts = StructuralFacts(
             has_min_piece=left,

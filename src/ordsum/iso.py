@@ -126,7 +126,7 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
     g1, g2 = t1.generator, t2.generator
     f1, f2 = g1.facts, g2.facts
 
-    if g1.fingerprint == g2.fingerprint:
+    if g1.family == g2.family:
         entries = compute_signature(t1, min(depth, 8)).entries
         return Iso(tuple((e, e) for e in entries))
 
@@ -138,8 +138,12 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
     for name, end, has1, has2, at, bound in ends:
         if has1 is None or has2 is None or has1 == has2:
             continue
-        entry = compute_signature(t1 if has1 else t2, depth).entries[at]
-        if entry.interval()[at] != bound:
+        # the certified entry may need a few more pieces than `depth` to show
+        for pieces in (depth << k for k in range(7)):
+            entry = compute_signature(t1 if has1 else t2, pieces).entries[at]
+            if entry.interval()[at] == bound:
+                break
+        else:
             raise PreconditionError(f"{end} entry certified but not visible at this depth")
         label = entry.label.value
         return NotIso(
@@ -150,8 +154,6 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
 
     d1, d2 = f1.dense_no_endpoints, f2.dense_no_endpoints
     if d1 is True and d2 is True:
-        if g1.kind is not g2.kind:
-            return Unknown(depth)
         s1 = compute_signature(t1, depth)
         s2 = compute_signature(t2, depth)
         return Iso(back_and_forth(s1, s2, min(8, depth)))

@@ -193,12 +193,15 @@ def theta_by_probing(
         if not idem[p]:
             if not all(t.eval(value[at[i]], qn) == min(value[at[i]], qn) for i in range(n)):
                 continue
+            # an idempotent power e of q has e * q = min(e, q) = e, so q^k
+            # is idempotent exactly when q^(k+1) == q^k: one eval per power
             power = qn
-            for _ in range(2, power_limit + 1):
-                power = t.eval(power, qn)
-                if t.eval(power, power) == power:
+            for _ in range(power_limit):
+                following = t.eval(power, qn)
+                if following == power:
                     label = Label.L
                     break
+                power = following
             else:
                 search = find_idempotent_power(t, qn, power_limit)
                 label = Label.L if search.outcome == "yes" else Label.P

@@ -268,15 +268,13 @@ def build_intervals(order: LinearOrder, count: int) -> list[tuple[Fraction, Frac
 class OrderPieceGenerator(PieceGenerator):
     """Lazy pieces for an infinite order; piece n is I_n with Product label."""
 
-    kind = Label.P
-
     def __init__(self, order: LinearOrder):
         if order.size is not None:
             raise PreconditionError("finite orders yield finite presentations directly")
         self.order = order
         self._placement = _Placement(order)
         self._intervals = self._placement.intervals
-        self.fingerprint = ("theta", order.name)
+        self.family = f"theta {order.name}"
         self.facts = StructuralFacts(
             has_min_piece=order.min_element is not None,
             has_max_piece=order.max_element is not None,

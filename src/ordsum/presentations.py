@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .rationals import parse_rational
-from .tnorm import FinitePresentation, Label, Piece, PreconditionError, TNorm
+from .tnorm import FinitePresentation, Label, Piece, TNorm
 
 __all__ = [
     "PresentationError",
@@ -127,15 +127,5 @@ def format_presentation(t: TNorm) -> str:
     if t.is_finite:
         lines.extend(f"piece {p.lo} {p.hi} {p.kind.value}" for p in t.pieces)
     else:
-        from .families import LADDER_NAMES
-
-        fp = t.generator.fingerprint
-        if fp[0] in LADDER_NAMES:
-            lines.append(f"family {fp[0]}")
-        elif fp[0] == "theta":
-            lines.append(f"family theta {fp[1]}")
-        elif fp[0] == "cantor":
-            lines.append(f"family cantor cantor:{fp[1]}")
-        else:
-            raise PreconditionError(f"no file form for family {fp!r}")
+        lines.append(f"family {t.generator.family}")
     return "\n".join(lines) + "\n"

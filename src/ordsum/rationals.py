@@ -23,9 +23,10 @@ from the recursion
 grouped over the O(sqrt n) distinct quotients n // k and memoised in a
 dict that lives for one call, which takes sublinear time.  The position
 inside denominator d is an inclusion-exclusion count over the primes of
-d.  `rational_at` reads indices below the table's end off the table;
-past it, it estimates d from Phi(d) ~ 3 d^2 / pi^2, corrects the
-estimate by single totients, and bisects the numerator on that count.
+d.  `rational_at` reads the denominator of an index below the table's
+end off the table; past it, it estimates d from Phi(d) ~ 3 d^2 / pi^2
+and corrects the estimate by single totients.  Either way it bisects
+the numerator on the inclusion-exclusion count.
 The least-index rational of an interval is its Stern-Brocot
 simplest rational, found by continued-fraction descent in O(log d)
 steps.  No cache grows with the input: memory stays flat however deep
@@ -37,7 +38,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 __all__ = [
     "check_unit",
@@ -129,24 +130,18 @@ def rational_at(n: int) -> Fraction:
         return Fraction(1)
     if n < _COUNTS[-1]:
         d = bisect_right(_COUNTS, n)
-        offset = n - _COUNTS[d - 1]
-        seen = 0
-        for p in range(1, d):
-            if gcd(p, d) == 1:
-                if seen == offset:
-                    return Fraction(p, d)
-                seen += 1
-        raise AssertionError("enumeration bookkeeping out of sync")
-    # count(d) = 3 d^2 / pi^2 + O(d log d): start at the estimate and step
-    # by single totients, keeping below == count(d - 1)
-    d = max(_TABLE_LIMIT + 1, isqrt(n * 328986813369645 // 10**14))
-    below = _count(d - 1)
-    while below > n:
-        d -= 1
-        below -= _totient(d)
-    while n >= below + (phi := _totient(d)):
-        below += phi
-        d += 1
+        below = _COUNTS[d - 1]
+    else:
+        # count(d) = 3 d^2 / pi^2 + O(d log d): start at the estimate and
+        # step by single totients, keeping below == count(d - 1)
+        d = max(_TABLE_LIMIT + 1, isqrt(n * 328986813369645 // 10**14))
+        below = _count(d - 1)
+        while below > n:
+            d -= 1
+            below -= _totient(d)
+        while n >= below + (phi := _totient(d)):
+            below += phi
+            d += 1
     # the (n - below)-th numerator coprime to d: least p with that many below it
     offset = n - below
     primes = _distinct_prime_factors(d)

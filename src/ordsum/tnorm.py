@@ -192,17 +192,17 @@ class PieceGenerator(ABC):
     """Lazy piece supply for an infinite ordinal sum.
 
     Implementations fix a deterministic enumeration piece_at(0),
-    piece_at(1), ... of pairwise disjoint pieces, all of `kind`, and
-    certify `tail_length_bound(n)`, an exact upper bound on the summed
-    length of every piece at position >= n (monotone, tending to 0).
+    piece_at(1), ... of pairwise disjoint pieces, and certify
+    `tail_length_bound(n)`, an exact upper bound on the summed length of
+    every piece at position >= n (monotone, tending to 0).  `family` is
+    the generator's presentation-file line after the word "family".
     The contract is `piece_at`, `tail_length_bound`, `locate` and
     `certified_m_gaps`; certificates about the order of the entries,
     such as a successor pair, are read off `compute_signature`.
     """
 
-    kind: Label
     facts: StructuralFacts
-    fingerprint: tuple[str, ...]
+    family: str
 
     @abstractmethod
     def piece_at(self, n: int) -> Piece:
@@ -233,7 +233,6 @@ class TNorm:
         if not isinstance(presentation, (FinitePresentation, PieceGenerator)):
             raise TypeError(f"not a presentation: {presentation!r}")
         self.presentation = presentation
-        self._truncations: dict[int, TNorm] = {}
 
     @property
     def is_finite(self) -> bool:
@@ -254,7 +253,7 @@ class TNorm:
     def __repr__(self):  # pragma: no cover - debug aid
         if self.is_finite:
             return f"TNorm({len(self.presentation.pieces)} pieces)"
-        return f"TNorm(family {' '.join(self.presentation.fingerprint)})"
+        return f"TNorm(family {self.presentation.family})"
 
     def eval(self, x: Fraction, y: Fraction) -> Fraction:
         """Exact value of x * y; finite presentations only."""
@@ -277,12 +276,8 @@ class TNorm:
             raise PreconditionError("finite presentation has no truncations")
         if n < 1:
             raise PreconditionError("empty truncation")
-        cached = self._truncations.get(n)
-        if cached is None:
-            pieces = tuple(self.presentation.piece_at(k) for k in range(n))
-            cached = TNorm(FinitePresentation(pieces))
-            self._truncations[n] = cached
-        return cached
+        pieces = tuple(self.presentation.piece_at(k) for k in range(n))
+        return TNorm(FinitePresentation(pieces))
 
     def eval_approx(self, x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fraction]:
         """(value at truncation n, certified error bound 2 * tail(n))."""

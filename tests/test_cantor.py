@@ -8,11 +8,9 @@ import pytest
 
 from ordsum.cantor import (
     CantorGapGenerator,
-    CantorSystem,
-    GapCollection,
     analyze_gap_order,
     expand,
-    format_gaps,
+    format_gap_order,
     gap_tnorm,
     parse_system,
 )
@@ -33,7 +31,7 @@ SVC = parse_system("cantor:svc")
 NONE_SYS = parse_system("cantor:non-e")
 
 
-def oracle_expand(system, depth):
+def oracle_expand(rule, depth):
     """Every level of boxes 0..depth and the gaps removed on the way there.
 
     The library's walk keeps one level at a time; this keeps them all, so
@@ -44,17 +42,17 @@ def oracle_expand(system, depth):
     for d in range(depth):
         nxt = []
         for box in levels[d]:
-            children, node_gaps = system.rule.split(box, d)
+            children, node_gaps = rule.split(box, d)
             gaps.extend(node_gaps)
             nxt.extend(children)
         levels.append(nxt)
     return levels, tuple(gaps)
 
 
-def counting_system(system):
-    """`system` with a rule that counts how often it splits each node."""
+def counting_system(rule):
+    """`rule`, counting how often it splits each node."""
 
-    class Counting(type(system.rule)):
+    class Counting(type(rule)):
         def __init__(self):
             self.calls = Counter()
 
@@ -62,7 +60,7 @@ def counting_system(system):
             self.calls[depth, box] += 1
             return super().split(box, depth)
 
-    return CantorSystem(Counting())
+    return Counting()
 
 
 def middle_third_gap(d, p):
@@ -72,8 +70,8 @@ def middle_third_gap(d, p):
 
 
 def test_parse_system():
-    assert MT.name == "middle-third" and MT.property_e
-    assert not NONE_SYS.property_e
+    assert MT.name == "middle-third" and analyze_gap_order(MT, 0).property_e
+    assert not analyze_gap_order(NONE_SYS, 0).property_e
     for bad in ["middle-third", "cantor:", "cantor:thirds", ""]:
         with pytest.raises(ValueError):
             parse_system(bad)
@@ -109,7 +107,7 @@ def test_non_e_expansion():
 def test_walk_matches_level_list_oracle(system):
     for depth in range(11):
         _, gaps = oracle_expand(system, depth)
-        assert expand(system, depth) == GapCollection(gaps, depth)
+        assert expand(system, depth) == gaps
     gen = CantorGapGenerator(system)
     order = list(range(len(gaps)))
     random.Random(8).shuffle(order)
@@ -123,7 +121,7 @@ def test_walk_splits_each_node_once(system):
     for depth in range(11):
         counted = counting_system(system)
         expand(counted, depth)
-        assert sum(counted.rule.calls.values()) == 2**depth - 1
+        assert sum(counted.calls.values()) == 2**depth - 1
     counted = counting_system(system)
     gen = CantorGapGenerator(counted)
     count = 2000
@@ -133,8 +131,8 @@ def test_walk_splits_each_node_once(system):
         gen.piece_at(n)
     # one walk serves every read; a descent from the root per piece would
     # split the root 2000 times
-    assert max(counted.rule.calls.values()) == 1
-    assert sum(counted.rule.calls.values()) == -(-count // system.rule.gaps_per_node)
+    assert max(counted.calls.values()) == 1
+    assert sum(counted.calls.values()) == -(-count // system.gaps_per_node)
 
 
 def test_middle_third_closed_form():
@@ -143,7 +141,7 @@ def test_middle_third_closed_form():
     assert [(p.lo, p.hi) for p in map(gen.piece_at, range(len(want)))] == want
     for depth in range(11):
         count = 2**depth - 1
-        assert expand(MT, depth).gaps == tuple(want[:count])
+        assert expand(MT, depth) == tuple(want[:count])
         for index, (lo, hi) in enumerate(want[:count]):
             placed = gen.locate((lo + hi) / 2, depth)
             assert placed == InPiece(index, placed.piece)
@@ -154,8 +152,7 @@ def test_middle_third_closed_form():
 def test_gap_monotonicity(system):
     previous: set = set()
     for depth in range(9):
-        collection = expand(system, depth)
-        current = set(collection.gaps)
+        current = set(expand(system, depth))
         assert previous <= current
         previous = current
 
@@ -172,15 +169,13 @@ def test_boxes_nest_and_shrink(system):
 
 def test_middle_third_measure():
     for depth in range(1, 9):
-        collection = expand(MT, depth)
-        total = sum(hi - lo for lo, hi in collection.gaps)
+        total = sum(hi - lo for lo, hi in expand(MT, depth))
         assert total == 1 - F(2, 3) ** depth
 
 
 def test_svc_measure_stays_small():
     for depth in range(1, 9):
-        collection = expand(SVC, depth)
-        total = sum(hi - lo for lo, hi in collection.gaps)
+        total = sum(hi - lo for lo, hi in expand(SVC, depth))
         assert total <= F(1, 2)
 
 
@@ -193,8 +188,9 @@ def test_property_e():
             for parents, children in zip(levels, levels[1:])
             for i, box in enumerate(parents)
         )
-        assert system.property_e == keeps
-    assert MT.property_e and SVC.property_e and not NONE_SYS.property_e
+        assert analyze_gap_order(system, 0).property_e == keeps
+    flags = [analyze_gap_order(system, 0).property_e for system in (MT, SVC, NONE_SYS)]
+    assert flags == [True, True, False]
 
 
 def test_analysis_middle_third():
@@ -211,15 +207,14 @@ def test_analysis_non_e():
     assert facts.successor_witness == ((F(0), F(1, 4)), (F(1, 4), F(5, 16)))
 
 
-def gap_scan_facts(system, depth):
+def gap_scan_facts(rule, depth):
     """(has_min, has_max) read off one expansion by scanning its gaps.
 
     A gap at 0 (at 1) is a least (greatest) gap.  A rule that keeps that
     endpoint pins it at every depth, so gaps pile up toward it and none
     is extreme.  Otherwise a scan that finds no such gap decides nothing.
     """
-    gaps = expand(system, depth).gaps
-    rule = system.rule
+    gaps = expand(rule, depth)
 
     def scan(touches, keeps):
         if any(touches(g) for g in gaps):
@@ -234,16 +229,15 @@ def gap_scan_facts(system, depth):
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
 def test_order_facts_agree_with_gap_scan(system):
-    rule = system.rule
     for depth in range(13):
         facts = analyze_gap_order(system, depth)
         for fact, scanned in zip((facts.has_min, facts.has_max), gap_scan_facts(system, depth)):
             if scanned is not None:
                 assert fact is scanned, (depth, facts)
-        gaps = facts.collection.gaps
-        if rule.keeps_left_endpoint:
+        gaps = facts.gaps
+        if system.keeps_left_endpoint:
             assert all(lo != 0 for lo, _ in gaps)
-        if rule.keeps_right_endpoint:
+        if system.keeps_right_endpoint:
             assert all(hi != 1 for _, hi in gaps)
 
 
@@ -258,19 +252,18 @@ def test_property_e_systems_show_no_witness(system):
 def test_generator_enumeration_matches_expansion():
     for system in (MT, SVC, NONE_SYS):
         gen = CantorGapGenerator(system)
-        collection = expand(system, 4)
-        pieces = [gen.piece_at(n) for n in range(len(collection.gaps))]
-        assert [(p.lo, p.hi) for p in pieces] == list(collection.gaps)
+        gaps = expand(system, 4)
+        pieces = [gen.piece_at(n) for n in range(len(gaps))]
+        assert [(p.lo, p.hi) for p in pieces] == list(gaps)
         assert all(p.kind is Label.P for p in pieces)
 
 
 def test_tail_bound_is_exact_remainder():
     for system in (MT, SVC, NONE_SYS):
         gen = CantorGapGenerator(system)
-        collection = expand(system, 5)
         running = gen.rule.total_gap_length
         assert gen.tail_length_bound(0) == running
-        for n, (lo, hi) in enumerate(collection.gaps):
+        for n, (lo, hi) in enumerate(expand(system, 5)):
             running -= hi - lo
             assert gen.tail_length_bound(n + 1) == running
 
@@ -299,8 +292,7 @@ def test_locate_non_e_endpoints():
 def test_locate_index_agrees_with_enumeration():
     for system in (MT, SVC, NONE_SYS):
         gen = CantorGapGenerator(system)
-        collection = expand(system, 4)
-        for index, (lo, hi) in enumerate(collection.gaps):
+        for index, (lo, hi) in enumerate(expand(system, 4)):
             mid = (lo + hi) / 2
             placed = gen.locate(mid, 4)
             assert placed == InPiece(index, placed.piece)
@@ -341,7 +333,9 @@ def test_depth_guard():
 
 
 def test_format_gaps():
-    collection = expand(NONE_SYS, 1)
-    text = format_gaps(collection)
-    assert text == "gaps depth=1 count=2\n( 0 , 1/4 )\n( 1/2 , 3/4 )\n"
-    assert isinstance(collection, GapCollection)
+    text = format_gap_order(analyze_gap_order(NONE_SYS, 1))
+    assert text == (
+        "gaps depth=1 count=2\n( 0 , 1/4 )\n( 1/2 , 3/4 )\n"
+        "property_E false\ndense unknown\nhas_min true\nhas_max false\n"
+        "successor_witness none\n"
+    )

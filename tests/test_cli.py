@@ -145,6 +145,15 @@ class TestIso:
         assert main(["iso", a, b, depth]) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("other", ["limit-left", "theta omega", "cantor cantor:non-e"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["first", "second"])
+    def test_greatest_entry_beyond_depth_one(self, write, capsys, other, swap):
+        # the greatest entry of theta omega_plus_omega_star shows from two pieces on
+        a = write("a", "tnorm v1\nfamily theta omega_plus_omega_star\n")
+        b = write("b", f"tnorm v1\nfamily {other}\n")
+        assert main(["iso", *((b, a) if swap else (a, b)), "1"]) == 0
+        assert capsys.readouterr().out == LAZY_NOT_ISO[1][3]
+
     def test_finite_iso_prints_witness_map(self, write, capsys):
         a = write("a", PAIR_A_TEXT)
         b = write("b", PAIR_B_TEXT)
@@ -269,6 +278,37 @@ class TestCantor:
             "( 1/9 , 2/9 )\n"
             "( 1/3 , 2/3 )\n"
             "( 7/9 , 8/9 )\n"
+            "property_E true\n"
+            "dense true\n"
+            "has_min false\n"
+            "has_max false\n"
+            "successor_witness none\n"
+        )
+
+    def test_non_e_depth_two_shows_a_successor_pair(self, capsys):
+        assert main(["cantor", "cantor:non-e", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "gaps depth=2 count=6\n"
+            "( 0 , 1/4 )\n"
+            "( 1/4 , 5/16 )\n"
+            "( 3/8 , 7/16 )\n"
+            "( 1/2 , 3/4 )\n"
+            "( 3/4 , 13/16 )\n"
+            "( 7/8 , 15/16 )\n"
+            "property_E false\n"
+            "dense false\n"
+            "has_min true\n"
+            "has_max false\n"
+            "successor_witness ( 0 , 1/4 ) ( 1/4 , 5/16 )\n"
+        )
+
+    def test_svc_depth_two(self, capsys):
+        assert main(["cantor", "cantor:svc", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "gaps depth=2 count=3\n"
+            "( 5/32 , 7/32 )\n"
+            "( 3/8 , 5/8 )\n"
+            "( 25/32 , 27/32 )\n"
             "property_E true\n"
             "dense true\n"
             "has_min false\n"

@@ -179,10 +179,8 @@ class TestWitnessMap:
 class StubGenerator(PieceGenerator):
     """Structural facts unknown unless given; used to exercise the UNKNOWN path."""
 
-    kind = Label.P
-
     def __init__(self, tag, facts=StructuralFacts(None, None, None)):
-        self.fingerprint = ("stub", tag)
+        self.family = f"stub {tag}"
         self.facts = facts
 
     def piece_at(self, n):
@@ -195,7 +193,7 @@ class StubGenerator(PieceGenerator):
         raise NotImplementedError
 
     def __repr__(self):
-        return f"StubGenerator({self.fingerprint[1]!r})"
+        return f"StubGenerator({self.family!r})"
 
 
 class TestLazyDecision:

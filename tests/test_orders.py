@@ -270,7 +270,7 @@ def test_lazy_order_tnorm_basics():
     assert not t.is_finite
     value, bound = t.eval_approx(F(1, 2), F(1, 2), 1)
     assert (value, bound) == (F(5, 12), F(1, 3))
-    assert t.generator.fingerprint == ("theta", "omega")
+    assert t.generator.family == "theta omega"
     report = check_axioms(t.truncation(4), [F(i, 12) for i in range(13)])
     assert report.ok
 

@@ -54,14 +54,14 @@ def test_ladder_families(name):
     text = f"tnorm v1\nfamily {name}\n"
     t = parse_presentation_text(text)
     assert not t.is_finite
-    assert t.generator.fingerprint == (name,)
+    assert t.generator.family == name
     assert format_presentation(t) == text
 
 
 def test_theta_family_named_order():
     text = "tnorm v1\nfamily theta omega\n"
     t = parse_presentation_text(text)
-    assert t.generator.fingerprint == ("theta", "omega")
+    assert t.generator.family == "theta omega"
     assert format_presentation(t) == text
 
 
@@ -76,7 +76,24 @@ def test_theta_family_finite_order_collapses_to_pieces():
 def test_cantor_family():
     text = "tnorm v1\nfamily cantor cantor:svc\n"
     t = parse_presentation_text(text)
-    assert t.generator.fingerprint == ("cantor", "svc")
+    assert t.generator.family == "cantor cantor:svc"
+    assert format_presentation(t) == text
+
+
+LAZY_FAMILY_LINES = [
+    "limit-left",
+    "limit-right",
+    *(f"theta {name}" for name in ("omega", "omega_star", "zeta", "eta", "omega_plus_omega_star")),
+    *(f"cantor cantor:{name}" for name in ("middle-third", "svc", "non-e")),
+]
+
+
+@pytest.mark.parametrize("line", LAZY_FAMILY_LINES)
+def test_lazy_family_round_trip(line):
+    # a family's file line is its generator's `family`
+    text = f"tnorm v1\nfamily {line}\n"
+    t = parse_presentation_text(text)
+    assert t.generator.family == line
     assert format_presentation(t) == text
 
 
