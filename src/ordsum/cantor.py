@@ -22,7 +22,6 @@ a level.  The gap t-norm puts a Product piece on each gap.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -161,18 +160,51 @@ def expand(rule: _Rule, depth: int) -> tuple[Box, ...]:
     return tuple(islice(_walk(rule), count))
 
 
-@dataclass(frozen=True)
 class GapOrderFacts:
     """The gaps of one expansion, left to right, and certified order facts
     about the full gap collection (None = unknown)."""
 
-    depth: int
-    gaps: list[Box]
-    property_e: bool
-    dense: bool | None
-    has_min: bool | None
-    has_max: bool | None
-    successor_witness: tuple[Box, Box] | None
+    __slots__ = (
+        "depth", "gaps", "property_e", "dense", "has_min", "has_max", "successor_witness"
+    )
+
+    def __init__(
+        self,
+        depth: int,
+        gaps: list[Box],
+        property_e: bool,
+        dense: bool | None,
+        has_min: bool | None,
+        has_max: bool | None,
+        successor_witness: tuple[Box, Box] | None,
+    ):
+        self.depth, self.gaps, self.property_e = depth, gaps, property_e
+        self.dense, self.has_min, self.has_max = dense, has_min, has_max
+        self.successor_witness = successor_witness
+
+
+def _in_order(rule: _Rule, depth: int) -> list[Box]:
+    """The gaps of `expand(rule, depth)` left to right.
+
+    An in-order walk of the box tree: the stack holds the parts (child
+    boxes and gaps) of the nodes on the current path, O(depth) of them,
+    with the leftmost part of the deepest node on top.
+    """
+    out: list[Box] = []
+    stack = [((Fraction(0), Fraction(1)), 0)] if depth else []  # (box, level) or (gap, None)
+    while stack:
+        span, level = stack.pop()
+        if level is None:
+            out.append(span)
+            continue
+        children, gaps = rule.split(span, level)
+        if level + 1 == depth:  # the children stay whole, so this node's gaps come next
+            out += gaps
+        else:
+            parts = [(child, level + 1) for child in children] + [(gap, None) for gap in gaps]
+            parts.sort(key=lambda part: part[0][0], reverse=True)
+            stack += parts
+    return out
 
 
 def analyze_gap_order(rule: _Rule, depth: int) -> GapOrderFacts:
@@ -181,7 +213,8 @@ def analyze_gap_order(rule: _Rule, depth: int) -> GapOrderFacts:
     `property_e`, `has_min` and `has_max` are the generator's
     `StructuralFacts`, which hold for the complete gap order at every depth.
     """
-    gaps = sorted(expand(rule, depth))
+    _check_depth(depth)
+    gaps = _in_order(rule, depth)
     facts = CantorGapGenerator(rule).facts
     i = first_shared_endpoint(gaps)
     witness = None if i is None else (gaps[i], gaps[i + 1])

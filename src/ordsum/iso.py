@@ -16,12 +16,11 @@ treated as evidence of its absence; those comparisons stay UNKNOWN.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import check_unit
 from .signature import Signature, SignatureEntry, compute_signature
-from .tnorm import PreconditionError, TNorm
+from .tnorm import PreconditionError, Record, TNorm
 
 __all__ = [
     "Iso",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Iso:
     """Matched entry pairs; `full` when they tile [0,1], as complete signatures do.
 
@@ -43,8 +41,12 @@ class Iso:
     affinely onto its partner.
     """
 
-    entry_map: tuple[tuple[SignatureEntry, SignatureEntry], ...]
-    full: bool = False
+    __slots__ = ("entry_map", "full")
+
+    def __init__(
+        self, entry_map: tuple[tuple[SignatureEntry, SignatureEntry], ...], full: bool = False
+    ):
+        self.entry_map, self.full = entry_map, full
 
     def apply(self, x: Fraction) -> Fraction:
         check_unit(x)
@@ -55,18 +57,20 @@ class Iso:
         return b.lo + (x - a.lo) * (b.hi - b.lo) / (a.hi - a.lo)
 
 
-@dataclass(frozen=True)
-class NotIso:
+class NotIso(Record):
     """A certificate: its tag, one line of detail, and the entries it cites."""
 
-    tag: str
-    detail: str
-    entries: tuple[SignatureEntry, ...] = ()
+    __slots__ = ("tag", "detail", "entries")
+
+    def __init__(self, tag: str, detail: str, entries: tuple[SignatureEntry, ...] = ()):
+        self.tag, self.detail, self.entries = tag, detail, entries
 
 
-@dataclass(frozen=True)
-class Unknown:
-    depth: int
+class Unknown(Record):
+    __slots__ = ("depth",)
+
+    def __init__(self, depth: int):
+        self.depth = depth
 
 
 def decide_iso_finite(s1: Signature, s2: Signature) -> Iso | NotIso:

@@ -13,7 +13,6 @@ bounded quantifier scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import (
@@ -24,7 +23,7 @@ from .rationals import (
     rational_index,
 )
 from .signature import Label, compute_signature
-from .tnorm import PreconditionError, TNorm, find_idempotent_power, uncovered
+from .tnorm import PreconditionError, Record, TNorm, find_idempotent_power, uncovered
 
 __all__ = [
     "BoundInsufficiency",
@@ -49,8 +48,7 @@ class BoundInsufficiency(RuntimeError):
         self.bound = bound
 
 
-@dataclass(frozen=True)
-class L1Structure:
+class L1Structure(Record):
     """A labeled chain over {0..size-1}; indices off the chain are inactive.
 
     `entries` holds the active indices in ascending order, each with its
@@ -62,20 +60,18 @@ class L1Structure:
     iterates over it.
     """
 
-    size: int
-    entries: tuple[tuple[int, Label], ...]
-    qualified: bool = False
+    __slots__ = ("size", "entries", "qualified")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if self.size < 1:
+    def __init__(self, size: int, entries: tuple[tuple[int, Label], ...], qualified: bool = False):
+        if size < 1:
             raise ValueError("size must be >= 1")
+        self.size, self.entries, self.qualified = size, tuple(entries), qualified
         indices = self.chain()
         if len(set(indices)) != len(indices):
             raise ValueError("an index appears twice in the chain")
         for n in indices:
-            if not 0 <= n < self.size:
-                raise ValueError(f"index {n} outside 0..{self.size - 1}")
+            if not 0 <= n < size:
+                raise ValueError(f"index {n} outside 0..{size - 1}")
 
     def chain(self) -> tuple[int, ...]:
         """Active indices in ascending order."""
@@ -102,11 +98,14 @@ class L1Structure:
         return frozenset((m, n) for i, m in enumerate(indices) for n in indices[i + 1:])
 
 
-def _index_below(q: Fraction, size: int) -> int | None:
-    """The enumeration index of q when it is below size, else None."""
-    # index(p/d) >= d - 1, with equality only at 0/1, so a denominator
-    # above size rules q out before its index is counted
-    if q.denominator > size:
+def _index_below(q: Fraction, cut: int, size: int) -> int | None:
+    """The enumeration index of q when it is below size, else None.
+
+    `cut` is the denominator of q_(size-1).  The enumeration is
+    denominator-major, so a q of larger denominator has an index of at
+    least size and is dismissed before its index is counted.
+    """
+    if q.denominator > cut:
         return None
     idx = rational_index(q)
     return idx if idx < size else None
@@ -123,18 +122,19 @@ def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
     if size < 1:
         raise PreconditionError("size must be >= 1")
     sig = compute_signature(t, depth)
+    cut = rational_at(size - 1).denominator
     # the complete signature covers [0, 1] up to isolated touching points,
     # which are degenerate idempotents and stay inactive; a truncated one
     # leaves regions that deeper pieces may still claim
     qualified = not sig.complete and any(
-        _index_below(min_rational_in(lo, hi, closed=True), size) is not None
+        _index_below(min_rational_in(lo, hi, closed=True), cut, size) is not None
         for lo, hi in uncovered(e.interval() for e in sig.entries)
     )
     witnesses: list[tuple[Fraction, int, Label]] = []
     for e in sig.entries:
         # a min region owns its endpoints, a piece only its interior
         value = min_rational_in(e.lo, e.hi, closed=e.label is Label.M)
-        idx = _index_below(value, size)
+        idx = _index_below(value, cut, size)
         if idx is not None:
             witnesses.append((value, idx, e.label))
     return L1Structure(size, tuple((n, label) for _, n, label in sorted(witnesses)), qualified)
@@ -236,13 +236,16 @@ def theta_by_probing(
     return L1Structure(size, tuple((n, label) for _, n, label in sorted(witnesses)))
 
 
-@dataclass(frozen=True)
-class SubbasisRecord:
-    """The three pointwise predicates behind the preimage identities."""
+class SubbasisRecord(Record):
+    """The three pointwise predicates behind the preimage identities.
 
-    v_qn: bool  # q_n is idempotent
-    u_mn: bool  # q_m * q_n = min(q_m, q_n)
-    w_mn: bool  # q_m < q_n
+    v_qn: q_n is idempotent; u_mn: q_m * q_n = min(q_m, q_n); w_mn: q_m < q_n.
+    """
+
+    __slots__ = ("v_qn", "u_mn", "w_mn")
+
+    def __init__(self, v_qn: bool, u_mn: bool, w_mn: bool):
+        self.v_qn, self.u_mn, self.w_mn = v_qn, u_mn, w_mn
 
 
 def subbasis_predicates(t: TNorm, m: int, n: int) -> SubbasisRecord:

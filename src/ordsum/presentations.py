@@ -19,7 +19,6 @@ a malformed line.
 from __future__ import annotations
 
 from fractions import Fraction
-from pathlib import Path
 
 from .rationals import parse_rational
 from .tnorm import FinitePresentation, Label, Piece, TNorm
@@ -118,8 +117,9 @@ def parse_presentation_text(text: str) -> TNorm:
         raise PresentationError(str(exc)) from None
 
 
-def load_presentation(path: str | Path) -> TNorm:
-    return parse_presentation_text(Path(path).read_text())
+def load_presentation(path: str) -> TNorm:
+    with open(path, encoding="utf-8") as f:
+        return parse_presentation_text(f.read())
 
 
 def format_presentation(t: TNorm) -> str:

@@ -11,10 +11,16 @@ encodings) reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .tnorm import Label, PieceGenerator, PreconditionError, TNorm, first_shared_endpoint
+from .tnorm import (
+    Label,
+    PieceGenerator,
+    PreconditionError,
+    Record,
+    TNorm,
+    first_shared_endpoint,
+)
 
 __all__ = [
     "Label",
@@ -25,35 +31,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SignatureEntry:
-    lo: Fraction
-    hi: Fraction
-    label: Label
+class SignatureEntry(Record):
+    __slots__ = ("lo", "hi", "label")
 
-    def __post_init__(self):
-        if not 0 <= self.lo < self.hi <= 1:
-            raise ValueError(f"bad entry interval ({self.lo}, {self.hi})")
+    def __init__(self, lo: Fraction, hi: Fraction, label: Label):
+        if not 0 <= lo < hi <= 1:
+            raise ValueError(f"bad entry interval ({lo}, {hi})")
+        self.lo, self.hi, self.label = lo, hi, label
 
     def interval(self) -> tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Entries sorted left to right; complete unless truncated at a depth."""
 
-    entries: tuple[SignatureEntry, ...]
-    truncation_depth: int | None = None
+    __slots__ = ("entries", "truncation_depth")
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.entries, key=lambda e: e.lo))
-        object.__setattr__(self, "entries", ordered)
+    def __init__(self, entries: tuple[SignatureEntry, ...], truncation_depth: int | None = None):
+        ordered = tuple(sorted(entries, key=lambda e: e.lo))
         for a, b in zip(ordered, ordered[1:]):
             if a.hi > b.lo:
                 raise ValueError(f"entries overlap: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})")
             if a.hi == b.lo and a.label is Label.M and b.label is Label.M:
                 raise ValueError("two adjacent M entries would merge; signature malformed")
+        self.entries, self.truncation_depth = ordered, truncation_depth
 
     @property
     def complete(self) -> bool:

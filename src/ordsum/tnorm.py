@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import pairwise
@@ -26,6 +25,7 @@ from .rationals import check_unit
 
 __all__ = [
     "Label",
+    "Record",
     "Piece",
     "FinitePresentation",
     "PieceGenerator",
@@ -57,21 +57,42 @@ class Label(Enum):
     M = "M"
 
 
-@dataclass(frozen=True)
-class Piece:
+class Record:
+    """A record that compares and hashes by the values of its `__slots__`.
+
+    Only records that something compares or hashes derive from it; the
+    others are plain `__slots__` classes.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):  # pragma: no cover - debug aid
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Piece(Record):
     """One open interval (lo, hi) of an ordinal sum, labeled P or L."""
 
-    lo: Fraction
-    hi: Fraction
-    kind: Label
+    __slots__ = ("lo", "hi", "kind")
 
-    def __post_init__(self):
-        check_unit(self.lo)
-        check_unit(self.hi)
-        if self.lo >= self.hi:
-            raise ValueError(f"piece needs lo < hi, got ({self.lo}, {self.hi})")
-        if self.kind is Label.M:
+    def __init__(self, lo: Fraction, hi: Fraction, kind: Label):
+        check_unit(lo)
+        check_unit(hi)
+        if lo >= hi:
+            raise ValueError(f"piece needs lo < hi, got ({lo}, {hi})")
+        if kind is Label.M:
             raise ValueError("a piece is labeled P or L; M marks idempotent intervals")
+        self.lo, self.hi, self.kind = lo, hi, kind
 
     @property
     def width(self) -> Fraction:
@@ -97,19 +118,18 @@ class Piece:
         return -(-num.numerator * den.denominator // (num.denominator * den.numerator))
 
 
-@dataclass(frozen=True)
 class FinitePresentation:
     """Finitely many pieces, kept sorted and pairwise disjoint as opens."""
 
-    pieces: tuple[Piece, ...]
+    __slots__ = ("pieces", "_lows")
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.pieces, key=lambda p: p.lo))
-        object.__setattr__(self, "pieces", ordered)
+    def __init__(self, pieces: tuple[Piece, ...]):
+        ordered = tuple(sorted(pieces, key=lambda p: p.lo))
         for a, b in zip(ordered, ordered[1:]):
             if a.hi > b.lo:
                 raise ValueError(f"pieces overlap: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})")
-        object.__setattr__(self, "_lows", tuple(p.lo for p in ordered))
+        self.pieces = ordered
+        self._lows = tuple(p.lo for p in ordered)
 
     def piece_index_of(self, q: Fraction) -> int | None:
         """Index of a piece whose closed interval contains q, else None."""
@@ -151,7 +171,6 @@ def first_shared_endpoint(spans) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
 class StructuralFacts:
     """Certified order facts about a lazy presentation's pieces.
 
@@ -162,15 +181,24 @@ class StructuralFacts:
     has no least or greatest entry.
     """
 
-    has_min_piece: bool | None
-    has_max_piece: bool | None
-    dense_no_endpoints: bool | None
+    __slots__ = ("has_min_piece", "has_max_piece", "dense_no_endpoints")
+
+    def __init__(
+        self,
+        has_min_piece: bool | None,
+        has_max_piece: bool | None,
+        dense_no_endpoints: bool | None,
+    ):
+        self.has_min_piece = has_min_piece
+        self.has_max_piece = has_max_piece
+        self.dense_no_endpoints = dense_no_endpoints
 
 
-@dataclass(frozen=True)
-class InPiece:
-    index: int
-    piece: Piece
+class InPiece(Record):
+    __slots__ = ("index", "piece")
+
+    def __init__(self, index: int, piece: Piece):
+        self.index, self.piece = index, piece
 
 
 class _IdempotentMarker:
@@ -183,9 +211,11 @@ class _IdempotentMarker:
 IDEMPOTENT = _IdempotentMarker()
 
 
-@dataclass(frozen=True)
-class UnknownAtDepth:
-    depth: int
+class UnknownAtDepth(Record):
+    __slots__ = ("depth",)
+
+    def __init__(self, depth: int):
+        self.depth = depth
 
 
 class PieceGenerator(ABC):
@@ -298,18 +328,18 @@ class TNorm:
         return self.presentation.locate(q, depth)
 
 
-@dataclass(frozen=True)
-class Violation:
-    law: str
-    points: tuple[Fraction, ...]
-    left: Fraction
-    right: Fraction
+class Violation(Record):
+    __slots__ = ("law", "points", "left", "right")
+
+    def __init__(self, law: str, points: tuple[Fraction, ...], left: Fraction, right: Fraction):
+        self.law, self.points, self.left, self.right = law, points, left, right
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    checked: int
-    violations: tuple[Violation, ...]
+class AxiomReport(Record):
+    __slots__ = ("checked", "violations")
+
+    def __init__(self, checked: int, violations: tuple[Violation, ...]):
+        self.checked, self.violations = checked, violations
 
     @property
     def ok(self) -> bool:
@@ -382,12 +412,13 @@ def check_axioms(t, samples) -> AxiomReport:
     return AxiomReport(checked, tuple(bad))
 
 
-@dataclass(frozen=True)
 class PowerSearch:
     """Outcome of looking for an idempotent power: yes(l) / no / unknown."""
 
-    outcome: str
-    exponent: int | None
+    __slots__ = ("outcome", "exponent")
+
+    def __init__(self, outcome: str, exponent: int | None):
+        self.outcome, self.exponent = outcome, exponent
 
 
 def find_idempotent_power(t: TNorm, q: Fraction, limit: int) -> PowerSearch:

@@ -60,6 +60,14 @@ FINITE_CORPUS = [
     order_tnorm(FiniteOrder((1, 0))),
 ]
 
+# the presentation-file line of every shipped lazy family, after "family"
+LAZY_FAMILY_LINES = [
+    "limit-left",
+    "limit-right",
+    *(f"theta {name}" for name in ("omega", "omega_star", "zeta", "eta", "omega_plus_omega_star")),
+    *(f"cantor cantor:{name}" for name in ("middle-third", "svc", "non-e")),
+]
+
 
 @pytest.fixture(scope="session")
 def finite_corpus():

@@ -241,6 +241,14 @@ def test_order_facts_agree_with_gap_scan(system):
             assert all(hi != 1 for _, hi in gaps)
 
 
+@pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
+def test_in_order_walk_sorts_the_expansion(system):
+    # analyze_gap_order walks the box tree in order; sorting the
+    # removal-order expansion is the reference
+    for depth in range(13):
+        assert analyze_gap_order(system, depth).gaps == sorted(expand(system, depth))
+
+
 @pytest.mark.parametrize("system", [MT, SVC])
 def test_property_e_systems_show_no_witness(system):
     for depth in range(9):
@@ -330,6 +338,8 @@ def test_depth_guard():
         expand(MT, 17)
     with pytest.raises(PreconditionError):
         analyze_gap_order(MT, -1)
+    with pytest.raises(PreconditionError, match="capped at 16"):
+        analyze_gap_order(MT, 17)
 
 
 def test_format_gaps():

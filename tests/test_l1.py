@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordsum.l1 as l1
-from conftest import PAIR_A, PAIR_A_SWAPPED, PAIR_B, tn
+from conftest import FINITE_CORPUS, LAZY_FAMILY_LINES, PAIR_A, PAIR_A_SWAPPED, PAIR_B, tn
 from ordsum.cantor import gap_tnorm, parse_system
 from ordsum.l1 import (
     BoundInsufficiency,
@@ -22,9 +22,16 @@ from ordsum.l1 import (
     theta_by_probing,
 )
 from ordsum.orders import parse_order, order_tnorm
-from ordsum.rationals import count_up_to, fractions_up_to, rational_at
-from ordsum.signature import Label
-from ordsum.tnorm import PreconditionError, find_idempotent_power
+from ordsum.presentations import parse_presentation_text
+from ordsum.rationals import (
+    count_up_to,
+    fractions_up_to,
+    min_rational_in,
+    rational_at,
+    rational_index,
+)
+from ordsum.signature import Label, compute_signature
+from ordsum.tnorm import PreconditionError, find_idempotent_power, uncovered
 
 
 class TestStructureValidation:
@@ -153,6 +160,68 @@ class TestThetaLazy:
         monkeypatch.setattr(l1, "rational_index", counting_index)
         assert theta(t, 20, depth=16) == shallow
         assert counted and max(q.denominator for q in counted) <= 20
+
+
+LAZY_FAMILIES = {
+    line: parse_presentation_text(f"tnorm v1\nfamily {line}\n") for line in LAZY_FAMILY_LINES
+}
+
+
+def oracle_theta_by_size(t, size, depth=None):
+    """`theta` with the rule it had before the cutoff: a rational is
+    dismissed without an index only when its denominator exceeds size."""
+    sig = compute_signature(t, depth)
+
+    def index_below(q):
+        if q.denominator > size:
+            return None
+        idx = rational_index(q)
+        return idx if idx < size else None
+
+    qualified = not sig.complete and any(
+        index_below(min_rational_in(lo, hi, closed=True)) is not None
+        for lo, hi in uncovered(e.interval() for e in sig.entries)
+    )
+    witnesses = []
+    for e in sig.entries:
+        value = min_rational_in(e.lo, e.hi, closed=e.label is Label.M)
+        idx = index_below(value)
+        if idx is not None:
+            witnesses.append((value, idx, e.label))
+    return L1Structure(size, tuple((n, label) for _, n, label in sorted(witnesses)), qualified)
+
+
+class TestSizeCutoff:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.sampled_from(FINITE_CORPUS), st.none()),
+            st.tuples(st.sampled_from(sorted(LAZY_FAMILIES)).map(LAZY_FAMILIES.get),
+                      st.integers(1, 40)),
+        ),
+        st.one_of(st.integers(1, 200), st.integers(1, 10**6)),
+    )
+    def test_agrees_with_dismissal_by_size(self, t_depth, size):
+        t, depth = t_depth
+        assert theta(t, size, depth) == oracle_theta_by_size(t, size, depth)
+
+    @pytest.mark.parametrize("line", sorted(LAZY_FAMILIES))
+    def test_no_index_counted_beyond_the_cutoff(self, monkeypatch, line):
+        t = LAZY_FAMILIES[line]
+        counted = []
+
+        def counting_index(q):
+            counted.append(q)
+            return rational_index(q)
+
+        monkeypatch.setattr(l1, "rational_index", counting_index)
+        for size in (1, 12, 1000, 10**6):
+            cut = rational_at(size - 1).denominator
+            counted.clear()
+            s = theta(t, size, depth=30)
+            beyond = [q for q in counted if q.denominator > cut]
+            assert not beyond, (size, cut, beyond)
+            assert s == oracle_theta_by_size(t, size, depth=30)
 
 
 # cuts of the random presentations sit on multiples of 1/PROBE_DEN, and

@@ -149,14 +149,51 @@ COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("command, expected", COMMANDS, ids=[c for c, _ in COMMANDS])
-def test_command_loads_only_what_it_runs(tmp_path, command, expected):
+def _run_command(tmp_path, command, script, *flags):
+    """Run `script` on one command in a fresh interpreter; its stderr, split."""
     for name, body in FILES.items():
         (tmp_path / name).write_text(f"tnorm v1\n{body}\n")
     env = dict(os.environ, PYTHONPATH=str(Path(ordsum.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", LOADED_BY, *command.split()],
+        [sys.executable, *flags, "-c", script, *command.split()],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stderr.split() == sorted(f"ordsum.{name}" for name in expected)
+    return done.stderr.split()
+
+
+@pytest.mark.parametrize("command, expected", COMMANDS, ids=[c for c, _ in COMMANDS])
+def test_command_loads_only_what_it_runs(tmp_path, command, expected):
+    loaded = _run_command(tmp_path, command, LOADED_BY)
+    assert loaded == sorted(f"ordsum.{name}" for name in expected)
+
+
+# standard modules that cost a command start-up time and do no work for it
+STARTUP_HEAVY = {"dataclasses", "inspect", "pathlib", "typing"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_startup_heavy_imports(name):
+    imported = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert not imported & STARTUP_HEAVY, f"ordsum.{name} imports {imported & STARTUP_HEAVY}"
+
+
+# runs one command, then names the modules of STARTUP_HEAVY it left loaded
+HEAVY_LOADED_BY = f"""
+import sys
+from ordsum.cli import main
+code = main(sys.argv[1:])
+print(*sorted(sys.modules.keys() & {sorted(STARTUP_HEAVY)}), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", [c for c, _ in COMMANDS])
+def test_command_loads_no_startup_heavy_module(tmp_path, command):
+    # -S skips site, so no .pth file can load one of them before ordsum does
+    assert _run_command(tmp_path, command, HEAVY_LOADED_BY, "-S") == []

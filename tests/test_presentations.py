@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import PAIR_A
+from conftest import LAZY_FAMILY_LINES, PAIR_A
 from ordsum.presentations import (
     PresentationError,
     format_presentation,
@@ -78,14 +78,6 @@ def test_cantor_family():
     t = parse_presentation_text(text)
     assert t.generator.family == "cantor cantor:svc"
     assert format_presentation(t) == text
-
-
-LAZY_FAMILY_LINES = [
-    "limit-left",
-    "limit-right",
-    *(f"theta {name}" for name in ("omega", "omega_star", "zeta", "eta", "omega_plus_omega_star")),
-    *(f"cantor cantor:{name}" for name in ("middle-third", "svc", "non-e")),
-]
 
 
 @pytest.mark.parametrize("line", LAZY_FAMILY_LINES)
