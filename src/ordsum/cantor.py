@@ -34,7 +34,6 @@ from .tnorm import (
     PieceGenerator,
     PreconditionError,
     StructuralFacts,
-    TNorm,
     UnknownAtDepth,
     first_shared_endpoint,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "expand",
     "analyze_gap_order",
     "CantorGapGenerator",
-    "gap_tnorm",
     "format_gap_order",
 ]
 
@@ -296,10 +294,6 @@ class CantorGapGenerator(PieceGenerator):
         if q == box[0] or q == box[1]:
             return IDEMPOTENT
         return UnknownAtDepth(depth)
-
-
-def gap_tnorm(rule: _Rule) -> TNorm:
-    return TNorm(CantorGapGenerator(rule))
 
 
 def _tri(value: bool | None) -> str:

@@ -24,7 +24,7 @@ from functools import cmp_to_key
 # inside its function, so a command loads only what it uses.
 from .presentations import PresentationError, load_presentation
 from .rationals import min_entry_in, parse_rational
-from .tnorm import Label, PreconditionError, check_axioms
+from .tnorm import Label, PieceGenerator, PreconditionError, check_axioms
 
 GRID_21 = tuple(Fraction(i, 20) for i in range(21))
 LAZY_TRUNCATION = 12
@@ -33,17 +33,17 @@ LAZY_TRUNCATION = 12
 def _cmd_eval(args) -> int:
     t = load_presentation(args.file)
     x, y = parse_rational(args.x), parse_rational(args.y)
-    if t.is_finite:
-        print(t.eval(x, y))
-    else:
+    if isinstance(t, PieceGenerator):
         value, bound = t.eval_approx(x, y, args.pieces)
         print(f"value {value} error_bound {bound}")
+    else:
+        print(t.eval(x, y))
     return 0
 
 
 def _cmd_axioms(args) -> int:
     t = load_presentation(args.file)
-    if not t.is_finite:
+    if isinstance(t, PieceGenerator):
         t = t.truncation(LAZY_TRUNCATION)
     report = check_axioms(t, GRID_21)
     print(f"axioms checked={report.checked} violations={len(report.violations)}")
@@ -67,10 +67,10 @@ def _cmd_iso(args) -> int:
 
     t1 = load_presentation(args.file_a)
     t2 = load_presentation(args.file_b)
-    if t1.is_finite and t2.is_finite:
-        verdict = decide_iso_finite(compute_signature(t1), compute_signature(t2))
-    else:
+    if any(isinstance(t, PieceGenerator) for t in (t1, t2)):
         verdict = decide_iso_lazy(t1, t2, args.depth)
+    else:
+        verdict = decide_iso_finite(compute_signature(t1), compute_signature(t2))
     sys.stdout.write(format_verdict(verdict))
     return 4 if isinstance(verdict, Unknown) else 0
 
@@ -126,7 +126,7 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_surface(args) -> int:
     t = load_presentation(args.file)
-    if not t.is_finite:
+    if isinstance(t, PieceGenerator):
         t = t.truncation(LAZY_TRUNCATION)
     if args.grid < 2:
         raise PreconditionError("grid needs at least two sample points per axis")

@@ -21,10 +21,9 @@ from .tnorm import (
     PieceGenerator,
     PreconditionError,
     StructuralFacts,
-    TNorm,
 )
 
-__all__ = ["LadderGenerator", "ladder_tnorm", "LADDER_NAMES"]
+__all__ = ["LadderGenerator", "LADDER_NAMES"]
 
 LADDER_NAMES = ("limit-left", "limit-right")
 
@@ -83,7 +82,3 @@ class LadderGenerator(PieceGenerator):
         if piece.contains_open(q):
             return InPiece(n, piece)
         return IDEMPOTENT
-
-
-def ladder_tnorm(anchor: str) -> TNorm:
-    return TNorm(LadderGenerator(anchor))

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .rationals import check_unit
 from .signature import Signature, SignatureEntry, compute_signature
-from .tnorm import PreconditionError, Record, TNorm
+from .tnorm import PieceGenerator, PreconditionError, Record, TNorm
 
 __all__ = [
     "Iso",
@@ -97,10 +97,9 @@ def build_iso_map(t1: TNorm, t2: TNorm) -> Iso:
     Complete signatures tile [0,1] (entries share endpoints), so the
     per-entry affine maps glue into a strictly increasing bijection
     fixing 0 and 1; affine conjugation preserves both piece formulas, so
-    the map is a monoid isomorphism, not just an order one.
+    the map is a monoid isomorphism, not just an order one.  A lazy
+    side has no complete signature, so `compute_signature` refuses it.
     """
-    if not (t1.is_finite and t2.is_finite):
-        raise PreconditionError("full witness maps need finite presentations")
     verdict = decide_iso_finite(compute_signature(t1), compute_signature(t2))
     if not isinstance(verdict, Iso):
         raise PreconditionError(f"not isomorphic: {verdict.tag}")
@@ -117,20 +116,20 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
     ISO, NOT_ISO or UNKNOWN from the certificates below.  Two finite
     sides belong to `decide_iso_finite` and are refused here.
     """
-    if t1.is_finite and t2.is_finite:
+    lazy_sides = sum(isinstance(t, PieceGenerator) for t in (t1, t2))
+    if lazy_sides == 0:
         raise PreconditionError("decide_iso_lazy needs a lazy presentation")
     if depth < 1:
         raise PreconditionError("depth must be >= 1")
-    if t1.is_finite or t2.is_finite:
+    if lazy_sides == 1:
         return NotIso(
             "CardinalityMismatch",
             "one side has finitely many pieces; "
             "the other lists infinitely many disjoint pieces",
         )
-    g1, g2 = t1.generator, t2.generator
-    f1, f2 = g1.facts, g2.facts
+    f1, f2 = t1.facts, t2.facts
 
-    if g1.family == g2.family:
+    if t1.family == t2.family:
         entries = compute_signature(t1, min(depth, 8)).entries
         return Iso(tuple((e, e) for e in entries))
 

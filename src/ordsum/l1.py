@@ -23,7 +23,14 @@ from .rationals import (
     rational_index,
 )
 from .signature import Label, compute_signature
-from .tnorm import PreconditionError, Record, TNorm, find_idempotent_power, uncovered
+from .tnorm import (
+    PieceGenerator,
+    PreconditionError,
+    Record,
+    TNorm,
+    find_idempotent_power,
+    uncovered,
+)
 
 __all__ = [
     "BoundInsufficiency",
@@ -36,16 +43,15 @@ __all__ = [
     "format_l1",
 ]
 
+# exponents `theta_by_probing` iterates before the closed form answers
+POWER_LIMIT = 64
+
+
 class BoundInsufficiency(RuntimeError):
     """A bounded quantifier scan could not certify its answer.
 
-    `bound` names the insufficient parameter ("denominator" or "power")
-    so the caller knows which knob to raise.
+    The scan's denominator limit is too small: raise it and retry.
     """
-
-    def __init__(self, bound: str, message: str):
-        super().__init__(message)
-        self.bound = bound
 
 
 class L1Structure(Record):
@@ -140,17 +146,12 @@ def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
     return L1Structure(size, tuple((n, label) for _, n, label in sorted(witnesses)), qualified)
 
 
-def theta_by_probing(
-    t: TNorm,
-    size: int,
-    power_limit: int = 64,
-    denominator_limit: int = 32,
-) -> L1Structure:
+def theta_by_probing(t: TNorm, size: int, denominator_limit: int = 32) -> L1Structure:
     """The same structure as `theta`, computed only by probing the operation.
 
     Membership tests follow the characterization through idempotence of
     powers and min-behavior against earlier indices, with the unbounded
-    quantifiers cut down: power exponents run to power_limit (the
+    quantifiers cut down: power exponents run to POWER_LIMIT (the
     structural closed form answers beyond it), and scans over "every
     rational" run over the denominator <= denominator_limit prefix of
     the enumeration.  A size beyond that prefix is refused, so every
@@ -162,14 +163,13 @@ def theta_by_probing(
     rest on an unprobed region raises BoundInsufficiency instead of
     guessing.
     """
-    if not t.is_finite:
+    if isinstance(t, PieceGenerator):
         raise PreconditionError("probing needs exact idempotence tests; finite only")
     if size < 1:
         raise PreconditionError("size must be >= 1")
     if size > count_up_to(denominator_limit):
         raise BoundInsufficiency(
-            "denominator",
-            f"size {size} exceeds the denominator <= {denominator_limit} prefix",
+            f"size {size} exceeds the denominator <= {denominator_limit} prefix"
         )
     scan = fractions_up_to(denominator_limit)
     value = [q for q, _ in scan]
@@ -196,14 +196,14 @@ def theta_by_probing(
             # an idempotent power e of q has e * q = min(e, q) = e, so q^k
             # is idempotent exactly when q^(k+1) == q^k: one eval per power
             power = qn
-            for _ in range(power_limit):
+            for _ in range(POWER_LIMIT):
                 following = t.eval(power, qn)
                 if following == power:
                     label = Label.L
                     break
                 power = following
             else:
-                search = find_idempotent_power(t, qn, power_limit)
+                search = find_idempotent_power(t, qn, POWER_LIMIT)
                 label = Label.L if search.outcome == "yes" else Label.P
             witnesses.append((p, n, label))
             continue
@@ -215,20 +215,14 @@ def theta_by_probing(
             # an idempotent immediate neighbour leaves nothing scanned
             # between the two, so a piece could hide there
             if idempotent(p - 1) or idempotent(p + 1):
-                raise BoundInsufficiency(
-                    "denominator",
-                    f"cannot certify a min-region companion for index {n}",
-                )
+                raise BoundInsufficiency(f"cannot certify a min-region companion for index {n}")
             continue
         # q_n is the region's witness unless an earlier index shares it,
         # that is, no non-idempotent scan rational separates the two
         for i in range(n):
             lo, hi = sorted((at[i], p))
             if hi - lo == 1:
-                raise BoundInsufficiency(
-                    "denominator",
-                    f"no scan rationals between indices {i} and {n}",
-                )
+                raise BoundInsufficiency(f"no scan rationals between indices {i} and {n}")
             if bad[hi] == bad[lo + 1]:
                 break
         else:
@@ -249,7 +243,7 @@ class SubbasisRecord(Record):
 
 
 def subbasis_predicates(t: TNorm, m: int, n: int) -> SubbasisRecord:
-    if not t.is_finite:
+    if isinstance(t, PieceGenerator):
         raise PreconditionError("predicates read exact eval; finite only")
     qm, qn = rational_at(m), rational_at(n)
     return SubbasisRecord(

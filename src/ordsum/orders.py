@@ -357,11 +357,11 @@ def order_tnorm(order: LinearOrder) -> TNorm:
         pieces = tuple(
             Piece(lo, hi, Label.P) for lo, hi in build_intervals(order, order.size)
         )
-        return TNorm(FinitePresentation(pieces))
-    return TNorm(OrderPieceGenerator(order))
+        return FinitePresentation(pieces)
+    return OrderPieceGenerator(order)
 
 
-def sampled_distance(t1: TNorm, t2: TNorm, grid: int) -> Fraction:
+def sampled_distance(t1: FinitePresentation, t2: FinitePresentation, grid: int) -> Fraction:
     """Max |t1 - t2| over the grid x grid lattice {i/(grid-1)}^2."""
     if grid < 2:
         raise PreconditionError("grid needs at least two sample points per axis")
@@ -391,11 +391,9 @@ def agreement_ball_check(o1: LinearOrder, o2: LinearOrder, n: int, grid: int) ->
                     f"orders disagree on ({m}, {k}) inside the claimed {n}x{n} square"
                 )
 
-    def deep(order: LinearOrder) -> TNorm:
+    def deep(order: LinearOrder) -> FinitePresentation:
         t = order_tnorm(order)
-        if t.is_finite:
-            return t
-        return t.truncation(n + 10)
+        return t.truncation(n + 10) if isinstance(t, PieceGenerator) else t
 
     bound = Fraction(1, 3**n)
     return sampled_distance(deep(o1), deep(o2), grid) <= bound

@@ -9,8 +9,9 @@ piece, while a lazy one names a single family:
     family theta <order-spec>
     family cantor <system-spec>
 
-Rationals are written "p/q" with non-negative integers p and q > 0, in
-any terms ("1/3", "2/6"), or as a bare integer ("0", "1");
+Rationals are written "p/q" with non-negative integers p and q > 0 in
+the ASCII digits 0-9, in any terms ("1/3", "2/6"), or as a bare
+integer ("0", "1");
 `format_presentation` always writes lowest terms.  Signs, decimals,
 exponents and anything else are rejected with PresentationError, as is
 a malformed line.
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rationals import parse_rational
-from .tnorm import FinitePresentation, Label, Piece, TNorm
+from .tnorm import FinitePresentation, Label, Piece, PieceGenerator, TNorm
 
 __all__ = [
     "PresentationError",
@@ -62,18 +63,18 @@ def _build_family(args: list[str], where: str) -> TNorm:
     if name == "cantor":
         if len(rest) != 1:
             raise PresentationError(f"{where}: cantor takes one system spec")
-        from .cantor import gap_tnorm, parse_system
+        from .cantor import CantorGapGenerator, parse_system
 
         try:
-            return gap_tnorm(parse_system(rest[0]))
+            return CantorGapGenerator(parse_system(rest[0]))
         except ValueError as exc:
             raise PresentationError(f"{where}: {exc}") from None
-    from .families import LADDER_NAMES, ladder_tnorm
+    from .families import LADDER_NAMES, LadderGenerator
 
     if name in LADDER_NAMES:
         if rest:
             raise PresentationError(f"{where}: {name} takes no arguments")
-        return ladder_tnorm(name)
+        return LadderGenerator(name)
     raise PresentationError(f"{where}: unknown family {name!r}")
 
 
@@ -112,7 +113,7 @@ def parse_presentation_text(text: str) -> TNorm:
     if family is not None:
         return family
     try:
-        return TNorm(FinitePresentation(tuple(pieces)))
+        return FinitePresentation(tuple(pieces))
     except ValueError as exc:
         raise PresentationError(str(exc)) from None
 
@@ -124,8 +125,8 @@ def load_presentation(path: str) -> TNorm:
 
 def format_presentation(t: TNorm) -> str:
     lines = [HEADER]
-    if t.is_finite:
-        lines.extend(f"piece {p.lo} {p.hi} {p.kind.value}" for p in t.pieces)
+    if isinstance(t, PieceGenerator):
+        lines.append(f"family {t.family}")
     else:
-        lines.append(f"family {t.generator.family}")
+        lines.extend(f"piece {p.lo} {p.hi} {p.kind.value}" for p in t.pieces)
     return "\n".join(lines) + "\n"

@@ -51,7 +51,8 @@ __all__ = [
     "count_up_to",
 ]
 
-_RATIONAL_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+# ASCII digits only: `\d` would also take other scripts' digits, such as "١/٢"
+_RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 _TABLE_LIMIT = 1024
 

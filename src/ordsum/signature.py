@@ -82,15 +82,14 @@ def compute_signature(t: TNorm, depth: int | None = None) -> Signature:
     only those idempotent intervals the generator certifies as final;
     deeper pieces can only subdivide territory not yet claimed.
     """
-    if t.is_finite:
-        entries = [SignatureEntry(p.lo, p.hi, p.kind) for p in t.presentation.pieces]
-        entries.extend(SignatureEntry(lo, hi, Label.M) for lo, hi in t.presentation.gaps())
+    if not isinstance(t, PieceGenerator):
+        entries = [SignatureEntry(p.lo, p.hi, p.kind) for p in t.pieces]
+        entries.extend(SignatureEntry(lo, hi, Label.M) for lo, hi in t.gaps())
         return Signature(tuple(entries))
     if depth is None or depth < 1:
         raise PreconditionError("lazy signatures need a positive truncation depth")
-    gen: PieceGenerator = t.presentation
-    entries = [SignatureEntry(p.lo, p.hi, p.kind) for p in map(gen.piece_at, range(depth))]
-    entries.extend(SignatureEntry(lo, hi, Label.M) for lo, hi in gen.certified_m_gaps(depth))
+    entries = [SignatureEntry(p.lo, p.hi, p.kind) for p in map(t.piece_at, range(depth))]
+    entries.extend(SignatureEntry(lo, hi, Label.M) for lo, hi in t.certified_m_gaps(depth))
     return Signature(tuple(entries), truncation_depth=depth)
 
 

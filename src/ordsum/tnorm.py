@@ -6,11 +6,15 @@ labeled Product or Lukasiewicz.  Inside a piece (lo, hi):
     Product:      x * y = lo + (x - lo)(y - lo) / (hi - lo)
     Lukasiewicz:  x * y = max(lo, x + y - hi)
 
-and x * y = min(x, y) whenever x and y do not share a piece.  Finite
-presentations evaluate exactly.  Lazy presentations are driven by a
-`PieceGenerator` that enumerates pieces with a certified bound on the
-total length of everything not yet enumerated, so evaluation at
-truncation N carries the exact error bound 2 * tail_length_bound(N).
+and x * y = min(x, y) whenever x and y do not share a piece.
+
+A t-norm is its presentation: `TNorm` is the abstract base of the two
+kinds, and every one places a point with `locate`.  A
+`FinitePresentation` lists its pieces and evaluates exactly.  A
+`PieceGenerator` is a lazy presentation: it enumerates pieces with a
+certified bound on the total length of everything not yet enumerated,
+so evaluation at truncation N carries the exact error bound
+2 * tail_length_bound(N).
 """
 
 from __future__ import annotations
@@ -118,31 +122,6 @@ class Piece(Record):
         return -(-num.numerator * den.denominator // (num.denominator * den.numerator))
 
 
-class FinitePresentation:
-    """Finitely many pieces, kept sorted and pairwise disjoint as opens."""
-
-    __slots__ = ("pieces", "_lows")
-
-    def __init__(self, pieces: tuple[Piece, ...]):
-        ordered = tuple(sorted(pieces, key=lambda p: p.lo))
-        for a, b in zip(ordered, ordered[1:]):
-            if a.hi > b.lo:
-                raise ValueError(f"pieces overlap: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})")
-        self.pieces = ordered
-        self._lows = tuple(p.lo for p in ordered)
-
-    def piece_index_of(self, q: Fraction) -> int | None:
-        """Index of a piece whose closed interval contains q, else None."""
-        i = bisect_right(self._lows, q) - 1
-        if i >= 0 and q <= self.pieces[i].hi:
-            return i
-        return None
-
-    def gaps(self) -> list[tuple[Fraction, Fraction]]:
-        """Maximal open intervals of [0, 1] not covered by piece closures."""
-        return uncovered((p.lo, p.hi) for p in self.pieces)
-
-
 def uncovered(spans) -> list[tuple[Fraction, Fraction]]:
     """Maximal open intervals of [0, 1] outside the closures of `spans`.
 
@@ -218,7 +197,72 @@ class UnknownAtDepth(Record):
         self.depth = depth
 
 
-class PieceGenerator(ABC):
+class TNorm(ABC):
+    """A continuous t-norm: a finite or a lazy ordinal-sum presentation.
+
+    `FinitePresentation` evaluates exactly; a `PieceGenerator` evaluates
+    through its finite truncations.  Both place a point with `locate`.
+    """
+
+    __slots__ = ()
+
+    @abstractmethod
+    def locate(self, q: Fraction, depth: int):
+        """Place q relative to the first `depth` pieces.
+
+        Returns InPiece, IDEMPOTENT (certified: q lies in no piece at
+        any depth), or UnknownAtDepth.
+        """
+        raise NotImplementedError
+
+
+class FinitePresentation(TNorm):
+    """Finitely many pieces, kept sorted and pairwise disjoint as opens."""
+
+    __slots__ = ("pieces", "_lows")
+
+    def __init__(self, pieces: tuple[Piece, ...]):
+        ordered = tuple(sorted(pieces, key=lambda p: p.lo))
+        for a, b in zip(ordered, ordered[1:]):
+            if a.hi > b.lo:
+                raise ValueError(f"pieces overlap: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})")
+        self.pieces = ordered
+        self._lows = tuple(p.lo for p in ordered)
+
+    def piece_index_of(self, q: Fraction) -> int | None:
+        """Index of a piece whose closed interval contains q, else None."""
+        i = bisect_right(self._lows, q) - 1
+        if i >= 0 and q <= self.pieces[i].hi:
+            return i
+        return None
+
+    def gaps(self) -> list[tuple[Fraction, Fraction]]:
+        """Maximal open intervals of [0, 1] not covered by piece closures."""
+        return uncovered((p.lo, p.hi) for p in self.pieces)
+
+    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+        """Exact value of x * y."""
+        check_unit(x)
+        check_unit(y)
+        i = self.piece_index_of(x)
+        if i is not None:
+            piece = self.pieces[i]
+            # y = hi shared with the next piece is looked up there by
+            # piece_index_of, but the formula gives min(x, y) at hi anyway
+            if piece.lo <= y <= piece.hi:
+                return piece.combine(x, y)
+        return min(x, y)
+
+    def locate(self, q: Fraction, depth: int):
+        """Exact placement; the depth is ignored."""
+        check_unit(q)
+        i = self.piece_index_of(q)
+        if i is not None and self.pieces[i].contains_open(q):
+            return InPiece(i, self.pieces[i])
+        return IDEMPOTENT
+
+
+class PieceGenerator(TNorm):
     """Lazy piece supply for an infinite ordinal sum.
 
     Implementations fix a deterministic enumeration piece_at(0),
@@ -242,90 +286,19 @@ class PieceGenerator(ABC):
     def tail_length_bound(self, n: int) -> Fraction:
         raise NotImplementedError
 
-    @abstractmethod
-    def locate(self, q: Fraction, depth: int):
-        """Place q relative to the first `depth` pieces.
-
-        Returns InPiece, IDEMPOTENT (certified: q lies in no piece at
-        any depth), or UnknownAtDepth.
-        """
-        raise NotImplementedError
-
     def certified_m_gaps(self, depth: int) -> list[tuple[Fraction, Fraction]]:
         """Maximal idempotent intervals certified final at this depth."""
         return []
 
-
-class TNorm:
-    """A continuous t-norm given by a finite or lazy ordinal-sum presentation."""
-
-    def __init__(self, presentation: FinitePresentation | PieceGenerator):
-        if not isinstance(presentation, (FinitePresentation, PieceGenerator)):
-            raise TypeError(f"not a presentation: {presentation!r}")
-        self.presentation = presentation
-
-    @property
-    def is_finite(self) -> bool:
-        return isinstance(self.presentation, FinitePresentation)
-
-    @property
-    def pieces(self) -> tuple[Piece, ...]:
-        if not self.is_finite:
-            raise PreconditionError("lazy presentation has no finite piece list")
-        return self.presentation.pieces
-
-    @property
-    def generator(self) -> PieceGenerator:
-        if self.is_finite:
-            raise PreconditionError("finite presentation has no generator")
-        return self.presentation
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        if self.is_finite:
-            return f"TNorm({len(self.presentation.pieces)} pieces)"
-        return f"TNorm(family {self.presentation.family})"
-
-    def eval(self, x: Fraction, y: Fraction) -> Fraction:
-        """Exact value of x * y; finite presentations only."""
-        if not self.is_finite:
-            raise PreconditionError("exact eval needs a finite presentation; use eval_approx")
-        check_unit(x)
-        check_unit(y)
-        i = self.presentation.piece_index_of(x)
-        if i is not None:
-            piece = self.presentation.pieces[i]
-            # y = hi shared with the next piece is looked up there by
-            # piece_index_of, but the formula gives min(x, y) at hi anyway
-            if piece.lo <= y <= piece.hi:
-                return piece.combine(x, y)
-        return min(x, y)
-
-    def truncation(self, n: int) -> TNorm:
+    def truncation(self, n: int) -> FinitePresentation:
         """Finite t-norm from the first n generated pieces."""
-        if self.is_finite:
-            raise PreconditionError("finite presentation has no truncations")
         if n < 1:
             raise PreconditionError("empty truncation")
-        pieces = tuple(self.presentation.piece_at(k) for k in range(n))
-        return TNorm(FinitePresentation(pieces))
+        return FinitePresentation(tuple(self.piece_at(k) for k in range(n)))
 
     def eval_approx(self, x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fraction]:
         """(value at truncation n, certified error bound 2 * tail(n))."""
-        if self.is_finite:
-            raise PreconditionError("eval_approx applies to lazy presentations")
-        value = self.truncation(n).eval(x, y)
-        return value, 2 * self.presentation.tail_length_bound(n)
-
-    def locate(self, q: Fraction, depth: int):
-        """Uniform locate; exact for finite presentations regardless of depth."""
-        check_unit(q)
-        if self.is_finite:
-            pres = self.presentation
-            i = pres.piece_index_of(q)
-            if i is not None and pres.pieces[i].contains_open(q):
-                return InPiece(i, pres.pieces[i])
-            return IDEMPOTENT
-        return self.presentation.locate(q, depth)
+        return self.truncation(n).eval(x, y), 2 * self.tail_length_bound(n)
 
 
 class Violation(Record):

@@ -9,15 +9,13 @@ from fractions import Fraction as F
 import pytest
 
 from ordsum.orders import FiniteOrder, order_tnorm
-from ordsum.tnorm import FinitePresentation, Label, Piece, TNorm
+from ordsum.tnorm import FinitePresentation, Label, Piece
 
 
 def tn(*pieces):
     """Finite t-norm from (lo, hi, kind) triples."""
-    return TNorm(
-        FinitePresentation(
-            tuple(Piece(F(lo), F(hi), Label(kind)) for lo, hi, kind in pieces)
-        )
+    return FinitePresentation(
+        tuple(Piece(F(lo), F(hi), Label(kind)) for lo, hi, kind in pieces)
     )
 
 

@@ -11,7 +11,6 @@ from ordsum.cantor import (
     analyze_gap_order,
     expand,
     format_gap_order,
-    gap_tnorm,
     parse_system,
 )
 from ordsum.signature import Label, compute_signature
@@ -19,7 +18,6 @@ from ordsum.tnorm import (
     IDEMPOTENT,
     InPiece,
     PreconditionError,
-    TNorm,
     UnknownAtDepth,
     check_axioms,
 )
@@ -312,20 +310,20 @@ def test_generator_facts():
     assert mt.facts.dense_no_endpoints is True
     assert mt.facts.has_min_piece is False and mt.facts.has_max_piece is False
     # depth counts pieces: 63 are the gaps of the first 6 levels
-    assert compute_signature(TNorm(mt), 63).successor_pair() is None
+    assert compute_signature(mt, 63).successor_pair() is None
 
     ne = CantorGapGenerator(NONE_SYS)
     assert ne.facts.has_min_piece is True
     assert ne.facts.dense_no_endpoints is False
     # the two root gaps and the first gap of level 1, which meets (0, 1/4)
-    pair = compute_signature(TNorm(ne), 3).successor_pair()
+    pair = compute_signature(ne, 3).successor_pair()
     assert pair is not None
     assert pair[0].hi == pair[1].lo == F(1, 4)
     assert pair[0].label is Label.P
 
 
 def test_gap_tnorm_axioms_on_truncation():
-    t = gap_tnorm(MT)
+    t = CantorGapGenerator(MT)
     report = check_axioms(t.truncation(7), [F(i, 12) for i in range(13)])
     assert report.ok
     value, bound = t.eval_approx(F(1, 2), F(1, 2), 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordsum.families import LadderGenerator, ladder_tnorm
+from ordsum.families import LadderGenerator
 from ordsum.signature import Label, compute_signature
 from ordsum.tnorm import IDEMPOTENT, InPiece, check_axioms
 
@@ -68,7 +68,7 @@ def test_structural_certificates():
     assert not left.facts.dense_no_endpoints
     assert left.certified_m_gaps(10) == []
 
-    t = ladder_tnorm("limit-left")
+    t = LadderGenerator("limit-left")
     pair = compute_signature(t, 4).successor_pair()
     assert pair is not None
     first, second = pair
@@ -78,7 +78,7 @@ def test_structural_certificates():
 
 
 def test_signature_prefix_and_axioms():
-    t = ladder_tnorm("limit-left")
+    t = LadderGenerator("limit-left")
     sig = compute_signature(t, depth=3)
     assert [(e.lo, e.hi) for e in sig.entries] == [
         (F(0), F(1, 2)),

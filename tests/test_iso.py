@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordsum.cantor import gap_tnorm, parse_system
+from ordsum.cantor import CantorGapGenerator, parse_system
 from ordsum.cli import main
-from ordsum.families import ladder_tnorm
+from ordsum.families import LadderGenerator
 from ordsum.iso import (
     Iso,
     NotIso,
@@ -33,15 +33,12 @@ from ordsum.tnorm import (
     PieceGenerator,
     PreconditionError,
     StructuralFacts,
-    TNorm,
 )
 
 
 def tn(*pieces):
-    return TNorm(
-        FinitePresentation(
-            tuple(Piece(F(lo), F(hi), Label(kind)) for lo, hi, kind in pieces)
-        )
+    return FinitePresentation(
+        tuple(Piece(F(lo), F(hi), Label(kind)) for lo, hi, kind in pieces)
     )
 
 
@@ -80,7 +77,7 @@ class TestFiniteDecision:
         assert decide_iso_finite(sig, other).tag == "FiniteLabelSequenceMismatch(0)"
 
     def test_incomplete_signature_rejected(self):
-        lazy_sig = compute_signature(ladder_tnorm("limit-left"), depth=3)
+        lazy_sig = compute_signature(LadderGenerator("limit-left"), depth=3)
         with pytest.raises(PreconditionError):
             decide_iso_finite(lazy_sig, compute_signature(PAIR_A))
 
@@ -160,7 +157,7 @@ class TestWitnessMap:
 
     def test_lazy_input_rejected(self):
         with pytest.raises(PreconditionError):
-            build_iso_map(PAIR_A, ladder_tnorm("limit-right"))
+            build_iso_map(PAIR_A, LadderGenerator("limit-right"))
 
     def test_witness_without_map_cannot_apply(self):
         bare = Iso(())
@@ -169,7 +166,7 @@ class TestWitnessMap:
 
     @pytest.mark.parametrize("x", [F(3, 2), F(-1), 0.5], ids=["above", "below", "float"])
     def test_map_rejects_points_outside_the_unit_interval(self, x):
-        # TNorm.eval rejects the same points
+        # FinitePresentation.eval rejects the same points
         with pytest.raises(ValueError):
             PAIR_A.eval(x, x)
         with pytest.raises(ValueError):
@@ -198,7 +195,7 @@ class StubGenerator(PieceGenerator):
 
 class TestLazyDecision:
     def test_rejects_finite_inputs_and_bad_depth(self):
-        lazy = ladder_tnorm("limit-left")
+        lazy = LadderGenerator("limit-left")
         with pytest.raises(PreconditionError):
             decide_iso_lazy(PAIR_A, PAIR_B, 4)
         with pytest.raises(PreconditionError):
@@ -210,9 +207,9 @@ class TestLazyDecision:
     @pytest.mark.parametrize(
         "lazy",
         [
-            ladder_tnorm("limit-left"),
+            LadderGenerator("limit-left"),
             order_tnorm(parse_order("eta")),
-            gap_tnorm(parse_system("cantor:middle-third")),
+            CantorGapGenerator(parse_system("cantor:middle-third")),
         ],
         ids=["ladder", "eta", "cantor"],
     )
@@ -228,8 +225,8 @@ class TestLazyDecision:
         assert all(a == b for a, b in verdict.entry_map)
 
     def test_ladder_anchors_disagree_on_least_entry(self):
-        left = ladder_tnorm("limit-left")
-        right = ladder_tnorm("limit-right")
+        left = LadderGenerator("limit-left")
+        right = LadderGenerator("limit-right")
         for depth in range(4, 17):
             verdict = decide_iso_lazy(left, right, depth)
             assert verdict.tag == "MinimumExistsMismatch(P)"
@@ -238,7 +235,7 @@ class TestLazyDecision:
 
     def test_order_with_least_element_shows_a_min_gap(self):
         t1 = order_tnorm(parse_order("omega"))
-        t2 = ladder_tnorm("limit-right")
+        t2 = LadderGenerator("limit-right")
         verdict = decide_iso_lazy(t1, t2, 6)
         assert verdict.tag == "MinimumExistsMismatch(M)"
 
@@ -249,8 +246,8 @@ class TestLazyDecision:
         assert verdict.tag == "MaximumExistsMismatch(M)"
 
     def test_cantor_middle_third_vs_svc_is_iso(self):
-        t1 = gap_tnorm(parse_system("cantor:middle-third"))
-        t2 = gap_tnorm(parse_system("cantor:svc"))
+        t1 = CantorGapGenerator(parse_system("cantor:middle-third"))
+        t2 = CantorGapGenerator(parse_system("cantor:svc"))
         verdict = decide_iso_lazy(t1, t2, 8)
         assert isinstance(verdict, Iso)
         pairs = verdict.entry_map
@@ -260,8 +257,8 @@ class TestLazyDecision:
                 assert (a1.lo < a2.lo) == (b1.lo < b2.lo)
 
     def test_cantor_middle_third_vs_non_e(self):
-        t1 = gap_tnorm(parse_system("cantor:middle-third"))
-        t2 = gap_tnorm(parse_system("cantor:non-e"))
+        t1 = CantorGapGenerator(parse_system("cantor:middle-third"))
+        t2 = CantorGapGenerator(parse_system("cantor:non-e"))
         for depth in range(2, 9):
             verdict = decide_iso_lazy(t1, t2, depth)
             assert verdict.tag == "MinimumExistsMismatch(P)"
@@ -292,7 +289,7 @@ class TestLazyDecision:
 
     def test_dense_pairs_match_by_back_and_forth(self):
         t1 = order_tnorm(parse_order("eta"))
-        t2 = gap_tnorm(parse_system("cantor:middle-third"))
+        t2 = CantorGapGenerator(parse_system("cantor:middle-third"))
         verdict = decide_iso_lazy(t1, t2, 8)
         assert isinstance(verdict, Iso)
         assert len(verdict.entry_map) == 8
@@ -307,14 +304,14 @@ class TestLazyDecision:
     )
     def test_certified_end_must_show_in_the_truncation(self, end, facts):
         # the stub's pieces (1/(n+3), 1/(n+2)) touch neither 0 nor 1
-        t1 = TNorm(StubGenerator("a", facts(True)))
-        t2 = TNorm(StubGenerator("b", facts(False)))
+        t1 = StubGenerator("a", facts(True))
+        t2 = StubGenerator("b", facts(False))
         with pytest.raises(PreconditionError, match=f"^{end} entry certified but not visible"):
             decide_iso_lazy(t1, t2, 5)
 
     def test_unknown_when_no_certificate_applies(self):
-        t1 = TNorm(StubGenerator("a"))
-        t2 = TNorm(StubGenerator("b"))
+        t1 = StubGenerator("a")
+        t2 = StubGenerator("b")
         assert decide_iso_lazy(t1, t2, 5) == Unknown(5)
 
 

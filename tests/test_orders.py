@@ -26,10 +26,11 @@ from ordsum.presentations import parse_presentation_text
 from ordsum.signature import Label, compute_signature
 from ordsum.tnorm import (
     IDEMPOTENT,
+    FinitePresentation,
     InPiece,
     Piece,
+    PieceGenerator,
     PreconditionError,
-    TNorm,
     UnknownAtDepth,
     check_axioms,
 )
@@ -260,17 +261,17 @@ def test_parse_order():
 
 def test_finite_order_tnorm_is_finite():
     t = order_tnorm(FiniteOrder([1, 0]))
-    assert t.is_finite
+    assert isinstance(t, FinitePresentation)
     assert [(p.lo, p.hi) for p in t.pieces] == [(F(1, 9), F(2, 9)), (F(1, 3), F(2, 3))]
     assert all(p.kind is Label.P for p in t.pieces)
 
 
 def test_lazy_order_tnorm_basics():
     t = order_tnorm(OmegaOrder())
-    assert not t.is_finite
+    assert isinstance(t, PieceGenerator)
     value, bound = t.eval_approx(F(1, 2), F(1, 2), 1)
     assert (value, bound) == (F(5, 12), F(1, 3))
-    assert t.generator.family == "theta omega"
+    assert t.family == "theta omega"
     report = check_axioms(t.truncation(4), [F(i, 12) for i in range(13)])
     assert report.ok
 
@@ -289,7 +290,7 @@ def test_truncations_approach_each_other_within_bound(family):
     grid = [F(i, 8) for i in range(9)]
     for n in [1, 2, 4]:
         deep = t.truncation(n + 8)
-        bound = 2 * t.generator.tail_length_bound(n)
+        bound = 2 * t.tail_length_bound(n)
         # grid points can all miss the pieces past n, where the two differ
         pts = grid + [(p.lo + p.hi) / 2 for p in deep.pieces]
         errors = []
@@ -339,7 +340,7 @@ def test_certified_gaps_omega_star():
 def test_certified_gaps_eta_empty():
     gen = OrderPieceGenerator(EtaOrder())
     assert gen.certified_m_gaps(8) == []
-    assert compute_signature(TNorm(gen), 8).successor_pair() is None
+    assert compute_signature(gen, 8).successor_pair() is None
 
 
 def test_successor_pair_shares_endpoint():

@@ -99,6 +99,31 @@ def test_exported_names_are_used():
     assert not unused, f"exported but used by no module or benchmark: {unused}"
 
 
+def test_traced_layers_name_live_code(monkeypatch):
+    # the benchmark's tracer wraps a `module:Class` layer on each class of
+    # the subclass tree that defines it, and skips the others silently
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("tracing").LAYERS
+    for name in MODULES:
+        importlib.import_module(f"ordsum.{name}")
+    dead = []
+    for span, spec, attr in layers:
+        module_name, _, class_name = spec.partition(":")
+        target = getattr(importlib.import_module(module_name), class_name or attr, None)
+        if not class_name:
+            live = callable(target)
+        else:
+            tree, live = ([target] if target else []), False
+            while tree and not live:
+                cls = tree.pop()
+                method = vars(cls).get(attr)
+                live = method is not None and not getattr(method, "__isabstractmethod__", False)
+                tree.extend(cls.__subclasses__())
+        if not live:
+            dead.append(span)
+    assert not dead, f"traced layers with no code to wrap: {dead}"
+
+
 def test_label_is_shared():
     from ordsum.signature import Label as SignatureLabel
     from ordsum.tnorm import Label

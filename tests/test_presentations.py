@@ -10,13 +10,13 @@ from ordsum.presentations import (
     format_presentation,
     parse_presentation_text,
 )
-from ordsum.tnorm import Label
+from ordsum.tnorm import FinitePresentation, Label, PieceGenerator
 
 
 def test_finite_round_trip():
     text = "tnorm v1\npiece 1/4 1/2 P\npiece 1/2 3/4 L\n"
     t = parse_presentation_text(text)
-    assert t.is_finite
+    assert isinstance(t, FinitePresentation)
     assert [(p.lo, p.hi, p.kind) for p in t.pieces] == [
         (F(1, 4), F(1, 2), Label.P),
         (F(1, 2), F(3, 4), Label.L),
@@ -32,7 +32,7 @@ def test_non_reduced_rationals_accepted():
 
 def test_header_only_is_the_minimum():
     t = parse_presentation_text("tnorm v1\n")
-    assert t.is_finite and t.pieces == ()
+    assert isinstance(t, FinitePresentation) and t.pieces == ()
     assert t.eval(F(1, 3), F(1, 2)) == F(1, 3)
 
 
@@ -53,21 +53,21 @@ def test_pieces_reordered_on_output():
 def test_ladder_families(name):
     text = f"tnorm v1\nfamily {name}\n"
     t = parse_presentation_text(text)
-    assert not t.is_finite
-    assert t.generator.family == name
+    assert isinstance(t, PieceGenerator)
+    assert t.family == name
     assert format_presentation(t) == text
 
 
 def test_theta_family_named_order():
     text = "tnorm v1\nfamily theta omega\n"
     t = parse_presentation_text(text)
-    assert t.generator.family == "theta omega"
+    assert t.family == "theta omega"
     assert format_presentation(t) == text
 
 
 def test_theta_family_finite_order_collapses_to_pieces():
     t = parse_presentation_text("tnorm v1\nfamily theta finite:1,0\n")
-    assert t.is_finite and len(t.pieces) == 2
+    assert isinstance(t, FinitePresentation) and len(t.pieces) == 2
     assert format_presentation(t) == (
         "tnorm v1\npiece 1/9 2/9 P\npiece 1/3 2/3 P\n"
     )
@@ -76,7 +76,7 @@ def test_theta_family_finite_order_collapses_to_pieces():
 def test_cantor_family():
     text = "tnorm v1\nfamily cantor cantor:svc\n"
     t = parse_presentation_text(text)
-    assert t.generator.family == "cantor cantor:svc"
+    assert t.family == "cantor cantor:svc"
     assert format_presentation(t) == text
 
 
@@ -85,7 +85,7 @@ def test_lazy_family_round_trip(line):
     # a family's file line is its generator's `family`
     text = f"tnorm v1\nfamily {line}\n"
     t = parse_presentation_text(text)
-    assert t.generator.family == line
+    assert t.family == line
     assert format_presentation(t) == text
 
 
@@ -102,6 +102,7 @@ def test_lazy_family_round_trip(line):
         ("tnorm v1\npiece 1/4 5e-1 P\n", "bad rational '5e-1'"),
         ("tnorm v1\npiece -0 1/2 P\n", "bad rational"),
         ("tnorm v1\npiece 1/4 +1/2 P\n", "bad rational"),
+        ("tnorm v1\npiece ١/٤ 1/2 P\n", "bad rational '١/٤'"),
         ("tnorm v1\npiece 1/2 1/4 P\n", "lo < hi"),
         ("tnorm v1\npiece 1/2 3/2 P\n", "line 2"),
         ("tnorm v1\npiece 0 1/2 P\npiece 1/4 3/4 L\n", "overlap"),

@@ -269,6 +269,6 @@ def test_parse_and_format():
     assert parse_rational("4/6") == Fraction(2, 3)
     assert parse_rational("1") == Fraction(1)
     assert parse_rational(" 0 ") == Fraction(0)
-    for bad in ["", "a", "1/2/3", "-1/2", "0.5", "1/0"]:
+    for bad in ["", "a", "1/2/3", "-1/2", "0.5", "1/0", "١/٢", "３", "1/٢"]:
         with pytest.raises(ValueError):
             parse_rational(bad)

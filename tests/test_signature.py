@@ -14,11 +14,11 @@ from ordsum.signature import (
     format_signature,
 )
 from ordsum.presentations import parse_presentation_text
-from ordsum.tnorm import FinitePresentation, Piece, TNorm
+from ordsum.tnorm import FinitePresentation, Piece
 
 
 def tn(*spec):
-    return TNorm(FinitePresentation(tuple(Piece(F(a), F(b), k) for a, b, k in spec)))
+    return FinitePresentation(tuple(Piece(F(a), F(b), k) for a, b, k in spec))
 
 
 TWO_PIECE = tn(("1/4", "1/2", Label.P), ("1/2", "3/4", Label.L))

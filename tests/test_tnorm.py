@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from ordsum.cli import GRID_21
 from ordsum.tnorm import (
+    IDEMPOTENT,
     AxiomReport,
     FinitePresentation,
+    InPiece,
     Label,
     Piece,
-    PreconditionError,
+    PieceGenerator,
     TNorm,
     Violation,
     check_axioms,
@@ -28,7 +30,7 @@ L = Label.L
 
 
 def tn(*spec):
-    return TNorm(FinitePresentation(tuple(Piece(F(a), F(b), k) for a, b, k in spec)))
+    return FinitePresentation(tuple(Piece(F(a), F(b), k) for a, b, k in spec))
 
 
 MINIMUM = tn()
@@ -92,9 +94,9 @@ def test_piece_labeled_m_rejected():
 
 
 def test_gaps():
-    assert MINIMUM.presentation.gaps() == [(F(0), F(1))]
-    assert PRODUCT.presentation.gaps() == []
-    assert TWO_PIECE.presentation.gaps() == [(F(0), F(1, 4)), (F(3, 4), F(1))]
+    assert MINIMUM.gaps() == [(F(0), F(1))]
+    assert PRODUCT.gaps() == []
+    assert TWO_PIECE.gaps() == [(F(0), F(1, 4)), (F(3, 4), F(1))]
 
 
 def test_check_axioms_clean():
@@ -108,14 +110,14 @@ def test_check_axioms_clean():
 class _BrokenMaxCrossPiece:
     """Evaluator that wrongly uses max across pieces; must be caught."""
 
-    def __init__(self, base: TNorm):
+    def __init__(self, base: FinitePresentation):
         self._base = base
 
     def eval(self, x, y):
         base = self._base
-        i = base.presentation.piece_index_of(x)
-        if i is not None and i == base.presentation.piece_index_of(y):
-            return base.presentation.pieces[i].combine(x, y)
+        i = base.piece_index_of(x)
+        if i is not None and i == base.piece_index_of(y):
+            return base.pieces[i].combine(x, y)
         return max(x, y)
 
 
@@ -213,7 +215,7 @@ def _presentations(draw):
         kind = draw(st.sampled_from([None, P, L]))
         if kind is not None:
             pieces.append(Piece(lo, hi, kind))
-    return TNorm(FinitePresentation(tuple(pieces))), cuts
+    return FinitePresentation(tuple(pieces)), cuts
 
 
 @given(data=st.data())
@@ -253,10 +255,9 @@ def test_check_axioms_eval_budget(finite_corpus):
 
 
 def _eval_by_two_lookups(t, x, y):
-    pres = t.presentation
-    i = pres.piece_index_of(x)
-    if i is not None and i == pres.piece_index_of(y):
-        return pres.pieces[i].combine(x, y)
+    i = t.piece_index_of(x)
+    if i is not None and i == t.piece_index_of(y):
+        return t.pieces[i].combine(x, y)
     return min(x, y)
 
 
@@ -281,7 +282,7 @@ def test_find_idempotent_power_structural():
 
 def test_nilpotency_closed_form_matches_iteration():
     piece = Piece(F(1, 5), F(4, 5), L)
-    t = TNorm(FinitePresentation((piece,)))
+    t = FinitePresentation((piece,))
     for q in (F(1, 4), F(1, 2), F(3, 5), F(7, 10), F(79, 100)):
         want = piece.nilpotency_index(q)
         value = q
@@ -292,11 +293,35 @@ def test_nilpotency_closed_form_matches_iteration():
         assert steps == want
 
 
+def test_tnorm_is_the_abstract_base_of_both_kinds():
+    assert isinstance(TWO_PIECE, TNorm) and issubclass(PieceGenerator, TNorm)
+    assert TNorm.__slots__ == ()
+    with pytest.raises(TypeError):
+        TNorm()
+
+
+def test_finite_locate(finite_corpus):
+    for t in finite_corpus:
+        pts = set(GRID_21)
+        for p in t.pieces:
+            pts |= {p.lo, p.hi, (p.lo + p.hi) / 2}
+        for q in pts:
+            placed = t.locate(q, 1)
+            assert (placed is IDEMPOTENT) == (t.eval(q, q) == q), (t, q)
+            if placed is not IDEMPOTENT:
+                assert isinstance(placed, InPiece)
+                holders = [i for i, p in enumerate(t.pieces) if p.lo < q < p.hi]
+                assert holders == [placed.index] and placed.piece == t.pieces[placed.index]
+        for q in (F(-1, 2), F(3, 2)):
+            with pytest.raises(ValueError):
+                t.locate(q, 1)
+
+
 def test_finite_has_no_truncation_or_approx():
-    with pytest.raises(PreconditionError):
-        TWO_PIECE.truncation(3)
-    with pytest.raises(PreconditionError):
-        TWO_PIECE.eval_approx(F(1, 2), F(1, 2), 4)
+    # truncations and approximate values belong to lazy presentations
+    for name in ("truncation", "eval_approx"):
+        assert not hasattr(FinitePresentation, name)
+        assert not hasattr(TWO_PIECE, name)
 
 
 unit = st.fractions(min_value=0, max_value=1, max_denominator=60)
