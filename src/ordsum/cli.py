@@ -28,6 +28,9 @@ from .tnorm import Label, PieceGenerator, PreconditionError, check_axioms
 
 GRID_21 = tuple(Fraction(i, 20) for i in range(21))
 LAZY_TRUNCATION = 12
+# a surface prints grid^2 cells; at 1000 the worst case, one Product
+# piece over [0, 1], runs the piece formula on every cell (README)
+MAX_SURFACE_GRID = 1000
 
 
 def _cmd_eval(args) -> int:
@@ -125,15 +128,19 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    if args.grid < 2:
+        raise PreconditionError("grid needs at least two sample points per axis")
+    if args.grid > MAX_SURFACE_GRID:
+        raise PreconditionError(
+            f"grid {args.grid} exceeds the limit of {MAX_SURFACE_GRID} points per axis"
+        )
     t = load_presentation(args.file)
     if isinstance(t, PieceGenerator):
         t = t.truncation(LAZY_TRUNCATION)
-    if args.grid < 2:
-        raise PreconditionError("grid needs at least two sample points per axis")
     pts = [Fraction(i, args.grid - 1) for i in range(args.grid)]
     print("," + ",".join(str(p) for p in pts))
-    for x in pts:
-        print(",".join([str(x)] + [str(t.eval(x, y)) for y in pts]))
+    for x, row in zip(pts, t.rows(pts)):
+        print(",".join([str(x)] + [str(v) for v in row]))
     return 0
 
 
@@ -195,9 +202,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("count", type=int)
     p.set_defaults(run=_cmd_roundtrip)
 
-    p = sub.add_parser("surface", help="comma-separated evaluation grid")
+    p = sub.add_parser("surface", help="comma-separated grid of x * y at evenly spaced "
+                       "points (lazy: the 12-piece truncation)")
     p.add_argument("file")
-    p.add_argument("grid", type=int)
+    p.add_argument("grid", type=int,
+                   help=f"sample points per axis, 2 to {MAX_SURFACE_GRID}")
     p.set_defaults(run=_cmd_surface)
 
     return parser

@@ -78,7 +78,8 @@ def check_unit(q: Fraction) -> Fraction:
     """Return q unchanged, raising ValueError unless 0 <= q <= 1."""
     if not isinstance(q, Fraction):
         raise ValueError(f"expected a Fraction, got {q!r}")
-    if q < 0 or q > 1:
+    # a Fraction's denominator is positive, so integer comparisons decide it
+    if not 0 <= q.numerator <= q.denominator:
         raise ValueError(f"{q} lies outside [0, 1]")
     return q
 

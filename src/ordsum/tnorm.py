@@ -20,7 +20,7 @@ so evaluation at truncation N carries the exact error bound
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
 from itertools import pairwise
@@ -252,6 +252,32 @@ class FinitePresentation(TNorm):
             if piece.lo <= y <= piece.hi:
                 return piece.combine(x, y)
         return min(x, y)
+
+    def rows(self, points):
+        """Yield the row [x * y for y in points] for each x in points, in order.
+
+        `points` must be strictly increasing in [0, 1]; they are checked
+        before the first row.  Off x's piece, x * y is min(x, y), which
+        on a sorted grid is the point of smaller position.  So each
+        point is placed once, each piece's closure becomes a range of
+        positions, and only the cells in that range run the piece
+        formula: the rows equal `eval`'s values without comparing
+        cells.  Each row is built when it is asked for.
+        """
+        pts = [check_unit(q) for q in points]
+        for a, b in pairwise(pts):
+            if a >= b:
+                raise ValueError(f"points must be strictly increasing, got {a} then {b}")
+        spans = [(bisect_left(pts, p.lo), bisect_right(pts, p.hi)) for p in self.pieces]
+        n = len(pts)
+        for i, x in enumerate(pts):
+            row = pts[:i] + [x] * (n - i)
+            k = self.piece_index_of(x)
+            if k is not None:
+                piece = self.pieces[k]
+                lo, hi = spans[k]
+                row[lo:hi] = [piece.combine(x, y) for y in pts[lo:hi]]
+            yield row
 
     def locate(self, q: Fraction, depth: int):
         """Exact placement; the depth is ignored."""

@@ -1,8 +1,13 @@
 """Command-level tests: golden outputs and exit codes."""
 
+from fractions import Fraction as F
+
 import pytest
 
-from ordsum.cli import main
+import ordsum.cli
+from ordsum.cli import LAZY_TRUNCATION, MAX_SURFACE_GRID, main
+from ordsum.presentations import load_presentation
+from ordsum.tnorm import FinitePresentation, Piece
 
 PAIR_A_TEXT = "tnorm v1\npiece 1/4 1/2 P\npiece 1/2 3/4 L\n"
 PAIR_B_TEXT = "tnorm v1\npiece 1/10 1/5 P\npiece 1/5 9/10 L\n"
@@ -367,6 +372,64 @@ class TestSurface:
 
     def test_degenerate_grid(self, write, capsys):
         assert main(["surface", write("t", LUK_TEXT), "1"]) == 3
+
+    @pytest.mark.parametrize("grid", ["0", "1", str(MAX_SURFACE_GRID + 1), "10000000"])
+    def test_grid_outside_the_budget_exits_before_loading(self, grid, monkeypatch, capsys):
+        def no_load(path):
+            pytest.fail("the grid is checked before the file is loaded")
+
+        monkeypatch.setattr(ordsum.cli, "load_presentation", no_load)
+        assert main(["surface", "unread.tnorm", grid]) == 3
+        assert capsys.readouterr().err.startswith("error: grid")
+
+    def test_grid_at_the_budget_is_accepted(self, monkeypatch, capsys):
+        # reaching the loader shows the limit itself passes the check
+        def missing(path):
+            raise OSError("loader reached")
+
+        monkeypatch.setattr(ordsum.cli, "load_presentation", missing)
+        assert main(["surface", "unread.tnorm", str(MAX_SURFACE_GRID)]) == 2
+        assert capsys.readouterr().err == "error: loader reached\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 1/3, 5/9 and 8/9 are grid points, and 1/3 is a shared endpoint
+            "tnorm v1\npiece 0 1/3 L\npiece 1/3 5/9 P\npiece 8/9 1 P\n",
+            "tnorm v1\nfamily limit-right\n",
+        ],
+    )
+    def test_cells_run_the_piece_formula_only_in_x_piece(self, text, write, monkeypatch, capsys):
+        f = write("t", text)
+        t = load_presentation(f)
+        if not isinstance(t, FinitePresentation):
+            t = t.truncation(LAZY_TRUNCATION)
+        spans = [(p.lo, p.hi) for p in t.pieces]
+        pts = [F(i, 99) for i in range(100)]
+        want = 0
+        for x in pts:
+            # x reads the formula of the last piece whose closure holds it
+            holders = [(lo, hi) for lo, hi in spans if lo <= x <= hi]
+            if holders:
+                lo, hi = holders[-1]
+                want += sum(lo <= y <= hi for y in pts)
+        assert want > 0
+
+        calls = {"eval": 0, "combine": 0}
+        eval_, combine = FinitePresentation.eval, Piece.combine
+
+        def counted_eval(self, x, y):
+            calls["eval"] += 1
+            return eval_(self, x, y)
+
+        def counted_combine(self, x, y):
+            calls["combine"] += 1
+            return combine(self, x, y)
+
+        monkeypatch.setattr(FinitePresentation, "eval", counted_eval)
+        monkeypatch.setattr(Piece, "combine", counted_combine)
+        assert main(["surface", f, "100"]) == 0
+        assert calls == {"eval": 0, "combine": want}
 
 
 def test_no_command_is_a_usage_error():

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordsum.rationals import (
+    check_unit,
     count_up_to,
     fractions_up_to,
     min_entry_in,
@@ -272,3 +273,19 @@ def test_parse_and_format():
     for bad in ["", "a", "1/2/3", "-1/2", "0.5", "1/0", "١/٢", "３", "1/٢"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+
+@given(st.fractions(min_value=-2, max_value=3, max_denominator=50))
+@settings(max_examples=200, deadline=None)
+def test_check_unit_matches_the_order_of_fractions(q):
+    if 0 <= q <= 1:
+        assert check_unit(q) is q
+    else:
+        with pytest.raises(ValueError, match="outside"):
+            check_unit(q)
+
+
+def test_check_unit_needs_a_fraction():
+    for q in (0, 1, 0.5, "1/2"):
+        with pytest.raises(ValueError, match="expected a Fraction"):
+            check_unit(q)

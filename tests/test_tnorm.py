@@ -5,12 +5,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import product
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordsum.cli import GRID_21
+from conftest import LAZY_FAMILY_LINES
+
+from ordsum.cli import GRID_21, LAZY_TRUNCATION
+from ordsum.presentations import parse_presentation_text
 from ordsum.tnorm import (
     IDEMPOTENT,
     AxiomReport,
@@ -342,3 +346,52 @@ def test_monotone_pointwise(x, x2, y):
     t = TWO_PIECE
     lo, hi = min(x, x2), max(x, x2)
     assert t.eval(lo, y) <= t.eval(hi, y)
+
+
+def _rows_by_eval(t, pts):
+    return [[t.eval(x, y) for y in pts] for x in pts]
+
+
+def test_rows_match_eval_on_the_corpus(finite_corpus):
+    for t in finite_corpus:
+        pts = set(GRID_21)
+        for p in t.pieces:
+            pts |= {p.lo, p.hi, (p.lo + p.hi) / 2, p.lo + p.width / 7}
+        pts = sorted(pts)
+        rows = t.rows(pts)
+        assert isinstance(rows, GeneratorType)
+        assert list(rows) == _rows_by_eval(t, pts), t
+        assert list(t.rows([])) == []
+        assert list(t.rows([F(1, 2)])) == [[t.eval(F(1, 2), F(1, 2))]]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_rows_match_eval_on_random_presentations(data):
+    # the cuts hold 0, 1 and every piece endpoint, shared ones included
+    t, cuts = data.draw(_presentations())
+    interior = data.draw(st.lists(unit, max_size=12))
+    pts = sorted(set(cuts) | set(interior))
+    assert list(t.rows(pts)) == _rows_by_eval(t, pts)
+
+
+@pytest.mark.parametrize("line", LAZY_FAMILY_LINES)
+def test_rows_match_eval_on_lazy_truncations(line):
+    t = parse_presentation_text(f"tnorm v1\nfamily {line}\n").truncation(LAZY_TRUNCATION)
+    for pts in (GRID_21, [F(i, 99) for i in range(100)]):
+        assert list(t.rows(pts)) == _rows_by_eval(t, pts)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [F(1, 2), F(1, 4)],
+        [F(0), F(1, 4), F(1, 4), F(1)],
+        [F(-1, 2), F(1, 2)],
+        [F(1, 2), F(3, 2)],
+        [0, F(1)],
+    ],
+)
+def test_rows_reject_points_not_increasing_in_the_unit_interval(pts):
+    with pytest.raises(ValueError):
+        list(TWO_PIECE.rows(pts))
