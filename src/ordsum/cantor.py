@@ -43,7 +43,6 @@ __all__ = [
     "MiddleThirdRule",
     "SvcRule",
     "NonERule",
-    "GapOrderFacts",
     "parse_system",
     "expand",
     "analyze_gap_order",
@@ -69,9 +68,6 @@ class MiddleThirdRule:
         a, b = lo + w / 3, hi - w / 3
         return ((lo, a), (b, hi)), ((a, b),)
 
-    def gap_length(self, depth: int) -> Fraction:
-        return Fraction(1, 3 ** (depth + 1))
-
 
 class SvcRule:
     """Fat-Cantor variant: ever smaller centered removals, positive leftover."""
@@ -85,12 +81,9 @@ class SvcRule:
     def split(self, box: Box, depth: int) -> Split:
         lo, hi = box
         mid = (lo + hi) / 2
-        half = self.gap_length(depth) / 2
+        half = Fraction(1, 2 * 4 ** (depth + 1))
         a, b = mid - half, mid + half
         return ((lo, a), (b, hi)), ((a, b),)
-
-    def gap_length(self, depth: int) -> Fraction:
-        return Fraction(1, 4 ** (depth + 1))
 
 
 class NonERule:
@@ -107,9 +100,6 @@ class NonERule:
         w = hi - lo
         a, b, c = lo + w / 4, lo + w / 2, lo + 3 * w / 4
         return ((a, b), (c, hi)), ((lo, a), (b, c))
-
-    def gap_length(self, depth: int) -> Fraction:
-        return Fraction(1, 4 ** (depth + 1))
 
 
 _Rule = MiddleThirdRule | SvcRule | NonERule
@@ -158,36 +148,14 @@ def expand(rule: _Rule, depth: int) -> tuple[Box, ...]:
     return tuple(islice(_walk(rule), count))
 
 
-class GapOrderFacts:
-    """The gaps of one expansion, left to right, and certified order facts
-    about the full gap collection (None = unknown)."""
-
-    __slots__ = (
-        "depth", "gaps", "property_e", "dense", "has_min", "has_max", "successor_witness"
-    )
-
-    def __init__(
-        self,
-        depth: int,
-        gaps: list[Box],
-        property_e: bool,
-        dense: bool | None,
-        has_min: bool | None,
-        has_max: bool | None,
-        successor_witness: tuple[Box, Box] | None,
-    ):
-        self.depth, self.gaps, self.property_e = depth, gaps, property_e
-        self.dense, self.has_min, self.has_max = dense, has_min, has_max
-        self.successor_witness = successor_witness
-
-
-def _in_order(rule: _Rule, depth: int) -> list[Box]:
+def analyze_gap_order(rule: _Rule, depth: int) -> list[Box]:
     """The gaps of `expand(rule, depth)` left to right.
 
     An in-order walk of the box tree: the stack holds the parts (child
     boxes and gaps) of the nodes on the current path, O(depth) of them,
     with the leftmost part of the deepest node on top.
     """
+    _check_depth(depth)
     out: list[Box] = []
     stack = [((Fraction(0), Fraction(1)), 0)] if depth else []  # (box, level) or (gap, None)
     while stack:
@@ -203,25 +171,6 @@ def _in_order(rule: _Rule, depth: int) -> list[Box]:
             parts.sort(key=lambda part: part[0][0], reverse=True)
             stack += parts
     return out
-
-
-def analyze_gap_order(rule: _Rule, depth: int) -> GapOrderFacts:
-    """The gaps of `expand(rule, depth)` and the order facts of all gaps.
-
-    `property_e`, `has_min` and `has_max` are the generator's
-    `StructuralFacts`, which hold for the complete gap order at every depth.
-    """
-    _check_depth(depth)
-    gaps = _in_order(rule, depth)
-    facts = CantorGapGenerator(rule).facts
-    i = first_shared_endpoint(gaps)
-    witness = None if i is None else (gaps[i], gaps[i + 1])
-    property_e = facts.dense_no_endpoints
-    # a successor pair refutes density; without property E nothing certifies it
-    dense = True if property_e else (False if witness is not None else None)
-    return GapOrderFacts(
-        depth, gaps, property_e, dense, facts.has_min_piece, facts.has_max_piece, witness
-    )
 
 
 class CantorGapGenerator(PieceGenerator):
@@ -243,27 +192,21 @@ class CantorGapGenerator(PieceGenerator):
             dense_no_endpoints=rule.keeps_left_endpoint and rule.keeps_right_endpoint,
         )
 
+    def _first_gaps(self, count: int) -> list[Box]:
+        gaps = self._gaps
+        if count > len(gaps):
+            gaps.extend(islice(self._walk, count - len(gaps)))
+        return gaps
+
     def piece_at(self, n: int) -> Piece:
         if n < 0:
             raise PreconditionError(f"negative piece index {n}")
-        gaps = self._gaps
-        if n >= len(gaps):
-            gaps.extend(islice(self._walk, n + 1 - len(gaps)))
-        lo, hi = gaps[n]
+        lo, hi = self._first_gaps(n + 1)[n]
         return Piece(lo, hi, Label.P)
 
     def tail_length_bound(self, n: int) -> Fraction:
-        tail = self.rule.total_gap_length
-        per = self.rule.gaps_per_node
-        depth = 0
-        remaining = n
-        while remaining > 0:
-            level_count = per * 2**depth
-            used = min(remaining, level_count)
-            tail -= used * self.rule.gap_length(depth)
-            remaining -= used
-            depth += 1
-        return tail
+        """Exact: the rule's total gap length less the widths of gaps 0..n-1."""
+        return self.rule.total_gap_length - sum(hi - lo for lo, hi in self._first_gaps(n)[:n])
 
     def locate(self, q: Fraction, depth: int):
         """Descend the box tree at most `depth` levels looking for q's gap.
@@ -300,19 +243,30 @@ def _tri(value: bool | None) -> str:
     return "unknown" if value is None else str(value).lower()
 
 
-def format_gap_order(facts: GapOrderFacts) -> str:
-    """The gap dump, left to right, then one line per order fact."""
-    lines = [f"gaps depth={facts.depth} count={len(facts.gaps)}"]
-    lines.extend(f"( {lo} , {hi} )" for lo, hi in facts.gaps)
+def format_gap_order(rule: _Rule, depth: int) -> str:
+    """The gap dump, left to right, then one line per order fact of all gaps.
+
+    Property E, `has_min` and `has_max` are the generator's
+    `StructuralFacts`, which hold for the complete gap order at every
+    depth; a successor pair among the gaps refutes density.
+    """
+    gaps = analyze_gap_order(rule, depth)
+    facts = CantorGapGenerator(rule).facts
+    property_e = facts.dense_no_endpoints
+    i = first_shared_endpoint(gaps)
+    # without property E only a successor pair certifies anything
+    dense = True if property_e else (None if i is None else False)
+    lines = [f"gaps depth={depth} count={len(gaps)}"]
+    lines.extend(f"( {lo} , {hi} )" for lo, hi in gaps)
     lines += [
-        f"property_E {_tri(facts.property_e)}",
-        f"dense {_tri(facts.dense)}",
-        f"has_min {_tri(facts.has_min)}",
-        f"has_max {_tri(facts.has_max)}",
+        f"property_E {_tri(property_e)}",
+        f"dense {_tri(dense)}",
+        f"has_min {_tri(facts.has_min_piece)}",
+        f"has_max {_tri(facts.has_max_piece)}",
     ]
-    if facts.successor_witness is None:
+    if i is None:
         lines.append("successor_witness none")
     else:
-        (a, b), (c, d) = facts.successor_witness
+        (a, b), (c, d) = gaps[i], gaps[i + 1]
         lines.append(f"successor_witness ( {a} , {b} ) ( {c} , {d} )")
     return "\n".join(lines) + "\n"

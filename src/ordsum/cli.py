@@ -24,7 +24,7 @@ from functools import cmp_to_key
 # inside its function, so a command loads only what it uses.
 from .presentations import PresentationError, load_presentation
 from .rationals import min_entry_in, parse_rational
-from .tnorm import Label, PieceGenerator, PreconditionError, check_axioms
+from .tnorm import Label, PieceGenerator, PreconditionError, UnknownAtDepth, check_axioms
 
 GRID_21 = tuple(Fraction(i, 20) for i in range(21))
 LAZY_TRUNCATION = 12
@@ -65,7 +65,7 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    from .iso import Unknown, decide_iso_finite, decide_iso_lazy, format_verdict
+    from .iso import decide_iso_finite, decide_iso_lazy, format_verdict
     from .signature import compute_signature
 
     t1 = load_presentation(args.file_a)
@@ -75,7 +75,7 @@ def _cmd_iso(args) -> int:
     else:
         verdict = decide_iso_finite(compute_signature(t1), compute_signature(t2))
     sys.stdout.write(format_verdict(verdict))
-    return 4 if isinstance(verdict, Unknown) else 0
+    return 4 if isinstance(verdict, UnknownAtDepth) else 0
 
 
 def _cmd_theta(args) -> int:
@@ -96,9 +96,9 @@ def _cmd_from_lo(args) -> int:
 
 
 def _cmd_cantor(args) -> int:
-    from .cantor import analyze_gap_order, format_gap_order, parse_system
+    from .cantor import format_gap_order, parse_system
 
-    sys.stdout.write(format_gap_order(analyze_gap_order(parse_system(args.system), args.depth)))
+    sys.stdout.write(format_gap_order(parse_system(args.system), args.depth))
     return 0
 
 

@@ -20,12 +20,11 @@ from fractions import Fraction
 
 from .rationals import check_unit
 from .signature import Signature, SignatureEntry, compute_signature
-from .tnorm import PieceGenerator, PreconditionError, Record, TNorm
+from .tnorm import PieceGenerator, PreconditionError, Record, TNorm, UnknownAtDepth
 
 __all__ = [
     "Iso",
     "NotIso",
-    "Unknown",
     "decide_iso_finite",
     "build_iso_map",
     "decide_iso_lazy",
@@ -66,13 +65,6 @@ class NotIso(Record):
         self.tag, self.detail, self.entries = tag, detail, entries
 
 
-class Unknown(Record):
-    __slots__ = ("depth",)
-
-    def __init__(self, depth: int):
-        self.depth = depth
-
-
 def decide_iso_finite(s1: Signature, s2: Signature) -> Iso | NotIso:
     """Label-sequence comparison of complete signatures."""
     if not (s1.complete and s2.complete):
@@ -106,7 +98,7 @@ def build_iso_map(t1: TNorm, t2: TNorm) -> Iso:
     return verdict
 
 
-def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
+def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownAtDepth:
     """Certificate-driven three-valued decision when a side is lazy.
 
     A finite presentation against a lazy one is always NOT_ISO with a
@@ -177,7 +169,7 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | Unknown:
             return NotIso(
                 "DensityMismatch", "exactly one side is certified dense without endpoints"
             )
-    return Unknown(depth)
+    return UnknownAtDepth(depth)
 
 
 def back_and_forth(s1: Signature, s2: Signature, k: int) -> tuple:
@@ -216,7 +208,7 @@ def back_and_forth(s1: Signature, s2: Signature, k: int) -> tuple:
     return tuple((e1[i], e2[j]) for i, j in matched)
 
 
-def format_verdict(verdict: Iso | NotIso | Unknown) -> str:
+def format_verdict(verdict: Iso | NotIso | UnknownAtDepth) -> str:
     if isinstance(verdict, Iso):
         pairs = verdict.entry_map
         lines = ["ISO"]

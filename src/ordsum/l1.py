@@ -43,10 +43,6 @@ __all__ = [
     "format_l1",
 ]
 
-# exponents `theta_by_probing` iterates before the closed form answers
-POWER_LIMIT = 64
-
-
 class BoundInsufficiency(RuntimeError):
     """A bounded quantifier scan could not certify its answer.
 
@@ -150,12 +146,11 @@ def theta_by_probing(t: TNorm, size: int, denominator_limit: int = 32) -> L1Stru
     """The same structure as `theta`, computed only by probing the operation.
 
     Membership tests follow the characterization through idempotence of
-    powers and min-behavior against earlier indices, with the unbounded
-    quantifiers cut down: power exponents run to POWER_LIMIT (the
-    structural closed form answers beyond it), and scans over "every
-    rational" run over the denominator <= denominator_limit prefix of
-    the enumeration.  A size beyond that prefix is refused, so every
-    index below size is itself a scan rational, and each quantifier
+    powers and min-behavior against earlier indices.  Whether some power
+    is idempotent is `find_idempotent_power`'s closed form; scans over
+    "every rational" run over the denominator <= denominator_limit
+    prefix of the enumeration.  A size beyond that prefix is refused, so
+    every index below size is itself a scan rational, and each quantifier
     reads scan positions: q_i is the scan value at position at[i], and
     "only idempotents strictly between q_i and q_n" is a difference of
     prefix counts.  The scan answers are definitive whenever every
@@ -193,19 +188,9 @@ def theta_by_probing(t: TNorm, size: int, denominator_limit: int = 32) -> L1Stru
         if not idem[p]:
             if not all(t.eval(value[at[i]], qn) == min(value[at[i]], qn) for i in range(n)):
                 continue
-            # an idempotent power e of q has e * q = min(e, q) = e, so q^k
-            # is idempotent exactly when q^(k+1) == q^k: one eval per power
-            power = qn
-            for _ in range(POWER_LIMIT):
-                following = t.eval(power, qn)
-                if following == power:
-                    label = Label.L
-                    break
-                power = following
-            else:
-                search = find_idempotent_power(t, qn, POWER_LIMIT)
-                label = Label.L if search.outcome == "yes" else Label.P
-            witnesses.append((p, n, label))
+            # a finite locate ignores the depth, so the search answers exactly
+            search = find_idempotent_power(t, qn, 1)
+            witnesses.append((p, n, Label.L if search.outcome == "yes" else Label.P))
             continue
         # a min-region companion is an idempotent scan rational with only
         # idempotents, at least one, strictly between it and q_n: the

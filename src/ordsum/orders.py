@@ -366,13 +366,11 @@ def sampled_distance(t1: FinitePresentation, t2: FinitePresentation, grid: int) 
     if grid < 2:
         raise PreconditionError("grid needs at least two sample points per axis")
     pts = [Fraction(i, grid - 1) for i in range(grid)]
-    worst = Fraction(0)
-    for x in pts:
-        for y in pts:
-            diff = abs(t1.eval(x, y) - t2.eval(x, y))
-            if diff > worst:
-                worst = diff
-    return worst
+    return max(
+        abs(a - b)
+        for row1, row2 in zip(t1.rows(pts), t2.rows(pts))
+        for a, b in zip(row1, row2)
+    )
 
 
 def agreement_ball_check(o1: LinearOrder, o2: LinearOrder, n: int, grid: int) -> bool:

@@ -22,11 +22,12 @@ from the recursion
 
 grouped over the O(sqrt n) distinct quotients n // k and memoised in a
 dict that lives for one call, which takes sublinear time.  The position
-inside denominator d is an inclusion-exclusion count over the primes of
-d.  `rational_at` reads the denominator of an index below the table's
-end off the table; past it, it estimates d from Phi(d) ~ 3 d^2 / pi^2
-and corrects the estimate by single totients.  Either way it bisects
-the numerator on the inclusion-exclusion count.
+inside denominator d is an inclusion-exclusion count over the
+squarefree divisors of d, listed once per call.  `rational_at` reads
+the denominator of an index below the table's end off the table; past
+it, it estimates d from Phi(d) ~ 3 d^2 / pi^2 and corrects the
+estimate by single totients.  Either way it bisects the numerator on
+the inclusion-exclusion count.
 The least-index rational of an interval is its Stern-Brocot
 simplest rational, found by continued-fraction descent in O(log d)
 steps.  No cache grows with the input: memory stays flat however deep
@@ -146,11 +147,11 @@ def rational_at(n: int) -> Fraction:
             d += 1
     # the (n - below)-th numerator coprime to d: least p with that many below it
     offset = n - below
-    primes = _distinct_prime_factors(d)
+    divisors = _signed_divisors(d)
     lo, hi = 1, d - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _coprimes_below(mid + 1, primes) > offset:
+        if _coprimes_below(mid + 1, divisors) > offset:
             hi = mid
         else:
             lo = mid + 1
@@ -182,23 +183,17 @@ def _totient(d: int) -> int:
     return result
 
 
-def _coprimes_below(p: int, primes: list[int]) -> int:
-    """Count integers in [1, p) divisible by none of `primes` (inclusion-exclusion)."""
-    total = 0
-    for mask in range(1 << len(primes)):
-        prod = 1
-        bits = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                prod *= primes[i]
-                bits += 1
-            m >>= 1
-            i += 1
-        term = (p - 1) // prod
-        total += -term if bits % 2 else term
-    return total
+def _signed_divisors(d: int) -> list[tuple[int, int]]:
+    """(k, mu(k)) for every squarefree divisor k of d."""
+    out = [(1, 1)]
+    for p in _distinct_prime_factors(d):
+        out += [(k * p, -mu) for k, mu in out]
+    return out
+
+
+def _coprimes_below(p: int, divisors: list[tuple[int, int]]) -> int:
+    """Count integers in [1, p) coprime to d, given d's `_signed_divisors`."""
+    return sum(mu * ((p - 1) // k) for k, mu in divisors)
 
 
 def rational_index(q: Fraction) -> int:
@@ -207,7 +202,7 @@ def rational_index(q: Fraction) -> int:
     p, d = q.numerator, q.denominator
     if d == 1:
         return p
-    return _count(d - 1) + _coprimes_below(p, _distinct_prime_factors(d))
+    return _count(d - 1) + _coprimes_below(p, _signed_divisors(d))
 
 
 def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import LAZY_FAMILY_LINES
 from ordsum.cantor import (
     CantorGapGenerator,
     analyze_gap_order,
@@ -13,6 +14,7 @@ from ordsum.cantor import (
     format_gap_order,
     parse_system,
 )
+from ordsum.presentations import parse_presentation_text
 from ordsum.signature import Label, compute_signature
 from ordsum.tnorm import (
     IDEMPOTENT,
@@ -67,9 +69,15 @@ def middle_third_gap(d, p):
     return F(6 * b + 1, 3 ** (d + 1)), F(6 * b + 2, 3 ** (d + 1))
 
 
+def printed_facts(rule, depth):
+    """The order-fact lines of `format_gap_order`, by name."""
+    lines = format_gap_order(rule, depth).splitlines()[-5:]
+    return dict(line.split(" ", 1) for line in lines)
+
+
 def test_parse_system():
-    assert MT.name == "middle-third" and analyze_gap_order(MT, 0).property_e
-    assert not analyze_gap_order(NONE_SYS, 0).property_e
+    assert MT.name == "middle-third" and CantorGapGenerator(MT).facts.dense_no_endpoints
+    assert not CantorGapGenerator(NONE_SYS).facts.dense_no_endpoints
     for bad in ["middle-third", "cantor:", "cantor:thirds", ""]:
         with pytest.raises(ValueError):
             parse_system(bad)
@@ -186,23 +194,29 @@ def test_property_e():
             for parents, children in zip(levels, levels[1:])
             for i, box in enumerate(parents)
         )
-        assert analyze_gap_order(system, 0).property_e == keeps
-    flags = [analyze_gap_order(system, 0).property_e for system in (MT, SVC, NONE_SYS)]
-    assert flags == [True, True, False]
+        assert CantorGapGenerator(system).facts.dense_no_endpoints == keeps
+    flags = [printed_facts(system, 0)["property_E"] for system in (MT, SVC, NONE_SYS)]
+    assert flags == ["true", "true", "false"]
 
 
 def test_analysis_middle_third():
-    facts = analyze_gap_order(MT, 6)
-    assert (facts.dense, facts.has_min, facts.has_max) == (True, False, False)
-    assert facts.successor_witness is None
+    assert printed_facts(MT, 6) == {
+        "property_E": "true",
+        "dense": "true",
+        "has_min": "false",
+        "has_max": "false",
+        "successor_witness": "none",
+    }
 
 
 def test_analysis_non_e():
-    facts = analyze_gap_order(NONE_SYS, 2)
-    assert facts.has_min is True
-    assert facts.has_max is False
-    assert facts.dense is False
-    assert facts.successor_witness == ((F(0), F(1, 4)), (F(1, 4), F(5, 16)))
+    assert printed_facts(NONE_SYS, 2) == {
+        "property_E": "false",
+        "dense": "false",
+        "has_min": "true",
+        "has_max": "false",
+        "successor_witness": "( 0 , 1/4 ) ( 1/4 , 5/16 )",
+    }
 
 
 def gap_scan_facts(rule, depth):
@@ -227,12 +241,13 @@ def gap_scan_facts(rule, depth):
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
 def test_order_facts_agree_with_gap_scan(system):
+    facts = CantorGapGenerator(system).facts
     for depth in range(13):
-        facts = analyze_gap_order(system, depth)
-        for fact, scanned in zip((facts.has_min, facts.has_max), gap_scan_facts(system, depth)):
+        certified = (facts.has_min_piece, facts.has_max_piece)
+        for fact, scanned in zip(certified, gap_scan_facts(system, depth)):
             if scanned is not None:
-                assert fact is scanned, (depth, facts)
-        gaps = facts.gaps
+                assert fact is scanned, (depth, certified)
+        gaps = analyze_gap_order(system, depth)
         if system.keeps_left_endpoint:
             assert all(lo != 0 for lo, _ in gaps)
         if system.keeps_right_endpoint:
@@ -244,15 +259,15 @@ def test_in_order_walk_sorts_the_expansion(system):
     # analyze_gap_order walks the box tree in order; sorting the
     # removal-order expansion is the reference
     for depth in range(13):
-        assert analyze_gap_order(system, depth).gaps == sorted(expand(system, depth))
+        assert analyze_gap_order(system, depth) == sorted(expand(system, depth))
 
 
 @pytest.mark.parametrize("system", [MT, SVC])
 def test_property_e_systems_show_no_witness(system):
     for depth in range(9):
-        facts = analyze_gap_order(system, depth)
-        assert facts.successor_witness is None
-        assert facts.has_min is False and facts.has_max is False
+        facts = printed_facts(system, depth)
+        assert facts["successor_witness"] == "none"
+        assert facts["has_min"] == facts["has_max"] == "false"
 
 
 def test_generator_enumeration_matches_expansion():
@@ -265,13 +280,23 @@ def test_generator_enumeration_matches_expansion():
 
 
 def test_tail_bound_is_exact_remainder():
-    for system in (MT, SVC, NONE_SYS):
+    for line in LAZY_FAMILY_LINES:
+        gen = parse_presentation_text(f"tnorm v1\nfamily {line}\n")
+        total = gen.tail_length_bound(0)
+        widths = F(0)
+        for n in range(41):
+            assert total - gen.tail_length_bound(n) == widths, (line, n)
+            widths += gen.piece_at(n).width
+    # the gaps not yet removed fill a level's boxes, less the set no gap
+    # ever removes: svc's fat Cantor set has measure 1/2, the others none
+    never_removed = {MT: 0, SVC: F(1, 2), NONE_SYS: 0}
+    for system, kept in never_removed.items():
         gen = CantorGapGenerator(system)
-        running = gen.rule.total_gap_length
-        assert gen.tail_length_bound(0) == running
-        for n, (lo, hi) in enumerate(expand(system, 5)):
-            running -= hi - lo
-            assert gen.tail_length_bound(n + 1) == running
+        levels, _ = oracle_expand(system, 6)
+        for depth, boxes in enumerate(levels):
+            count = system.gaps_per_node * (2**depth - 1)
+            left = sum(hi - lo for lo, hi in boxes) - kept
+            assert gen.tail_length_bound(count) == left, (system.name, depth)
 
 
 def test_locate_middle_third():
@@ -341,7 +366,7 @@ def test_depth_guard():
 
 
 def test_format_gaps():
-    text = format_gap_order(analyze_gap_order(NONE_SYS, 1))
+    text = format_gap_order(NONE_SYS, 1)
     assert text == (
         "gaps depth=1 count=2\n( 0 , 1/4 )\n( 1/2 , 3/4 )\n"
         "property_E false\ndense unknown\nhas_min true\nhas_max false\n"

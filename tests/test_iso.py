@@ -17,7 +17,6 @@ from ordsum.families import LadderGenerator
 from ordsum.iso import (
     Iso,
     NotIso,
-    Unknown,
     back_and_forth,
     build_iso_map,
     decide_iso_finite,
@@ -33,6 +32,7 @@ from ordsum.tnorm import (
     PieceGenerator,
     PreconditionError,
     StructuralFacts,
+    UnknownAtDepth,
 )
 
 
@@ -312,7 +312,7 @@ class TestLazyDecision:
     def test_unknown_when_no_certificate_applies(self):
         t1 = StubGenerator("a")
         t2 = StubGenerator("b")
-        assert decide_iso_lazy(t1, t2, 5) == Unknown(5)
+        assert decide_iso_lazy(t1, t2, 5) == UnknownAtDepth(5)
 
 
 def oracle_back_and_forth(s1, s2, k):
@@ -432,7 +432,7 @@ class TestFormatting:
         assert "position 1" in text
 
     def test_unknown_verdict(self):
-        text = format_verdict(Unknown(7))
+        text = format_verdict(UnknownAtDepth(7))
         assert text.splitlines()[0] == "UNKNOWN depth=7"
 
 

@@ -244,6 +244,10 @@ def coarse_presentations(draw):
     return tn(*pieces)
 
 
+# exponents the oracle iterates before the closed form answers
+ORACLE_POWER_LIMIT = 64
+
+
 def oracle_theta_by_probing(t, size, denominator_limit=32):
     """`theta_by_probing` with every quantifier a scan over the enumeration.
 
@@ -273,13 +277,13 @@ def oracle_theta_by_probing(t, size, denominator_limit=32):
             if not all(t.eval(rational_at(i), qn) == min(rational_at(i), qn) for i in range(n)):
                 continue
             value = qn
-            for _ in range(2, l1.POWER_LIMIT + 1):
+            for _ in range(2, ORACLE_POWER_LIMIT + 1):
                 value = t.eval(value, qn)
                 if t.eval(value, value) == value:
                     label = Label.L
                     break
             else:
-                search = find_idempotent_power(t, qn, l1.POWER_LIMIT)
+                search = find_idempotent_power(t, qn, ORACLE_POWER_LIMIT)
                 label = Label.L if search.outcome == "yes" else Label.P
             witnesses.append((qn, n, label))
             continue
