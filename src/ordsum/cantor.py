@@ -33,7 +33,6 @@ from .tnorm import (
     Piece,
     PieceGenerator,
     PreconditionError,
-    StructuralFacts,
     UnknownAtDepth,
     first_shared_endpoint,
 )
@@ -186,11 +185,9 @@ class CantorGapGenerator(PieceGenerator):
         self._gaps: list[Box] = []  # gaps 0..len-1, read off self._walk
         self._walk = _walk(rule)
         self.family = f"cantor cantor:{rule.name}"
-        self.facts = StructuralFacts(
-            has_min_piece=not rule.keeps_left_endpoint,
-            has_max_piece=not rule.keeps_right_endpoint,
-            dense_no_endpoints=rule.keeps_left_endpoint and rule.keeps_right_endpoint,
-        )
+        self.has_min_piece = not rule.keeps_left_endpoint
+        self.has_max_piece = not rule.keeps_right_endpoint
+        self.dense_no_endpoints = rule.keeps_left_endpoint and rule.keeps_right_endpoint
 
     def _first_gaps(self, count: int) -> list[Box]:
         gaps = self._gaps
@@ -246,13 +243,13 @@ def _tri(value: bool | None) -> str:
 def format_gap_order(rule: _Rule, depth: int) -> str:
     """The gap dump, left to right, then one line per order fact of all gaps.
 
-    Property E, `has_min` and `has_max` are the generator's
-    `StructuralFacts`, which hold for the complete gap order at every
-    depth; a successor pair among the gaps refutes density.
+    Property E, `has_min` and `has_max` are the generator's order facts,
+    which hold for the complete gap order at every depth; a successor
+    pair among the gaps refutes density.
     """
     gaps = analyze_gap_order(rule, depth)
-    facts = CantorGapGenerator(rule).facts
-    property_e = facts.dense_no_endpoints
+    gen = CantorGapGenerator(rule)
+    property_e = gen.dense_no_endpoints
     i = first_shared_endpoint(gaps)
     # without property E only a successor pair certifies anything
     dense = True if property_e else (None if i is None else False)
@@ -261,8 +258,8 @@ def format_gap_order(rule: _Rule, depth: int) -> str:
     lines += [
         f"property_E {_tri(property_e)}",
         f"dense {_tri(dense)}",
-        f"has_min {_tri(facts.has_min_piece)}",
-        f"has_max {_tri(facts.has_max_piece)}",
+        f"has_min {_tri(gen.has_min_piece)}",
+        f"has_max {_tri(gen.has_max_piece)}",
     ]
     if i is None:
         lines.append("successor_witness none")

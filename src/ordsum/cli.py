@@ -19,10 +19,11 @@ import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
-# `main` maps the errors of these three modules to exit codes, so every
-# command loads them.  Each command imports any other module it runs
-# inside its function, so a command loads only what it uses.
-from .presentations import PresentationError, load_presentation
+# Every command loads these three modules: each reads a presentation or
+# a rational, and `main` maps `PreconditionError` to exit 3.  Each
+# command imports any other module it runs inside its function, so a
+# command loads only what it uses.
+from .presentations import load_presentation
 from .rationals import min_entry_in, parse_rational
 from .tnorm import Label, PieceGenerator, PreconditionError, UnknownAtDepth, check_axioms
 
@@ -216,9 +217,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except PresentationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

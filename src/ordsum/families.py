@@ -20,7 +20,6 @@ from .tnorm import (
     Piece,
     PieceGenerator,
     PreconditionError,
-    StructuralFacts,
 )
 
 __all__ = ["LadderGenerator", "LADDER_NAMES"]
@@ -31,24 +30,20 @@ LADDER_NAMES = ("limit-left", "limit-right")
 class LadderGenerator(PieceGenerator):
     """Product rungs accumulating at 1 (limit-left) or at 0 (limit-right)."""
 
-    def __init__(self, anchor: str):
-        if anchor not in LADDER_NAMES:
-            raise ValueError(f"unknown ladder: {anchor!r}")
-        self.anchor = anchor
-        self.family = anchor
-        left = anchor == "limit-left"
-        self.facts = StructuralFacts(
-            has_min_piece=left,
-            has_max_piece=not left,
-            dense_no_endpoints=False,
-        )
+    def __init__(self, name: str):
+        if name not in LADDER_NAMES:
+            raise ValueError(f"unknown ladder: {name!r}")
+        self.family = name
+        self.has_min_piece = name == "limit-left"
+        self.has_max_piece = not self.has_min_piece
+        self.dense_no_endpoints = False
 
     def piece_at(self, n: int) -> Piece:
         if n < 0:
             raise PreconditionError(f"negative piece index {n}")
         lo = Fraction(1, n + 2)
         hi = Fraction(1, n + 1)
-        if self.anchor == "limit-left":
+        if self.family == "limit-left":
             lo, hi = 1 - hi, 1 - lo
         return Piece(lo, hi, Label.P)
 
@@ -58,7 +53,7 @@ class LadderGenerator(PieceGenerator):
 
     def _rung_of(self, q: Fraction) -> int:
         """Index n with q in [piece_at(n).lo, piece_at(n).hi)."""
-        if self.anchor == "limit-left":
+        if self.family == "limit-left":
             # 1 - 1/(n+1) <= q  <=>  n >= 1/(1-q) - 1
             frac = 1 / (1 - q)
         else:
@@ -66,7 +61,7 @@ class LadderGenerator(PieceGenerator):
             # 1/(n+2) <= q, so n = ceil(1/q) - 2
             frac = 1 / q
         n = frac.numerator // frac.denominator
-        if self.anchor == "limit-left":
+        if self.family == "limit-left":
             return n - 1
         if frac.denominator != 1:
             n += 1

@@ -6,8 +6,8 @@ an explicit piecewise-affine witness (affine maps carry Product pieces
 to Product pieces and Lukasiewicz to Lukasiewicz exactly).
 
 For lazy presentations the decision is three-valued.  ISO and NOT_ISO
-are only ever emitted on certificates: structural facts supplied by the
-family constructors (least/greatest entry existence, order density) and
+are only ever emitted on certificates: order facts set by each piece
+generator (least/greatest entry existence, order density) and
 concrete witnesses (successor pairs, the back-and-forth matching for
 dense orders).  A prefix that merely fails to show a feature is never
 treated as evidence of its absence; those comparisons stay UNKNOWN.
@@ -19,8 +19,8 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from .rationals import check_unit
-from .signature import Signature, SignatureEntry, compute_signature
-from .tnorm import PieceGenerator, PreconditionError, Record, TNorm, UnknownAtDepth
+from .signature import Signature, compute_signature
+from .tnorm import Piece, PieceGenerator, PreconditionError, Record, TNorm, UnknownAtDepth
 
 __all__ = [
     "Iso",
@@ -42,9 +42,7 @@ class Iso:
 
     __slots__ = ("entry_map", "full")
 
-    def __init__(
-        self, entry_map: tuple[tuple[SignatureEntry, SignatureEntry], ...], full: bool = False
-    ):
+    def __init__(self, entry_map: tuple[tuple[Piece, Piece], ...], full: bool = False):
         self.entry_map, self.full = entry_map, full
 
     def apply(self, x: Fraction) -> Fraction:
@@ -61,7 +59,7 @@ class NotIso(Record):
 
     __slots__ = ("tag", "detail", "entries")
 
-    def __init__(self, tag: str, detail: str, entries: tuple[SignatureEntry, ...] = ()):
+    def __init__(self, tag: str, detail: str, entries: tuple[Piece, ...] = ()):
         self.tag, self.detail, self.entries = tag, detail, entries
 
 
@@ -119,16 +117,14 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownA
             "one side has finitely many pieces; "
             "the other lists infinitely many disjoint pieces",
         )
-    f1, f2 = t1.facts, t2.facts
-
     if t1.family == t2.family:
         entries = compute_signature(t1, min(depth, 8)).entries
         return Iso(tuple((e, e) for e in entries))
 
     # each end: the entry's position, and the endpoint of [0,1] it must touch
     ends = (
-        ("Minimum", "least", f1.has_min_piece, f2.has_min_piece, 0, 0),
-        ("Maximum", "greatest", f1.has_max_piece, f2.has_max_piece, -1, 1),
+        ("Minimum", "least", t1.has_min_piece, t2.has_min_piece, 0, 0),
+        ("Maximum", "greatest", t1.has_max_piece, t2.has_max_piece, -1, 1),
     )
     for name, end, has1, has2, at, bound in ends:
         if has1 is None or has2 is None or has1 == has2:
@@ -136,7 +132,7 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownA
         # the certified entry may need a few more pieces than `depth` to show
         for pieces in (depth << k for k in range(7)):
             entry = compute_signature(t1 if has1 else t2, pieces).entries[at]
-            if entry.interval()[at] == bound:
+            if (entry.lo, entry.hi)[at] == bound:
                 break
         else:
             raise PreconditionError(f"{end} entry certified but not visible at this depth")
@@ -147,7 +143,7 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownA
             f"the other is certified to have no {end} entry",
         )
 
-    d1, d2 = f1.dense_no_endpoints, f2.dense_no_endpoints
+    d1, d2 = t1.dense_no_endpoints, t2.dense_no_endpoints
     if d1 is True and d2 is True:
         s1 = compute_signature(t1, depth)
         s2 = compute_signature(t2, depth)

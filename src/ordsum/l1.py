@@ -130,7 +130,7 @@ def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
     # leaves regions that deeper pieces may still claim
     qualified = not sig.complete and any(
         _index_below(min_rational_in(lo, hi, closed=True), cut, size) is not None
-        for lo, hi in uncovered(e.interval() for e in sig.entries)
+        for lo, hi in uncovered((e.lo, e.hi) for e in sig.entries)
     )
     witnesses: list[tuple[Fraction, int, Label]] = []
     for e in sig.entries:
@@ -189,8 +189,8 @@ def theta_by_probing(t: TNorm, size: int, denominator_limit: int = 32) -> L1Stru
             if not all(t.eval(value[at[i]], qn) == min(value[at[i]], qn) for i in range(n)):
                 continue
             # a finite locate ignores the depth, so the search answers exactly
-            search = find_idempotent_power(t, qn, 1)
-            witnesses.append((p, n, Label.L if search.outcome == "yes" else Label.P))
+            power = find_idempotent_power(t, qn, 1)
+            witnesses.append((p, n, Label.P if power is None else Label.L))
             continue
         # a min-region companion is an idempotent scan rational with only
         # idempotents, at least one, strictly between it and q_n: the

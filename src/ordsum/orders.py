@@ -35,7 +35,6 @@ from .tnorm import (
     Piece,
     PieceGenerator,
     PreconditionError,
-    StructuralFacts,
     TNorm,
     UnknownAtDepth,
 )
@@ -275,13 +274,9 @@ class OrderPieceGenerator(PieceGenerator):
         self._placement = _Placement(order)
         self._intervals = self._placement.intervals
         self.family = f"theta {order.name}"
-        self.facts = StructuralFacts(
-            has_min_piece=order.min_element is not None,
-            has_max_piece=order.max_element is not None,
-            dense_no_endpoints=(
-                order.dense and order.min_element is None and order.max_element is None
-            ),
-        )
+        self.has_min_piece = order.min_element is not None
+        self.has_max_piece = order.max_element is not None
+        self.dense_no_endpoints = order.dense and not (self.has_min_piece or self.has_max_piece)
 
     def piece_at(self, n: int) -> Piece:
         if n < 0:

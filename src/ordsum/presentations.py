@@ -128,5 +128,5 @@ def format_presentation(t: TNorm) -> str:
     if isinstance(t, PieceGenerator):
         lines.append(f"family {t.family}")
     else:
-        lines.extend(f"piece {p.lo} {p.hi} {p.kind.value}" for p in t.pieces)
+        lines.extend(f"piece {p.lo} {p.hi} {p.label.value}" for p in t.pieces)
     return "\n".join(lines) + "\n"

@@ -11,48 +11,35 @@ encodings) reads it.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import pairwise
 
 from .tnorm import (
     Label,
+    Piece,
     PieceGenerator,
     PreconditionError,
     Record,
     TNorm,
     first_shared_endpoint,
+    sort_pieces,
 )
 
 __all__ = [
     "Label",
-    "SignatureEntry",
     "Signature",
     "compute_signature",
     "format_signature",
 ]
 
 
-class SignatureEntry(Record):
-    __slots__ = ("lo", "hi", "label")
-
-    def __init__(self, lo: Fraction, hi: Fraction, label: Label):
-        if not 0 <= lo < hi <= 1:
-            raise ValueError(f"bad entry interval ({lo}, {hi})")
-        self.lo, self.hi, self.label = lo, hi, label
-
-    def interval(self) -> tuple[Fraction, Fraction]:
-        return (self.lo, self.hi)
-
-
 class Signature(Record):
-    """Entries sorted left to right; complete unless truncated at a depth."""
+    """Pieces labeled P, L or M, left to right; complete unless truncated at a depth."""
 
     __slots__ = ("entries", "truncation_depth")
 
-    def __init__(self, entries: tuple[SignatureEntry, ...], truncation_depth: int | None = None):
-        ordered = tuple(sorted(entries, key=lambda e: e.lo))
-        for a, b in zip(ordered, ordered[1:]):
-            if a.hi > b.lo:
-                raise ValueError(f"entries overlap: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})")
+    def __init__(self, entries: tuple[Piece, ...], truncation_depth: int | None = None):
+        ordered = sort_pieces(entries)
+        for a, b in pairwise(ordered):
             if a.hi == b.lo and a.label is Label.M and b.label is Label.M:
                 raise ValueError("two adjacent M entries would merge; signature malformed")
         self.entries, self.truncation_depth = ordered, truncation_depth
@@ -64,14 +51,14 @@ class Signature(Record):
     def labels(self) -> tuple[Label, ...]:
         return tuple(e.label for e in self.entries)
 
-    def successor_pair(self) -> tuple[SignatureEntry, SignatureEntry] | None:
+    def successor_pair(self) -> tuple[Piece, Piece] | None:
         """The leftmost two consecutive entries sharing an endpoint, or None.
 
         Sound on a truncated signature: its pieces and certified M gaps
         are all final, and nothing fits between two entries that share
         an endpoint, so they are consecutive in the complete signature.
         """
-        i = first_shared_endpoint(e.interval() for e in self.entries)
+        i = first_shared_endpoint((e.lo, e.hi) for e in self.entries)
         return None if i is None else (self.entries[i], self.entries[i + 1])
 
 
@@ -80,17 +67,16 @@ def compute_signature(t: TNorm, depth: int | None = None) -> Signature:
 
     A truncated signature lists the first `depth` generated pieces plus
     only those idempotent intervals the generator certifies as final;
-    deeper pieces can only subdivide territory not yet claimed.
+    deeper pieces can only subdivide territory not yet claimed.  The
+    entries are the presentation's own pieces plus one M piece per gap.
     """
-    if not isinstance(t, PieceGenerator):
-        entries = [SignatureEntry(p.lo, p.hi, p.kind) for p in t.pieces]
-        entries.extend(SignatureEntry(lo, hi, Label.M) for lo, hi in t.gaps())
-        return Signature(tuple(entries))
-    if depth is None or depth < 1:
+    if not isinstance(t, PieceGenerator):  # complete, whatever the depth
+        pieces, gaps, depth = t.pieces, t.gaps(), None
+    elif depth is None or depth < 1:
         raise PreconditionError("lazy signatures need a positive truncation depth")
-    entries = [SignatureEntry(p.lo, p.hi, p.kind) for p in map(t.piece_at, range(depth))]
-    entries.extend(SignatureEntry(lo, hi, Label.M) for lo, hi in t.certified_m_gaps(depth))
-    return Signature(tuple(entries), truncation_depth=depth)
+    else:
+        pieces, gaps = [t.piece_at(n) for n in range(depth)], t.certified_m_gaps(depth)
+    return Signature((*pieces, *(Piece(lo, hi, Label.M) for lo, hi in gaps)), depth)
 
 
 def format_signature(sig: Signature) -> str:

@@ -31,9 +31,9 @@ __all__ = [
     "Label",
     "Record",
     "Piece",
+    "sort_pieces",
     "FinitePresentation",
     "PieceGenerator",
-    "StructuralFacts",
     "InPiece",
     "IDEMPOTENT",
     "UnknownAtDepth",
@@ -41,7 +41,6 @@ __all__ = [
     "PreconditionError",
     "AxiomReport",
     "Violation",
-    "PowerSearch",
     "check_axioms",
     "find_idempotent_power",
     "uncovered",
@@ -85,41 +84,48 @@ class Record:
 
 
 class Piece(Record):
-    """One open interval (lo, hi) of an ordinal sum, labeled P or L."""
+    """One labeled open interval (lo, hi) of [0, 1].
 
-    __slots__ = ("lo", "hi", "kind")
+    A presentation's pieces are labeled P or L; a signature also holds
+    the maximal idempotent intervals, labeled M.
+    """
 
-    def __init__(self, lo: Fraction, hi: Fraction, kind: Label):
+    __slots__ = ("lo", "hi", "label")
+
+    def __init__(self, lo: Fraction, hi: Fraction, label: Label):
         check_unit(lo)
         check_unit(hi)
         if lo >= hi:
             raise ValueError(f"piece needs lo < hi, got ({lo}, {hi})")
-        if kind is Label.M:
-            raise ValueError("a piece is labeled P or L; M marks idempotent intervals")
-        self.lo, self.hi, self.kind = lo, hi, kind
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+        self.lo, self.hi, self.label = lo, hi, label
 
     def contains_open(self, q: Fraction) -> bool:
         return self.lo < q < self.hi
 
     def combine(self, x: Fraction, y: Fraction) -> Fraction:
         """The piece formula; callers guarantee x, y in [lo, hi]."""
-        if self.kind is Label.P:
+        if self.label is Label.P:
             return self.lo + (x - self.lo) * (y - self.lo) / (self.hi - self.lo)
         return max(self.lo, x + y - self.hi)
 
     def nilpotency_index(self, q: Fraction) -> int:
         """Least l with the l-th power equal to lo (Lukasiewicz pieces only)."""
-        if self.kind is not Label.L:
+        if self.label is not Label.L:
             raise PreconditionError("nilpotency index exists only in Lukasiewicz pieces")
         if not self.lo <= q < self.hi:
             raise PreconditionError(f"{q} not in [{self.lo}, {self.hi})")
         num = self.hi - self.lo
         den = self.hi - q
         return -(-num.numerator * den.denominator // (num.denominator * den.numerator))
+
+
+def sort_pieces(pieces) -> tuple[Piece, ...]:
+    """`pieces` sorted by lo; raises ValueError when two overlap as open intervals."""
+    ordered = tuple(sorted(pieces, key=lambda p: p.lo))
+    for a, b in pairwise(ordered):
+        if a.hi > b.lo:
+            raise ValueError(f"pieces overlap: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})")
+    return ordered
 
 
 def uncovered(spans) -> list[tuple[Fraction, Fraction]]:
@@ -148,29 +154,6 @@ def first_shared_endpoint(spans) -> int | None:
         if hi == lo:
             return i
     return None
-
-
-class StructuralFacts:
-    """Certified order facts about a lazy presentation's pieces.
-
-    Tri-valued: True and False are certificates, None means the
-    construction does not decide the question.  `dense_no_endpoints`
-    asserts that the complete signature consists solely of the
-    generator's pieces (no idempotent intervals), is order-dense, and
-    has no least or greatest entry.
-    """
-
-    __slots__ = ("has_min_piece", "has_max_piece", "dense_no_endpoints")
-
-    def __init__(
-        self,
-        has_min_piece: bool | None,
-        has_max_piece: bool | None,
-        dense_no_endpoints: bool | None,
-    ):
-        self.has_min_piece = has_min_piece
-        self.has_max_piece = has_max_piece
-        self.dense_no_endpoints = dense_no_endpoints
 
 
 class InPiece(Record):
@@ -217,17 +200,15 @@ class TNorm(ABC):
 
 
 class FinitePresentation(TNorm):
-    """Finitely many pieces, kept sorted and pairwise disjoint as opens."""
+    """Finitely many P and L pieces, kept sorted and pairwise disjoint as opens."""
 
     __slots__ = ("pieces", "_lows")
 
     def __init__(self, pieces: tuple[Piece, ...]):
-        ordered = tuple(sorted(pieces, key=lambda p: p.lo))
-        for a, b in zip(ordered, ordered[1:]):
-            if a.hi > b.lo:
-                raise ValueError(f"pieces overlap: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})")
-        self.pieces = ordered
-        self._lows = tuple(p.lo for p in ordered)
+        self.pieces = sort_pieces(pieces)
+        if any(p.label is Label.M for p in self.pieces):
+            raise ValueError("a piece is labeled P or L; M marks idempotent intervals")
+        self._lows = tuple(p.lo for p in self.pieces)
 
     def piece_index_of(self, q: Fraction) -> int | None:
         """Index of a piece whose closed interval contains q, else None."""
@@ -299,10 +280,20 @@ class PieceGenerator(TNorm):
     The contract is `piece_at`, `tail_length_bound`, `locate` and
     `certified_m_gaps`; certificates about the order of the entries,
     such as a successor pair, are read off `compute_signature`.
+
+    Beside `family`, each generator sets three certified order facts
+    about its complete signature: `has_min_piece` and `has_max_piece`
+    (a least or greatest entry exists) and `dense_no_endpoints` (the
+    entries are the generator's pieces alone, with no idempotent
+    interval, ordered densely with neither end).  Each is tri-valued:
+    True and False are certificates, None means the construction does
+    not decide the question.
     """
 
-    facts: StructuralFacts
     family: str
+    has_min_piece: bool | None
+    has_max_piece: bool | None
+    dense_no_endpoints: bool | None
 
     @abstractmethod
     def piece_at(self, n: int) -> Piece:
@@ -411,30 +402,21 @@ def check_axioms(t, samples) -> AxiomReport:
     return AxiomReport(checked, tuple(bad))
 
 
-class PowerSearch:
-    """Outcome of looking for an idempotent power: yes(l) / no / unknown."""
-
-    __slots__ = ("outcome", "exponent")
-
-    def __init__(self, outcome: str, exponent: int | None):
-        self.outcome, self.exponent = outcome, exponent
-
-
-def find_idempotent_power(t: TNorm, q: Fraction, limit: int) -> PowerSearch:
-    """Does some power of q become idempotent, and at which least exponent?
+def find_idempotent_power(t: TNorm, q: Fraction, limit: int) -> int | UnknownAtDepth | None:
+    """The least exponent l with q^l idempotent, or None when no power is.
 
     The structural piece lookup answers beyond any iteration limit: a
     Product piece never yields an idempotent power, a Lukasiewicz piece
     yields one at the closed-form nilpotency index even when that index
-    exceeds `limit`.  "unknown" occurs only when a lazy locate cannot
-    resolve q within depth `limit`.
+    exceeds `limit`.  When a lazy locate cannot resolve q within depth
+    `limit`, its UnknownAtDepth is returned.
     """
     placed = t.locate(q, limit)
     if placed is IDEMPOTENT:
-        return PowerSearch("yes", 1)
+        return 1
     if isinstance(placed, UnknownAtDepth):
-        return PowerSearch("unknown", None)
+        return placed
     piece = placed.piece
-    if piece.kind is Label.P:
-        return PowerSearch("no", None)
-    return PowerSearch("yes", piece.nilpotency_index(q))
+    if piece.label is Label.P:
+        return None
+    return piece.nilpotency_index(q)

@@ -52,7 +52,7 @@ def test_a1_axiom_grid(finite_corpus):
     if len(finite_corpus) < 12:
         failures.append(f"corpus has only {len(finite_corpus)} presentations")
     shapes = {
-        tuple((p.lo, p.hi, p.kind) for p in t.pieces) for t in finite_corpus
+        tuple((p.lo, p.hi, p.label) for p in t.pieces) for t in finite_corpus
     }
     for wanted in (
         (),
@@ -314,7 +314,7 @@ def test_a13_nilpotency_closed_form():
         piece = Piece(F(a, den), F(b, den), Label.L)
         t = rng.randint(1, 9)
         u = rng.randint(t + 1, 10)
-        q = piece.lo + piece.width * F(t, u)
+        q = piece.lo + (piece.hi - piece.lo) * F(t, u)
         closed = piece.nilpotency_index(q)
         value, iterated = q, 1
         while value != piece.lo:

@@ -76,8 +76,8 @@ def printed_facts(rule, depth):
 
 
 def test_parse_system():
-    assert MT.name == "middle-third" and CantorGapGenerator(MT).facts.dense_no_endpoints
-    assert not CantorGapGenerator(NONE_SYS).facts.dense_no_endpoints
+    assert MT.name == "middle-third" and CantorGapGenerator(MT).dense_no_endpoints
+    assert not CantorGapGenerator(NONE_SYS).dense_no_endpoints
     for bad in ["middle-third", "cantor:", "cantor:thirds", ""]:
         with pytest.raises(ValueError):
             parse_system(bad)
@@ -194,7 +194,7 @@ def test_property_e():
             for parents, children in zip(levels, levels[1:])
             for i, box in enumerate(parents)
         )
-        assert CantorGapGenerator(system).facts.dense_no_endpoints == keeps
+        assert CantorGapGenerator(system).dense_no_endpoints == keeps
     flags = [printed_facts(system, 0)["property_E"] for system in (MT, SVC, NONE_SYS)]
     assert flags == ["true", "true", "false"]
 
@@ -241,9 +241,9 @@ def gap_scan_facts(rule, depth):
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
 def test_order_facts_agree_with_gap_scan(system):
-    facts = CantorGapGenerator(system).facts
+    gen = CantorGapGenerator(system)
     for depth in range(13):
-        certified = (facts.has_min_piece, facts.has_max_piece)
+        certified = (gen.has_min_piece, gen.has_max_piece)
         for fact, scanned in zip(certified, gap_scan_facts(system, depth)):
             if scanned is not None:
                 assert fact is scanned, (depth, certified)
@@ -276,7 +276,7 @@ def test_generator_enumeration_matches_expansion():
         gaps = expand(system, 4)
         pieces = [gen.piece_at(n) for n in range(len(gaps))]
         assert [(p.lo, p.hi) for p in pieces] == list(gaps)
-        assert all(p.kind is Label.P for p in pieces)
+        assert all(p.label is Label.P for p in pieces)
 
 
 def test_tail_bound_is_exact_remainder():
@@ -286,7 +286,8 @@ def test_tail_bound_is_exact_remainder():
         widths = F(0)
         for n in range(41):
             assert total - gen.tail_length_bound(n) == widths, (line, n)
-            widths += gen.piece_at(n).width
+            piece = gen.piece_at(n)
+            widths += piece.hi - piece.lo
     # the gaps not yet removed fill a level's boxes, less the set no gap
     # ever removes: svc's fat Cantor set has measure 1/2, the others none
     never_removed = {MT: 0, SVC: F(1, 2), NONE_SYS: 0}
@@ -332,14 +333,14 @@ def test_locate_index_agrees_with_enumeration():
 
 def test_generator_facts():
     mt = CantorGapGenerator(MT)
-    assert mt.facts.dense_no_endpoints is True
-    assert mt.facts.has_min_piece is False and mt.facts.has_max_piece is False
+    assert mt.dense_no_endpoints is True
+    assert mt.has_min_piece is False and mt.has_max_piece is False
     # depth counts pieces: 63 are the gaps of the first 6 levels
     assert compute_signature(mt, 63).successor_pair() is None
 
     ne = CantorGapGenerator(NONE_SYS)
-    assert ne.facts.has_min_piece is True
-    assert ne.facts.dense_no_endpoints is False
+    assert ne.has_min_piece is True
+    assert ne.dense_no_endpoints is False
     # the two root gaps and the first gap of level 1, which meets (0, 1/4)
     pair = compute_signature(ne, 3).successor_pair()
     assert pair is not None

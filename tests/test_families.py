@@ -24,13 +24,13 @@ def test_rungs_tile_toward_the_anchor():
         for n in range(20):
             a, b = gen.piece_at(n), gen.piece_at(n + 1)
             shared = a.hi == b.lo or b.hi == a.lo
-            assert shared and a.kind is Label.P
+            assert shared and a.label is Label.P
 
 
 def test_tail_bound_telescopes():
     gen = LadderGenerator("limit-left")
     for n in range(1, 8):
-        total = sum(gen.piece_at(k).width for k in range(n, 40))
+        total = sum(p.hi - p.lo for p in map(gen.piece_at, range(n, 40)))
         assert total < gen.tail_length_bound(n) <= total + F(1, 41)
 
 
@@ -63,9 +63,9 @@ def test_locate_agrees_with_rung_scan(q):
 def test_structural_certificates():
     left = LadderGenerator("limit-left")
     right = LadderGenerator("limit-right")
-    assert left.facts.has_min_piece and not left.facts.has_max_piece
-    assert right.facts.has_max_piece and not right.facts.has_min_piece
-    assert not left.facts.dense_no_endpoints
+    assert left.has_min_piece and not left.has_max_piece
+    assert right.has_max_piece and not right.has_min_piece
+    assert not left.dense_no_endpoints
     assert left.certified_m_gaps(10) == []
 
     t = LadderGenerator("limit-left")

@@ -25,13 +25,12 @@ from ordsum.iso import (
 )
 from ordsum.orders import order_tnorm, parse_order
 from ordsum.presentations import format_presentation
-from ordsum.signature import Label, Signature, SignatureEntry, compute_signature
+from ordsum.signature import Label, Signature, compute_signature
 from ordsum.tnorm import (
     FinitePresentation,
     Piece,
     PieceGenerator,
     PreconditionError,
-    StructuralFacts,
     UnknownAtDepth,
 )
 
@@ -174,11 +173,12 @@ class TestWitnessMap:
 
 
 class StubGenerator(PieceGenerator):
-    """Structural facts unknown unless given; used to exercise the UNKNOWN path."""
+    """Order facts unknown unless given; used to exercise the UNKNOWN path."""
 
-    def __init__(self, tag, facts=StructuralFacts(None, None, None)):
+    def __init__(self, tag, has_min_piece=None, has_max_piece=None):
         self.family = f"stub {tag}"
-        self.facts = facts
+        self.has_min_piece, self.has_max_piece = has_min_piece, has_max_piece
+        self.dense_no_endpoints = None
 
     def piece_at(self, n):
         return Piece(F(1, n + 3), F(1, n + 2), Label.P)
@@ -295,17 +295,14 @@ class TestLazyDecision:
         assert len(verdict.entry_map) == 8
 
     @pytest.mark.parametrize(
-        "end, facts",
-        [
-            ("least", lambda has: StructuralFacts(has, None, None)),
-            ("greatest", lambda has: StructuralFacts(None, has, None)),
-        ],
+        "end, fact",
+        [("least", "has_min_piece"), ("greatest", "has_max_piece")],
         ids=["least", "greatest"],
     )
-    def test_certified_end_must_show_in_the_truncation(self, end, facts):
+    def test_certified_end_must_show_in_the_truncation(self, end, fact):
         # the stub's pieces (1/(n+3), 1/(n+2)) touch neither 0 nor 1
-        t1 = StubGenerator("a", facts(True))
-        t2 = StubGenerator("b", facts(False))
+        t1 = StubGenerator("a", **{fact: True})
+        t2 = StubGenerator("b", **{fact: False})
         with pytest.raises(PreconditionError, match=f"^{end} entry certified but not visible"):
             decide_iso_lazy(t1, t2, 5)
 
@@ -357,7 +354,7 @@ def uniform_signature_pairs(draw):
     def signature():
         n = draw(st.integers(0, 10))
         entries = tuple(
-            SignatureEntry(F(i, n + 1), F(2 * i + 1, 2 * n + 2), label) for i in range(n)
+            Piece(F(i, n + 1), F(2 * i + 1, 2 * n + 2), label) for i in range(n)
         )
         return Signature(entries, truncation_depth=n + 1)
 
@@ -374,7 +371,7 @@ def matching_outcome(route, s1, s2, k):
 class TestBackAndForth:
     @staticmethod
     def dense_sig(los, label=Label.P):
-        entries = tuple(SignatureEntry(F(lo), F(lo) + F(1, 100), label) for lo in los)
+        entries = tuple(Piece(F(lo), F(lo) + F(1, 100), label) for lo in los)
         return Signature(entries, truncation_depth=len(entries))
 
     def test_alternating_rounds_respect_order(self):

@@ -263,7 +263,7 @@ def test_finite_order_tnorm_is_finite():
     t = order_tnorm(FiniteOrder([1, 0]))
     assert isinstance(t, FinitePresentation)
     assert [(p.lo, p.hi) for p in t.pieces] == [(F(1, 9), F(2, 9)), (F(1, 3), F(2, 3))]
-    assert all(p.kind is Label.P for p in t.pieces)
+    assert all(p.label is Label.P for p in t.pieces)
 
 
 def test_lazy_order_tnorm_basics():
@@ -303,20 +303,20 @@ def test_truncations_approach_each_other_within_bound(family):
 
 
 def test_generator_facts():
-    facts = OrderPieceGenerator(OmegaOrder()).facts
-    assert (facts.has_min_piece, facts.has_max_piece, facts.dense_no_endpoints) == (
+    gen = OrderPieceGenerator(OmegaOrder())
+    assert (gen.has_min_piece, gen.has_max_piece, gen.dense_no_endpoints) == (
         True,
         False,
         False,
     )
-    facts = OrderPieceGenerator(EtaOrder()).facts
-    assert (facts.has_min_piece, facts.has_max_piece, facts.dense_no_endpoints) == (
+    gen = OrderPieceGenerator(EtaOrder())
+    assert (gen.has_min_piece, gen.has_max_piece, gen.dense_no_endpoints) == (
         False,
         False,
         True,
     )
-    facts = OrderPieceGenerator(OmegaPlusOmegaStarOrder()).facts
-    assert (facts.has_min_piece, facts.has_max_piece) == (True, True)
+    gen = OrderPieceGenerator(OmegaPlusOmegaStarOrder())
+    assert (gen.has_min_piece, gen.has_max_piece) == (True, True)
 
 
 def test_certified_gaps_omega():

@@ -17,7 +17,7 @@ def test_finite_round_trip():
     text = "tnorm v1\npiece 1/4 1/2 P\npiece 1/2 3/4 L\n"
     t = parse_presentation_text(text)
     assert isinstance(t, FinitePresentation)
-    assert [(p.lo, p.hi, p.kind) for p in t.pieces] == [
+    assert [(p.lo, p.hi, p.label) for p in t.pieces] == [
         (F(1, 4), F(1, 2), Label.P),
         (F(1, 2), F(3, 4), Label.L),
     ]

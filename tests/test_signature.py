@@ -9,7 +9,6 @@ import pytest
 from ordsum.signature import (
     Label,
     Signature,
-    SignatureEntry,
     compute_signature,
     format_signature,
 )
@@ -41,7 +40,7 @@ def test_two_piece_signature():
     sig = compute_signature(TWO_PIECE)
     assert sig.complete
     assert sig.labels() == (Label.M, Label.P, Label.L, Label.M)
-    assert [e.interval() for e in sig.entries] == [
+    assert [(e.lo, e.hi) for e in sig.entries] == [
         (F(0), F(1, 4)),
         (F(1, 4), F(1, 2)),
         (F(1, 2), F(3, 4)),
@@ -52,7 +51,7 @@ def test_two_piece_signature():
 def test_minimum_signature_is_single_m():
     sig = compute_signature(tn())
     assert sig.labels() == (Label.M,)
-    assert sig.entries[0].interval() == (F(0), F(1))
+    assert (sig.entries[0].lo, sig.entries[0].hi) == (F(0), F(1))
 
 
 def test_full_piece_signatures():
@@ -72,24 +71,29 @@ def test_complete_signatures_are_dense_covers():
 
 def test_dense_cover_rejects_gaps_and_short_families():
     assert not is_dense_cover([])
-    assert not is_dense_cover([SignatureEntry(F(0), F(1, 2), Label.M)])
+    assert not is_dense_cover([Piece(F(0), F(1, 2), Label.M)])
     assert not is_dense_cover(
         [
-            SignatureEntry(F(0), F(1, 3), Label.M),
-            SignatureEntry(F(1, 2), F(1), Label.P),
+            Piece(F(0), F(1, 3), Label.M),
+            Piece(F(1, 2), F(1), Label.P),
         ]
     )
-    assert is_dense_cover([SignatureEntry(F(0), F(1), Label.M)])
+    assert is_dense_cover([Piece(F(0), F(1), Label.M)])
 
 
 def test_adjacent_m_entries_rejected():
     with pytest.raises(ValueError):
         Signature(
             (
-                SignatureEntry(F(0), F(1, 2), Label.M),
-                SignatureEntry(F(1, 2), F(1), Label.M),
+                Piece(F(0), F(1, 2), Label.M),
+                Piece(F(1, 2), F(1), Label.M),
             ),
         )
+
+
+def test_overlapping_entries_rejected():
+    with pytest.raises(ValueError, match="pieces overlap"):
+        Signature((Piece(F(0), F(1, 2), Label.M), Piece(F(1, 3), F(1), Label.P)))
 
 
 def test_signature_deterministic():
@@ -151,5 +155,5 @@ def test_successor_pair_is_sound_on_truncations(family, first):
 def test_successor_pair_is_leftmost():
     sig = compute_signature(tn((0, "1/4", Label.P), ("1/2", "3/4", Label.L), ("3/4", 1, Label.P)))
     assert sig.successor_pair() == (sig.entries[0], sig.entries[1])
-    apart = (SignatureEntry(F(0), F(1, 4), Label.P), SignatureEntry(F(1, 2), F(1), Label.P))
+    apart = (Piece(F(0), F(1, 4), Label.P), Piece(F(1, 2), F(1), Label.P))
     assert Signature(apart, truncation_depth=2).successor_pair() is None

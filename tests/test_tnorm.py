@@ -24,9 +24,11 @@ from ordsum.tnorm import (
     Piece,
     PieceGenerator,
     TNorm,
+    UnknownAtDepth,
     Violation,
     check_axioms,
     find_idempotent_power,
+    sort_pieces,
 )
 
 P = Label.P
@@ -79,8 +81,15 @@ def test_idempotents_absorb_to_min():
 
 
 def test_overlapping_pieces_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pieces overlap"):
         tn((0, "1/2", P), ("1/3", "2/3", L))
+
+
+def test_m_pieces_sort_with_the_others():
+    m = Piece(F(0), F(1, 3), Label.M)
+    assert sort_pieces((Piece(F(1, 3), F(1), P), m))[0] is m
+    with pytest.raises(ValueError, match="pieces overlap"):
+        sort_pieces((m, Piece(F(1, 4), F(1, 2), L)))
 
 
 def test_piece_outside_unit_rejected():
@@ -94,7 +103,7 @@ def test_piece_outside_unit_rejected():
 
 def test_piece_labeled_m_rejected():
     with pytest.raises(ValueError, match="P or L"):
-        Piece(F(1, 4), F(1, 2), Label.M)
+        FinitePresentation((Piece(F(1, 4), F(1, 2), Label.M),))
 
 
 def test_gaps():
@@ -269,19 +278,20 @@ def test_eval_matches_two_lookup_rule(finite_corpus):
     for t in finite_corpus:
         pts = set(GRID_21)
         for p in t.pieces:
-            pts |= {p.lo, p.hi, (p.lo + p.hi) / 2, p.lo + p.width / 7}
+            pts |= {p.lo, p.hi, (p.lo + p.hi) / 2, p.lo + (p.hi - p.lo) / 7}
         for x in pts:
             for y in pts:
                 assert t.eval(x, y) == _eval_by_two_lookups(t, x, y), (t, x, y)
 
 
 def test_find_idempotent_power_structural():
-    got = find_idempotent_power(LUKA, F(9, 10), limit=8)
-    assert (got.outcome, got.exponent) == ("yes", 10)
-    got = find_idempotent_power(PRODUCT, F(9, 10), limit=8)
-    assert (got.outcome, got.exponent) == ("no", None)
-    got = find_idempotent_power(TWO_PIECE, F(3, 4), limit=8)
-    assert (got.outcome, got.exponent) == ("yes", 1)
+    assert find_idempotent_power(LUKA, F(9, 10), limit=8) == 10
+    assert find_idempotent_power(PRODUCT, F(9, 10), limit=8) is None
+    assert find_idempotent_power(TWO_PIECE, F(3, 4), limit=8) == 1
+    # theta eta's first piece is (1/3, 2/3); the gap left of it stays open
+    eta = parse_presentation_text("tnorm v1\nfamily theta eta\n")
+    assert find_idempotent_power(eta, F(1, 2), limit=1) is None
+    assert find_idempotent_power(eta, F(1, 10), limit=1) == UnknownAtDepth(1)
 
 
 def test_nilpotency_closed_form_matches_iteration():
@@ -356,7 +366,7 @@ def test_rows_match_eval_on_the_corpus(finite_corpus):
     for t in finite_corpus:
         pts = set(GRID_21)
         for p in t.pieces:
-            pts |= {p.lo, p.hi, (p.lo + p.hi) / 2, p.lo + p.width / 7}
+            pts |= {p.lo, p.hi, (p.lo + p.hi) / 2, p.lo + (p.hi - p.lo) / 7}
         pts = sorted(pts)
         rows = t.rows(pts)
         assert isinstance(rows, GeneratorType)
