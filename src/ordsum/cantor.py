@@ -15,6 +15,15 @@ their gap orders are dense without endpoints.  The third drops the left
 endpoint at every step: the root gap (0, 1/4) is a least gap, and each
 abandoned endpoint glues two gaps together into a successor pair.
 
+Every endpoint at level d is an integer over the level's denominator,
+`root[1] * scale**d`.  A rule states its root numerators `root` (the box
+[0, 1]) and its per-level `scale`: middle-third (0, 1) and 3, non-e
+(0, 1) and 4, svc (0, 2) and 4.  Its `split(lo, hi, depth)` takes a
+level-`depth` box as numerators and returns the node's parts left to
+right, each `(lo, hi, is_gap)` over the next level's denominator; the
+parts tile the box.  The walks split in integers and make a `Fraction`
+only for a gap they hand out.
+
 Gaps are enumerated breadth-first: level by level, left to right inside
 a level.  The gap t-norm puts a Product piece on each gap.
 """
@@ -50,55 +59,59 @@ __all__ = [
 ]
 
 Box = tuple[Fraction, Fraction]
-Split = tuple[tuple[Box, Box], tuple[Box, ...]]  # children, then gaps, left to right
+Parts = tuple[tuple[int, int, bool], ...]  # (lo, hi, is_gap) numerators, left to right
+GAP, BOX = True, False
 MAX_EXPAND_DEPTH = 16
 
 
 class MiddleThirdRule:
     name = "middle-third"
+    root = (0, 1)
+    scale = 3
     keeps_left_endpoint = True
     keeps_right_endpoint = True
     gaps_per_node = 1
     total_gap_length = Fraction(1)
 
-    def split(self, box: Box, depth: int) -> Split:
-        lo, hi = box
-        w = hi - lo
-        a, b = lo + w / 3, hi - w / 3
-        return ((lo, a), (b, hi)), ((a, b),)
+    def split(self, lo: int, hi: int, depth: int) -> Parts:
+        a, b = 2 * lo + hi, lo + 2 * hi
+        return (3 * lo, a, BOX), (a, b, GAP), (b, 3 * hi, BOX)
 
 
 class SvcRule:
-    """Fat-Cantor variant: ever smaller centered removals, positive leftover."""
+    """Fat-Cantor variant: ever smaller centered removals, positive leftover.
+
+    The gap at depth d has length 4^-(d+1) = 2 / 2^(2d+3), two units of
+    the next level's denominator, so the split needs no depth.
+    """
 
     name = "svc"
+    root = (0, 2)
+    scale = 4
     keeps_left_endpoint = True
     keeps_right_endpoint = True
     gaps_per_node = 1
     total_gap_length = Fraction(1, 2)
 
-    def split(self, box: Box, depth: int) -> Split:
-        lo, hi = box
-        mid = (lo + hi) / 2
-        half = Fraction(1, 2 * 4 ** (depth + 1))
-        a, b = mid - half, mid + half
-        return ((lo, a), (b, hi)), ((a, b),)
+    def split(self, lo: int, hi: int, depth: int) -> Parts:
+        mid = 2 * (lo + hi)
+        return (4 * lo, mid - 1, BOX), (mid - 1, mid + 1, GAP), (mid + 1, 4 * hi, BOX)
 
 
 class NonERule:
     """Children detach from the left endpoint; two gaps per node."""
 
     name = "non-e"
+    root = (0, 1)
+    scale = 4
     keeps_left_endpoint = False
     keeps_right_endpoint = True
     gaps_per_node = 2
     total_gap_length = Fraction(1)
 
-    def split(self, box: Box, depth: int) -> Split:
-        lo, hi = box
-        w = hi - lo
-        a, b, c = lo + w / 4, lo + w / 2, lo + 3 * w / 4
-        return ((a, b), (c, hi)), ((lo, a), (b, c))
+    def split(self, lo: int, hi: int, depth: int) -> Parts:
+        a, b, c = 3 * lo + hi, 2 * (lo + hi), lo + 3 * hi
+        return (4 * lo, a, GAP), (a, b, BOX), (b, c, GAP), (c, 4 * hi, BOX)
 
 
 _Rule = MiddleThirdRule | SvcRule | NonERule
@@ -123,15 +136,30 @@ def _check_depth(depth: int) -> None:
         raise PreconditionError(f"expansion depth capped at {MAX_EXPAND_DEPTH}")
 
 
+# Both walks scan a node's parts left to right.  A box travels with the
+# Fraction of its left end when a gap ends there, or None: a rule that
+# abandons left endpoints (non-e) starts a deeper gap at that end, and the
+# two gaps then share one Fraction instead of holding two equal ones.
+
+
 def _walk(rule):
     """Every gap in removal order, holding only the boxes not yet split."""
-    boxes = deque([(Fraction(0), Fraction(1))])
-    depth = 0
+    split, scale = rule.split, rule.scale
+    lo, hi = rule.root
+    boxes = deque([(lo, hi, None)])
+    depth, den = 0, hi
     while True:
+        den *= scale  # the denominator of this level's parts
         for _ in range(len(boxes)):  # exactly the boxes of this level
-            children, gaps = rule.split(boxes.popleft(), depth)
-            boxes.extend(children)
-            yield from gaps
+            lo, hi, left = boxes.popleft()
+            for a, b, gap in split(lo, hi, depth):
+                if gap:
+                    right = Fraction(b, den)
+                    yield (Fraction(a, den) if left is None else left), right
+                    left = right
+                else:
+                    boxes.append((a, b, left))
+                    left = None
         depth += 1
 
 
@@ -150,25 +178,29 @@ def expand(rule: _Rule, depth: int) -> tuple[Box, ...]:
 def analyze_gap_order(rule: _Rule, depth: int) -> list[Box]:
     """The gaps of `expand(rule, depth)` left to right.
 
-    An in-order walk of the box tree: the stack holds the parts (child
-    boxes and gaps) of the nodes on the current path, O(depth) of them,
-    with the leftmost part of the deepest node on top.
+    An in-order walk of the box tree, recursing into each child box
+    between the node's gaps; it recurses at most `depth` levels.
     """
     _check_depth(depth)
     out: list[Box] = []
-    stack = [((Fraction(0), Fraction(1)), 0)] if depth else []  # (box, level) or (gap, None)
-    while stack:
-        span, level = stack.pop()
-        if level is None:
-            out.append(span)
-            continue
-        children, gaps = rule.split(span, level)
-        if level + 1 == depth:  # the children stay whole, so this node's gaps come next
-            out += gaps
-        else:
-            parts = [(child, level + 1) for child in children] + [(gap, None) for gap in gaps]
-            parts.sort(key=lambda part: part[0][0], reverse=True)
-            stack += parts
+    split, scale = rule.split, rule.scale
+
+    def visit(lo: int, hi: int, level: int, den: int, left: Fraction | None) -> None:
+        # den is the denominator of the node's parts, level + 1's
+        inner = level + 1 < depth
+        for a, b, gap in split(lo, hi, level):
+            if gap:
+                right = Fraction(b, den)
+                out.append(((Fraction(a, den) if left is None else left), right))
+                left = right
+            else:
+                if inner:
+                    visit(a, b, level + 1, den * scale, left)
+                left = None
+
+    if depth:
+        lo, hi = rule.root
+        visit(lo, hi, 0, hi * scale, None)
     return out
 
 
@@ -214,24 +246,34 @@ class CantorGapGenerator(PieceGenerator):
         check_unit(q)
         if depth < 1:
             raise PreconditionError("locate depth must be >= 1")
-        box: Box = (Fraction(0), Fraction(1))
+        rule = self.rule
+        # q = qn/qd against a numerator n over den: compare x = qn*den with n*qd
+        qn, qd = q.numerator, q.denominator
+        lo, hi = rule.root
+        den = hi
+        x = qn * den
         node_pos = 0
         for d in range(depth):
-            if q == box[0] or q == box[1]:
+            if x == lo * qd or x == hi * qd:
                 return IDEMPOTENT
-            children, gaps = self.rule.split(box, d)
-            for which, (lo, hi) in enumerate(gaps):
-                if lo < q < hi:
-                    index = _gap_index(self.rule, d, node_pos, which)
-                    return InPiece(index, Piece(lo, hi, Label.P))
-            for bit, child in enumerate(children):
-                if child[0] <= q <= child[1]:
-                    box = child
+            den *= rule.scale
+            x *= rule.scale
+            which = bit = 0
+            for a, b, gap in rule.split(lo, hi, d):
+                if gap:
+                    if a * qd < x < b * qd:
+                        index = _gap_index(rule, d, node_pos, which)
+                        return InPiece(index, Piece(Fraction(a, den), Fraction(b, den), Label.P))
+                    which += 1
+                elif a * qd <= x <= b * qd:
+                    lo, hi = a, b
                     node_pos = 2 * node_pos + bit
                     break
+                else:
+                    bit += 1
             else:
-                raise RuntimeError(f"box {box} does not cover {q}")
-        if q == box[0] or q == box[1]:
+                raise RuntimeError(f"no part of the level-{d} box covers {q}")
+        if x == lo * qd or x == hi * qd:
             return IDEMPOTENT
         return UnknownAtDepth(depth)
 

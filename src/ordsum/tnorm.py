@@ -102,11 +102,23 @@ class Piece(Record):
     def contains_open(self, q: Fraction) -> bool:
         return self.lo < q < self.hi
 
+    def times(self, x: Fraction):
+        """The map y -> x * y of the piece formula, x's share computed once.
+
+        Callers guarantee x and every y in [lo, hi].  Product is
+        lo + f * (y - lo) with the row factor f = (x - lo) / (hi - lo);
+        Lukasiewicz is max(lo, y + (x - hi)).
+        """
+        lo = self.lo
+        if self.label is Label.P:
+            f = (x - lo) / (self.hi - lo)
+            return lambda y: lo + f * (y - lo)
+        shift = x - self.hi
+        return lambda y: max(lo, y + shift)
+
     def combine(self, x: Fraction, y: Fraction) -> Fraction:
         """The piece formula; callers guarantee x, y in [lo, hi]."""
-        if self.label is Label.P:
-            return self.lo + (x - self.lo) * (y - self.lo) / (self.hi - self.lo)
-        return max(self.lo, x + y - self.hi)
+        return self.times(x)(y)
 
     def nilpotency_index(self, q: Fraction) -> int:
         """Least l with the l-th power equal to lo (Lukasiewicz pieces only)."""
@@ -255,9 +267,9 @@ class FinitePresentation(TNorm):
             row = pts[:i] + [x] * (n - i)
             k = self.piece_index_of(x)
             if k is not None:
-                piece = self.pieces[k]
                 lo, hi = spans[k]
-                row[lo:hi] = [piece.combine(x, y) for y in pts[lo:hi]]
+                times = self.pieces[k].times(x)
+                row[lo:hi] = [times(y) for y in pts[lo:hi]]
             yield row
 
     def locate(self, q: Fraction, depth: int):

@@ -3,8 +3,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LAZY_FAMILY_LINES
 from ordsum.cantor import (
@@ -19,6 +22,7 @@ from ordsum.signature import Label, compute_signature
 from ordsum.tnorm import (
     IDEMPOTENT,
     InPiece,
+    Piece,
     PreconditionError,
     UnknownAtDepth,
     check_axioms,
@@ -29,6 +33,26 @@ F = Fraction
 MT = parse_system("cantor:middle-third")
 SVC = parse_system("cantor:svc")
 NONE_SYS = parse_system("cantor:non-e")
+
+
+def oracle_split(rule, box, depth):
+    """The children and gaps of `box`, left to right, in exact rational geometry.
+
+    The rules split numerators over a per-level denominator; this is the
+    geometry those integers must reproduce, written with Fractions.
+    """
+    lo, hi = box
+    w = hi - lo
+    if rule.name == "middle-third":
+        a, b = lo + w / 3, hi - w / 3
+        return ((lo, a), (b, hi)), ((a, b),)
+    if rule.name == "svc":
+        mid = (lo + hi) / 2
+        half = F(1, 2 * 4 ** (depth + 1))
+        a, b = mid - half, mid + half
+        return ((lo, a), (b, hi)), ((a, b),)
+    a, b, c = lo + w / 4, lo + w / 2, lo + 3 * w / 4
+    return ((a, b), (c, hi)), ((lo, a), (b, c))
 
 
 def oracle_expand(rule, depth):
@@ -42,7 +66,7 @@ def oracle_expand(rule, depth):
     for d in range(depth):
         nxt = []
         for box in levels[d]:
-            children, node_gaps = rule.split(box, d)
+            children, node_gaps = oracle_split(rule, box, d)
             gaps.extend(node_gaps)
             nxt.extend(children)
         levels.append(nxt)
@@ -56,9 +80,9 @@ def counting_system(rule):
         def __init__(self):
             self.calls = Counter()
 
-        def split(self, box, depth):
-            self.calls[depth, box] += 1
-            return super().split(box, depth)
+        def split(self, lo, hi, depth):
+            self.calls[depth, lo, hi] += 1
+            return super().split(lo, hi, depth)
 
     return Counting()
 
@@ -120,6 +144,26 @@ def test_walk_matches_level_list_oracle(system):
     for n in order:
         piece = gen.piece_at(n)
         assert (piece.lo, piece.hi) == gaps[n]
+
+
+@pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
+def test_split_matches_rational_geometry(system):
+    # every box at level d is a numerator over root[1] * scale**d, and its
+    # parts tile it left to right as the oracle's children and gaps
+    levels, _ = oracle_expand(system, 8)
+    for d, boxes in enumerate(levels[:-1]):
+        den = system.root[1] * system.scale**d
+        for box in boxes:
+            lo, hi = (end * den for end in box)
+            assert lo.denominator == hi.denominator == 1
+            parts = system.split(lo.numerator, hi.numerator, d)
+            assert parts[0][0] == system.scale * lo and parts[-1][1] == system.scale * hi
+            assert all(p[1] == q[0] for p, q in zip(parts, parts[1:]))
+            spans = {True: [], False: []}
+            for a, b, gap in parts:
+                spans[gap].append((F(a, den * system.scale), F(b, den * system.scale)))
+            children, gaps = oracle_split(system, box, d)
+            assert spans[False] == list(children) and spans[True] == list(gaps)
 
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
@@ -262,6 +306,20 @@ def test_in_order_walk_sorts_the_expansion(system):
         assert analyze_gap_order(system, depth) == sorted(expand(system, depth))
 
 
+@pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
+def test_walks_share_each_endpoint(system):
+    # a non-e successor pair meets at one Fraction object, not two equal
+    # ones; both walks hand out one object per endpoint value
+    ordered = analyze_gap_order(system, 10)
+    for gaps in (expand(system, 10), ordered):
+        objects = {}
+        for end in (end for gap in gaps for end in gap):
+            assert objects.setdefault(end, end) is end
+    # one successor pair below every node but the root
+    shared = sum(lo == hi for (_, hi), (lo, _) in zip(ordered, ordered[1:]))
+    assert shared == (0 if system.keeps_left_endpoint else 2**10 - 2)
+
+
 @pytest.mark.parametrize("system", [MT, SVC])
 def test_property_e_systems_show_no_witness(system):
     for depth in range(9):
@@ -329,6 +387,56 @@ def test_locate_index_agrees_with_enumeration():
             placed = gen.locate(mid, 4)
             assert placed == InPiece(index, placed.piece)
             assert (placed.piece.lo, placed.piece.hi) == (lo, hi)
+
+
+ORACLE_DEPTH = 12
+
+
+@cache
+def oracle_tree(rule):
+    """The oracle's boxes by level and each gap's removal index, to ORACLE_DEPTH."""
+    levels, gaps = oracle_expand(rule, ORACLE_DEPTH)
+    return levels, {gap: i for i, gap in enumerate(gaps)}
+
+
+def oracle_locate(rule, q, depth):
+    """Root descent over the oracle's Fraction boxes, as `locate` promises."""
+    _, index = oracle_tree(rule)
+    box = (F(0), F(1))
+    for d in range(depth):
+        if q in box:  # an endpoint of its box
+            return IDEMPOTENT
+        children, gaps = oracle_split(rule, box, d)
+        for lo, hi in gaps:
+            if lo < q < hi:
+                return InPiece(index[lo, hi], Piece(lo, hi, Label.P))
+        box = next(child for child in children if child[0] <= q <= child[1])
+    return IDEMPOTENT if q in box else UnknownAtDepth(depth)
+
+
+@cache
+def located_points(rule):
+    """k/3^m, k/4^m and k/2^m; box and gap endpoints, and those +- 1/10^6; any rational."""
+    levels, index = oracle_tree(rule)
+    grid = st.sampled_from([2, 3, 4]).flatmap(
+        lambda base: st.integers(0, 14).flatmap(
+            lambda m: st.integers(0, base**m).map(lambda k: F(k, base**m))
+        )
+    )
+    spans = st.one_of(
+        st.sampled_from(sorted(index)),
+        st.integers(0, ORACLE_DEPTH).flatmap(lambda d: st.sampled_from(levels[d])),
+    )
+    ends = spans.flatmap(st.sampled_from)
+    nudged = st.tuples(ends, st.sampled_from([F(-1, 10**6), F(1, 10**6)])).map(sum)
+    return st.one_of(grid, ends, nudged.filter(lambda q: 0 <= q <= 1), st.fractions(0, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), system=st.sampled_from([MT, SVC, NONE_SYS]), depth=st.integers(1, 12))
+def test_locate_matches_root_descent_oracle(data, system, depth):
+    q = data.draw(located_points(system))
+    assert CantorGapGenerator(system).locate(q, depth) == oracle_locate(system, q, depth)
 
 
 def test_generator_facts():

@@ -415,21 +415,26 @@ class TestSurface:
                 want += sum(lo <= y <= hi for y in pts)
         assert want > 0
 
-        calls = {"eval": 0, "combine": 0}
-        eval_, combine = FinitePresentation.eval, Piece.combine
+        calls = {"eval": 0, "formula": 0}
+        eval_, times = FinitePresentation.eval, Piece.times
 
         def counted_eval(self, x, y):
             calls["eval"] += 1
             return eval_(self, x, y)
 
-        def counted_combine(self, x, y):
-            calls["combine"] += 1
-            return combine(self, x, y)
+        def counted_times(self, x):
+            formula = times(self, x)
+
+            def counted(y):
+                calls["formula"] += 1
+                return formula(y)
+
+            return counted
 
         monkeypatch.setattr(FinitePresentation, "eval", counted_eval)
-        monkeypatch.setattr(Piece, "combine", counted_combine)
+        monkeypatch.setattr(Piece, "times", counted_times)
         assert main(["surface", f, "100"]) == 0
-        assert calls == {"eval": 0, "combine": want}
+        assert calls == {"eval": 0, "formula": want}
 
 
 def test_no_command_is_a_usage_error():
