@@ -169,14 +169,17 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownA
 
 
 def back_and_forth(s1: Signature, s2: Signature, k: int) -> tuple:
-    """Cantor's alternating matching on two dense unlabeled-alike prefixes.
+    """Cantor's alternating matching on two dense prefixes of one label.
 
-    Rounds alternate sides; each round matches the leftmost unmatched
-    entry against the leftmost partner lying in the position window its
-    already-matched neighbors dictate.  The matching preserves order, so
-    every matched partner lies outside that window and its leftmost
-    position is free.  Raises when a window is empty in the truncation,
-    which certified-dense inputs only hit by being cut too shallow.
+    Rounds alternate sides; each matches the leftmost unmatched entry to
+    the leftmost partner in the window its matched neighbours leave.  By
+    induction round r matches entry r of both sides: entries 0..r-1 are
+    matched to each other, and nothing right of them is.  So the first
+    k rounds pair the first k entries in order.  The matching certifies
+    an ISO only because both sides' `dense_no_endpoints` facts hold
+    (Cantor's theorem); this prefix is its visible part.  Raises at the
+    first round a truncation cannot serve, which certified-dense inputs
+    only hit by being cut too shallow.
     """
     if k < 0:
         raise PreconditionError("negative round count")
@@ -184,24 +187,13 @@ def back_and_forth(s1: Signature, s2: Signature, k: int) -> tuple:
     if len(labels1 | labels2) > 1:
         raise PreconditionError("back-and-forth needs one uniform shared label")
     e1, e2 = s1.entries, s2.entries
-    matched: list[tuple[int, int]] = []
-    for round_no in range(k):
-        forward = round_no % 2 == 0
-        src_entries, dst_entries = (e1, e2) if forward else (e2, e1)
-        partner_of = dict(matched if forward else ((j, i) for i, j in matched))
-        try:
-            pick = next(i for i in range(len(src_entries)) if i not in partner_of)
-        except StopIteration:
-            raise PreconditionError(f"source side exhausted at round {round_no}") from None
-        # every source left of pick is matched, and the partners keep their order
-        lo = partner_of.get(pick - 1, -1)
-        hi = min((j for i, j in partner_of.items() if i > pick), default=len(dst_entries))
-        if lo + 1 >= hi:
-            raise PreconditionError(
-                f"no partner in the truncation at round {round_no}"
-            )
-        matched.append((pick, lo + 1) if forward else (lo + 1, pick))
-    return tuple((e1[i], e2[j]) for i, j in matched)
+    n = min(len(e1), len(e2))
+    if k > n:
+        # round n picks from e1 when n is even, else from e2
+        if len(e1 if n % 2 == 0 else e2) == n:
+            raise PreconditionError(f"source side exhausted at round {n}")
+        raise PreconditionError(f"no partner in the truncation at round {n}")
+    return tuple(zip(e1[:k], e2[:k]))
 
 
 def format_verdict(verdict: Iso | NotIso | UnknownAtDepth) -> str:

@@ -4,15 +4,16 @@ A t-norm's signature (its P and L pieces and its M min-regions, left to
 right) turns into a finite relational structure over indices
 {0..N-1}: each entry contributes its least-index rational as a witness,
 and the witnesses below N, sorted by value and labeled by entry, form
-a labeled chain.  The relations rp / rl / rm and the order relation
-are read off that chain.  Two independent routes compute the same
-structure: `theta` reads the signature from `compute_signature`,
-`theta_by_probing` asks only idempotence and product questions with
-bounded quantifier scans.
+a labeled chain.  The chain is the structure: `format_l1` prints the
+relations rp / rl / rm and the order relation from it.  Two
+independent routes compute the same structure: `theta` reads the
+signature from `compute_signature`, `theta_by_probing` asks only
+idempotence and product questions with bounded quantifier scans.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 
 from .rationals import (
@@ -54,8 +55,9 @@ class L1Structure(Record):
     """A labeled chain over {0..size-1}; indices off the chain are inactive.
 
     `entries` holds the active indices in ascending order, each with its
-    label.  The relations rp, rl, rm and the strict linear order `less`
-    are read off it, so they are disjoint and linear by construction.
+    label.  The relations rp, rl, rm and the strict linear order are the
+    label groups and the chain order, so they are disjoint and linear
+    by construction.
     `qualified` is set when some index below size could not be resolved
     at the configured depth; such structures must not enter isomorphism
     comparisons.  `size` may be astronomically large: nothing here
@@ -78,26 +80,6 @@ class L1Structure(Record):
     def chain(self) -> tuple[int, ...]:
         """Active indices in ascending order."""
         return tuple(n for n, _ in self.entries)
-
-    def _group(self, label: Label) -> frozenset[int]:
-        return frozenset(n for n, entry_label in self.entries if entry_label is label)
-
-    @property
-    def rp(self) -> frozenset[int]:
-        return self._group(Label.P)
-
-    @property
-    def rl(self) -> frozenset[int]:
-        return self._group(Label.L)
-
-    @property
-    def rm(self) -> frozenset[int]:
-        return self._group(Label.M)
-
-    @property
-    def less(self) -> frozenset[tuple[int, int]]:
-        indices = self.chain()
-        return frozenset((m, n) for i, m in enumerate(indices) for n in indices[i + 1:])
 
 
 def _index_below(q: Fraction, cut: int, size: int) -> int | None:
@@ -258,10 +240,21 @@ def l1_iso_finite(a: L1Structure, b: L1Structure) -> bool:
 
 
 def format_l1(s: L1Structure) -> str:
+    groups: dict[Label, list[int]] = {label: [] for label in Label}
+    for n, label in s.entries:
+        groups[label].append(n)
     lines = [f"l1 v1 n={s.size} qualified={'true' if s.qualified else 'false'}"]
-    for name, group in (("rp", s.rp), ("rl", s.rl), ("rm", s.rm)):
-        member_text = " ".join(str(n) for n in sorted(group))
+    for name, label in (("rp", Label.P), ("rl", Label.L), ("rm", Label.M)):
+        member_text = " ".join(map(str, sorted(groups[label])))
         lines.append(f"{name}: {member_text}".rstrip())
-    for m, n in sorted(s.less):
-        lines.append(f"less: {m} {n}")
+    # one `less: m n` line per pair, by (m, n): walking the chain right
+    # to left, `after` holds the indices placed after m, ascending
+    after: list[int] = []
+    blocks: dict[int, str] = {}
+    for m in reversed(s.chain()):
+        if after:
+            head = f"less: {m} "
+            blocks[m] = head + f"\n{head}".join(map(str, after))
+        insort(after, m)
+    lines.extend(blocks[m] for m in sorted(blocks))
     return "\n".join(lines) + "\n"

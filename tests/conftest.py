@@ -58,6 +58,21 @@ FINITE_CORPUS = [
     order_tnorm(FiniteOrder((1, 0))),
 ]
 
+def relations(s):
+    """(rp, rl, rm, less) of an index structure, built from its chain.
+
+    rp, rl and rm are the indices labeled P, L and M; less holds every
+    pair (m, n) with m placed before n in the chain.
+    """
+    rp, rl, rm = (
+        frozenset(n for n, entry_label in s.entries if entry_label is label)
+        for label in (Label.P, Label.L, Label.M)
+    )
+    indices = s.chain()
+    less = frozenset((m, n) for i, m in enumerate(indices) for n in indices[i + 1:])
+    return rp, rl, rm, less
+
+
 # the presentation-file line of every shipped lazy family, after "family"
 LAZY_FAMILY_LINES = [
     "limit-left",

@@ -12,7 +12,7 @@ from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
-from conftest import PAIR_A, PAIR_A_SWAPPED, PAIR_B, tn
+from conftest import PAIR_A, PAIR_A_SWAPPED, PAIR_B, relations, tn
 from ordsum.cantor import CantorGapGenerator, parse_system
 from ordsum.families import LadderGenerator
 from ordsum.iso import (
@@ -164,19 +164,20 @@ def test_a7_order_roundtrip():
             witness_piece[idx] = n
         size = 1 + max(witness_piece)
         s = theta(order_tnorm(order), size, depth=12)
-        if s.rl:
+        rp, rl, _, less = relations(s)
+        if rl:
             failures.append(f"{name}: rl not empty")
-        if s.rp != frozenset(witness_piece):
+        if rp != frozenset(witness_piece):
             failures.append(f"{name}: rp misses a piece witness")
             continue
-        for i in s.rp:
-            for j in s.rp:
-                if i != j and ((i, j) in s.less) != order.less(
+        for i in rp:
+            for j in rp:
+                if i != j and ((i, j) in less) != order.less(
                     witness_piece[i], witness_piece[j]
                 ):
                     failures.append(f"{name}: pair ({i}, {j}) breaks the order")
         ascending = cmp_to_key(lambda m, n: -1 if order.less(m, n) else 1)
-        recovered = [witness_piece[i] for i in s.chain() if i in s.rp]
+        recovered = [witness_piece[i] for i in s.chain() if i in rp]
         if recovered != sorted(range(12), key=ascending):
             failures.append(f"{name}: recovered sequence wrong")
     _settle("A7 order-roundtrip", failures)
@@ -297,10 +298,10 @@ def test_a12_spot_values():
     brute = brute[:6]
     rm = min(i for i, q in enumerate(brute) if 0 <= q <= F(1, 2))
     rp = min(i for i, q in enumerate(brute) if F(1, 2) < q < 1)
-    s = theta(tn((F(1, 2), 1, "P")), 6)
-    if (s.rm, s.rp, s.rl) != (frozenset({rm}), frozenset({rp}), frozenset()):
+    s_rp, s_rl, s_rm, s_less = relations(theta(tn((F(1, 2), 1, "P")), 6))
+    if (s_rm, s_rp, s_rl) != (frozenset({rm}), frozenset({rp}), frozenset()):
         failures.append("index structure of the upper piece mismatch")
-    if (rm, rp) != (0, 4) or s.less != frozenset({(0, 4)}):
+    if (rm, rp) != (0, 4) or s_less != frozenset({(0, 4)}):
         failures.append("frozen indices of the upper piece moved")
     _settle("A12 spot-values", failures)
 

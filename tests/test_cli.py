@@ -1,11 +1,13 @@
 """Command-level tests: golden outputs and exit codes."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 import ordsum.cli
-from ordsum.cli import LAZY_TRUNCATION, MAX_SURFACE_GRID, main
+import ordsum.l1
+from ordsum.cli import LAZY_TRUNCATION, MAX_SURFACE_GRID, MAX_THETA_LESS_LINES, main
 from ordsum.presentations import load_presentation
 from ordsum.tnorm import FinitePresentation, Piece
 
@@ -232,6 +234,36 @@ class TestTheta:
             "less: 0 4\n"
             "less: 2 4\n"
         )
+
+
+    def test_dump_beyond_the_line_budget_exits_before_formatting(
+        self, write, monkeypatch, capsys
+    ):
+        def no_format(s):
+            pytest.fail("the line count is checked before the dump is formatted")
+
+        monkeypatch.setattr(ordsum.l1, "format_l1", no_format)
+        # 3,200 chain entries make 5,118,400 ordered pairs
+        f = write("t", "tnorm v1\nfamily cantor cantor:svc\n")
+        assert main(["theta", f, "1000000000000", "3200"]) == 3
+        assert capsys.readouterr().err == (
+            f"error: the dump's 5118400 less lines exceed the limit of {MAX_THETA_LESS_LINES}\n"
+        )
+
+    def test_dump_within_the_line_budget_is_written(self, write, monkeypatch):
+        class LineCount:
+            lines = 0
+
+            def write(self, text):
+                self.lines += text.count("\n")
+                return len(text)
+
+        sink = LineCount()
+        monkeypatch.setattr(sys, "stdout", sink)
+        # 2,000 chain entries: the header, three groups and 1,999,000 pairs
+        f = write("t", "tnorm v1\nfamily cantor cantor:svc\n")
+        assert main(["theta", f, "1000000000000", "2000"]) == 0
+        assert sink.lines == 4 + 2000 * 1999 // 2
 
 
 class TestFromLo:

@@ -64,6 +64,9 @@ def _corpus() -> list[str]:
     out += [f"theta {f} {n}" for f in finite for n in (1, 12, 40)]
     out += [f"theta {f} {n} {d}" for f in lazy for n, d in ((40, 12), (200, 30))]
     out += ["theta @pair_a 0"]
+    # dumps of hundreds of chain entries, tens of thousands of `less:` lines
+    out += [f"theta @{name} 1000000000000 300" for name in ("svc", "middle-third", "zeta")]
+    out += ["theta @mixed 100000"]
     out += [f"from-lo {o} {n}" for o in ORDERS for n in (1, 6, 13)]
     out += ["from-lo finite:2,0,1 3", "from-lo finite:3,0,2,1 5", "from-lo nope 3"]
     out += [f"cantor {s} {d}" for s in SYSTEMS for d in range(8)]

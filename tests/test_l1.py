@@ -5,11 +5,19 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ordsum.l1 as l1
-from conftest import FINITE_CORPUS, LAZY_FAMILY_LINES, PAIR_A, PAIR_A_SWAPPED, PAIR_B, tn
+from conftest import (
+    FINITE_CORPUS,
+    LAZY_FAMILY_LINES,
+    PAIR_A,
+    PAIR_A_SWAPPED,
+    PAIR_B,
+    relations,
+    tn,
+)
 from ordsum.cantor import CantorGapGenerator, parse_system
 from ordsum.l1 import (
     BoundInsufficiency,
@@ -64,7 +72,7 @@ class TestChainAgainstPairwiseOracle:
         for t in finite_corpus:
             for size in range(6, 41):
                 s = theta(t, size)
-                assert s.less == _oracle_less(s)
+                assert relations(s)[3] == _oracle_less(s)
                 # probing costs quadratic in size; the ends and the
                 # corpus size of the probing tests keep this fast
                 if size in (6, 16, 40):
@@ -78,41 +86,42 @@ class TestChainAgainstPairwiseOracle:
     def test_lazy_families(self, t):
         for size in (6, 20, 40):
             s = theta(t, size, depth=12)
-            assert s.less == _oracle_less(s)
+            assert relations(s)[3] == _oracle_less(s)
 
 
 class TestThetaFinite:
     def test_single_product_piece(self):
         s = theta(tn((F(1, 2), 1, "P")), 6)
-        assert (s.rm, s.rp, s.rl) == (frozenset({0}), frozenset({4}), frozenset())
-        assert s.less == frozenset({(0, 4)})
+        rp, rl, rm, less = relations(s)
+        assert (rm, rp, rl) == (frozenset({0}), frozenset({4}), frozenset())
+        assert less == frozenset({(0, 4)})
         assert not s.qualified
 
     def test_minimum(self):
-        s = theta(tn(), 4)
-        assert (s.rm, s.rp, s.rl) == (frozenset({0}), frozenset(), frozenset())
-        assert s.less == frozenset()
+        rp, rl, rm, less = relations(theta(tn(), 4))
+        assert (rm, rp, rl) == (frozenset({0}), frozenset(), frozenset())
+        assert less == frozenset()
 
     def test_two_piece_presentation(self):
-        s = theta(PAIR_A, 8)
-        assert s.rm == frozenset({0, 1})
-        assert s.rp == frozenset({3})
-        assert s.rl == frozenset({4})
-        assert s.less == frozenset(
+        rp, rl, rm, less = relations(theta(PAIR_A, 8))
+        assert rm == frozenset({0, 1})
+        assert rp == frozenset({3})
+        assert rl == frozenset({4})
+        assert less == frozenset(
             {(0, 3), (0, 4), (0, 1), (3, 4), (3, 1), (4, 1)}
         )
 
     def test_narrow_product_piece_activates_late(self):
         # the witness of (1/10, 1/5) is 1/6, index 11
-        s8 = theta(PAIR_B, 8)
-        assert (s8.rm, s8.rp, s8.rl) == (frozenset({0, 1}), frozenset(), frozenset({2}))
-        s16 = theta(PAIR_B, 16)
-        assert s16.rp == frozenset({11})
-        assert (11, 2) in s16.less and (0, 11) in s16.less
+        rp8, rl8, rm8, _ = relations(theta(PAIR_B, 8))
+        assert (rm8, rp8, rl8) == (frozenset({0, 1}), frozenset(), frozenset({2}))
+        rp16, _, _, less16 = relations(theta(PAIR_B, 16))
+        assert rp16 == frozenset({11})
+        assert (11, 2) in less16 and (0, 11) in less16
 
     def test_full_lukasiewicz(self):
-        s = theta(tn((0, 1, "L")), 4)
-        assert (s.rm, s.rp, s.rl) == (frozenset(), frozenset(), frozenset({2}))
+        rp, rl, rm, _ = relations(theta(tn((0, 1, "L")), 4))
+        assert (rm, rp, rl) == (frozenset(), frozenset(), frozenset({2}))
 
     def test_size_below_one_rejected(self):
         with pytest.raises(PreconditionError):
@@ -130,15 +139,16 @@ class TestThetaLazy:
     def test_covered_prefix_is_unqualified(self):
         t = order_tnorm(parse_order("omega"))
         s = theta(t, 1, depth=8)
-        assert (s.rm, s.qualified) == (frozenset({0}), False)
+        assert (relations(s)[2], s.qualified) == (frozenset({0}), False)
 
     def test_uncovered_tail_sets_qualified(self):
         t = order_tnorm(parse_order("omega"))
         s = theta(t, 8, depth=8)
+        rp, _, rm, less = relations(s)
         # gap [0,1/3] -> 0; piece (1/3,2/3) -> 1/2 = q_2; gap [2/3,7/9] -> 2/3 = q_4
-        assert s.rm == frozenset({0, 4})
-        assert s.rp == frozenset({2})
-        assert s.less == frozenset({(0, 2), (0, 4), (2, 4)})
+        assert rm == frozenset({0, 4})
+        assert rp == frozenset({2})
+        assert less == frozenset({(0, 2), (0, 4), (2, 4)})
         assert s.qualified  # q_1 = 1 lies beyond every built piece
 
     def test_dense_order_is_qualified_from_the_start(self):
@@ -370,8 +380,8 @@ class TestProbingRoute:
         assert probing_outcome(theta_by_probing, t, size, denominator_limit) == want
 
     def test_single_lukasiewicz_piece_by_hand(self):
-        s = theta_by_probing(tn((0, 1, "L")), 4)
-        assert (s.rm, s.rp, s.rl) == (frozenset(), frozenset(), frozenset({2}))
+        rp, rl, rm, _ = relations(theta_by_probing(tn((0, 1, "L")), 4))
+        assert (rm, rp, rl) == (frozenset(), frozenset(), frozenset({2}))
 
     def test_lazy_rejected(self):
         with pytest.raises(PreconditionError):
@@ -403,17 +413,17 @@ class TestSubbasisPredicates:
 
     def test_preimage_identities_on_corpus(self, finite_corpus):
         for t in finite_corpus:
-            s = theta(t, 16)
+            rp, rl, _, _ = relations(theta(t, 16))
             for n in range(16):
                 min_behaved = all(
                     subbasis_predicates(t, i, n).u_mn for i in range(n)
                 )
                 non_idem = not subbasis_predicates(t, 0, n).v_qn
                 power = find_idempotent_power(t, rational_at(n), 64)
-                assert (n in s.rp) == (
+                assert (n in rp) == (
                     non_idem and power is None and min_behaved
                 )
-                assert (n in s.rl) == (
+                assert (n in rl) == (
                     non_idem and power is not None and min_behaved
                 )
 
@@ -445,10 +455,11 @@ class TestIsoOfStructures:
 
         def brute(a, b):
             label_a, label_b = dict(a.entries), dict(b.entries)
+            less_a, less_b = relations(a)[3], relations(b)[3]
             for xi in perms:
                 if all(label_a.get(n) == label_b.get(xi[n]) for n in range(6)) and {
-                    (xi[m], xi[n]) for m, n in a.less
-                } == set(b.less):
+                    (xi[m], xi[n]) for m, n in less_a
+                } == set(less_b):
                     return True
             return False
 
@@ -457,7 +468,36 @@ class TestIsoOfStructures:
                 assert l1_iso_finite(a, b) == brute(a, b)
 
 
+def oracle_format_l1(s):
+    """`format_l1` from the relation sets: each group sorted, every pair sorted."""
+    rp, rl, rm, less = relations(s)
+    lines = [f"l1 v1 n={s.size} qualified={'true' if s.qualified else 'false'}"]
+    for name, group in (("rp", rp), ("rl", rl), ("rm", rm)):
+        member_text = " ".join(str(n) for n in sorted(group))
+        lines.append(f"{name}: {member_text}".rstrip())
+    for m, n in sorted(less):
+        lines.append(f"less: {m} {n}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def structures(draw):
+    """A chain of distinct random indices below the size, in random order."""
+    size = draw(st.one_of(st.integers(1, 40), st.integers(1, 10**12)))
+    indices = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=30))
+    labels = draw(st.lists(st.sampled_from([Label.P, Label.L, Label.M]),
+                           min_size=len(indices), max_size=len(indices)))
+    return L1Structure(size, tuple(zip(indices, labels)), draw(st.booleans()))
+
+
 class TestDumpFormat:
+    @given(structures())
+    @example(L1Structure(1, ()))
+    @example(L1Structure(10**12, ((10**12 - 1, Label.L),), qualified=True))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_relation_set_oracle(self, s):
+        assert format_l1(s) == oracle_format_l1(s)
+
     def test_two_piece_dump(self):
         text = format_l1(theta(PAIR_A, 8))
         assert text == (
