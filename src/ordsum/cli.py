@@ -35,10 +35,23 @@ MAX_SURFACE_GRID = 1000
 # a theta dump prints one `less:` line per ordered pair of chain
 # entries; cantor:svc at depth 2000 prints about 2 M of them (README)
 MAX_THETA_LESS_LINES = 5_000_000
+# piece n of an order family has denominator 3^(n+1); at 3200 pieces,
+# the fewest at which theta of cantor:svc still exceeds the line limit,
+# every lazy command but theta of theta eta takes seconds (README)
+MAX_LAZY_PIECES = 3200
+
+
+def _check_pieces(what: str, n: int, *presentations) -> None:
+    """Exit 3 when n > MAX_LAZY_PIECES pieces of an order or a lazy side are asked for."""
+    if n > MAX_LAZY_PIECES and (
+        not presentations or any(isinstance(t, PieceGenerator) for t in presentations)
+    ):
+        raise PreconditionError(f"{what} {n} exceeds the limit of {MAX_LAZY_PIECES} pieces")
 
 
 def _cmd_eval(args) -> int:
     t = load_presentation(args.file)
+    _check_pieces("pieces", args.pieces, t)
     x, y = parse_rational(args.x), parse_rational(args.y)
     if isinstance(t, PieceGenerator):
         value, bound = t.eval_approx(x, y, args.pieces)
@@ -64,20 +77,18 @@ def _cmd_signature(args) -> int:
     from .signature import compute_signature, format_signature
 
     t = load_presentation(args.file)
+    _check_pieces("depth", args.depth, t)
     sys.stdout.write(format_signature(compute_signature(t, args.depth)))
     return 0
 
 
 def _cmd_iso(args) -> int:
-    from .iso import decide_iso_finite, decide_iso_lazy, format_verdict
-    from .signature import compute_signature
+    from .iso import decide_iso_lazy, format_verdict
 
     t1 = load_presentation(args.file_a)
     t2 = load_presentation(args.file_b)
-    if any(isinstance(t, PieceGenerator) for t in (t1, t2)):
-        verdict = decide_iso_lazy(t1, t2, args.depth)
-    else:
-        verdict = decide_iso_finite(compute_signature(t1), compute_signature(t2))
+    _check_pieces("depth", args.depth, t1, t2)
+    verdict = decide_iso_lazy(t1, t2, args.depth)
     sys.stdout.write(format_verdict(verdict))
     return 4 if isinstance(verdict, UnknownAtDepth) else 0
 
@@ -86,7 +97,9 @@ def _cmd_theta(args) -> int:
     from .l1 import format_l1, theta
 
     # a finite presentation resolves completely and ignores the depth
-    s = theta(load_presentation(args.file), args.size, depth=args.depth)
+    t = load_presentation(args.file)
+    _check_pieces("depth", args.depth, t)
+    s = theta(t, args.size, depth=args.depth)
     k = len(s.entries)
     pairs = k * (k - 1) // 2
     if pairs > MAX_THETA_LESS_LINES:
@@ -100,6 +113,7 @@ def _cmd_theta(args) -> int:
 def _cmd_from_lo(args) -> int:
     from .orders import build_intervals, parse_order
 
+    _check_pieces("count", args.count)
     for lo, hi in build_intervals(parse_order(args.order), args.count):
         print(f"({lo}, {hi})")
     return 0

@@ -23,7 +23,7 @@ extends its placement without recomputing any piece already placed.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .rationals import check_unit, rational_at
@@ -239,13 +239,8 @@ class _Placement:
         intervals = self.intervals
         by_pos = self.by_position
         for n in range(len(intervals), count):
-            lo, hi = 0, len(by_pos)
-            while lo < hi:  # by_pos[:lo] lie below n, by_pos[hi:] above it
-                mid = (lo + hi) // 2
-                if less(by_pos[mid], n):
-                    lo = mid + 1
-                else:
-                    hi = mid
+            # by_pos[:lo] lie below n, by_pos[lo:] above it
+            lo = bisect_left(by_pos, True, key=lambda k: not less(k, n))
             x = intervals[by_pos[lo - 1]][1] if lo > 0 else Fraction(0)
             y = intervals[by_pos[lo]][0] if lo < len(by_pos) else Fraction(1)
             eps = Fraction(1, 3 ** (n + 1))

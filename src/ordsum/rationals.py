@@ -26,8 +26,8 @@ inside denominator d is an inclusion-exclusion count over the
 squarefree divisors of d, listed once per call.  `rational_at` reads
 the denominator of an index below the table's end off the table; past
 it, it estimates d from Phi(d) ~ 3 d^2 / pi^2 and corrects the
-estimate by single totients.  Either way it bisects the numerator on
-the inclusion-exclusion count.
+estimate by single totients, each the inclusion-exclusion count of
+all of [1, d].  Either way it bisects the numerator on that count.
 The least-index rational of an interval is its Stern-Brocot
 simplest rational, found by continued-fraction descent in O(log d)
 steps.  No cache grows with the input: memory stays flat however deep
@@ -37,7 +37,7 @@ the denominators go.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import isqrt
 
@@ -141,21 +141,18 @@ def rational_at(n: int) -> Fraction:
         below = _count(d - 1)
         while below > n:
             d -= 1
-            below -= _totient(d)
-        while n >= below + (phi := _totient(d)):
+            below -= _coprimes_below(d + 1, _signed_divisors(d))
+        while n >= below + (phi := _coprimes_below(d + 1, _signed_divisors(d))):
             below += phi
             d += 1
-    # the (n - below)-th numerator coprime to d: least p with that many below it
+    # the (n - below)-th numerator coprime to d: the least p with more
+    # than n - below coprimes to d in [1, p]
     offset = n - below
     divisors = _signed_divisors(d)
-    lo, hi = 1, d - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _coprimes_below(mid + 1, divisors) > offset:
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(lo, d)
+    p = 1 + bisect_left(
+        range(1, d), True, key=lambda m: _coprimes_below(m + 1, divisors) > offset
+    )
+    return Fraction(p, d)
 
 
 def _distinct_prime_factors(d: int) -> list[int]:
@@ -174,13 +171,6 @@ def _distinct_prime_factors(d: int) -> list[int]:
     if d > 1:
         out.append(d)
     return out
-
-
-def _totient(d: int) -> int:
-    result = d
-    for p in _distinct_prime_factors(d):
-        result -= result // p
-    return result
 
 
 def _signed_divisors(d: int) -> list[tuple[int, int]]:

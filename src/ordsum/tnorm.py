@@ -297,15 +297,15 @@ class PieceGenerator(TNorm):
     about its complete signature: `has_min_piece` and `has_max_piece`
     (a least or greatest entry exists) and `dense_no_endpoints` (the
     entries are the generator's pieces alone, with no idempotent
-    interval, ordered densely with neither end).  Each is tri-valued:
-    True and False are certificates, None means the construction does
-    not decide the question.
+    interval, ordered densely with neither end).  Each is a certificate
+    either way: the construction decides it, so False is as certain as
+    True.
     """
 
     family: str
-    has_min_piece: bool | None
-    has_max_piece: bool | None
-    dense_no_endpoints: bool | None
+    has_min_piece: bool
+    has_max_piece: bool
+    dense_no_endpoints: bool
 
     @abstractmethod
     def piece_at(self, n: int) -> Piece:

@@ -7,7 +7,14 @@ import pytest
 
 import ordsum.cli
 import ordsum.l1
-from ordsum.cli import LAZY_TRUNCATION, MAX_SURFACE_GRID, MAX_THETA_LESS_LINES, main
+from ordsum.cli import (
+    LAZY_TRUNCATION,
+    MAX_LAZY_PIECES,
+    MAX_SURFACE_GRID,
+    MAX_THETA_LESS_LINES,
+    main,
+)
+from ordsum.orders import _Placement
 from ordsum.presentations import load_presentation
 from ordsum.tnorm import FinitePresentation, Piece
 
@@ -467,6 +474,67 @@ class TestSurface:
         monkeypatch.setattr(Piece, "times", counted_times)
         assert main(["surface", f, "100"]) == 0
         assert calls == {"eval": 0, "formula": want}
+
+
+# each lazy command and the word its piece count is named by; "{n}" is
+# the count, "{zeta}" and "{eta}" are family files
+LAZY_PIECE_COMMANDS = [
+    ("pieces", ["eval", "{zeta}", "1/3", "1/3", "{n}"]),
+    ("depth", ["signature", "{zeta}", "{n}"]),
+    ("depth", ["theta", "{zeta}", "1000000000000", "{n}"]),
+    ("depth", ["iso", "{zeta}", "{eta}", "{n}"]),
+    ("count", ["from-lo", "omega", "{n}"]),
+]
+
+
+class TestLazyPieceBudget:
+    @pytest.fixture
+    def argv(self, write):
+        files = {
+            "zeta": write("zeta", "tnorm v1\nfamily theta zeta\n"),
+            "eta": write("eta", "tnorm v1\nfamily theta eta\n"),
+            "pair_a": write("pair_a", PAIR_A_TEXT),
+        }
+        return lambda words, n: [w.format(n=n, **files) for w in words]
+
+    @pytest.fixture
+    def no_pieces(self, monkeypatch):
+        # every piece of an order family, lazy or not, is placed by extend
+        def placed(self, count):
+            raise OSError("a piece was placed")
+
+        monkeypatch.setattr(_Placement, "extend", placed)
+
+    # a finite side against a lazy one builds no piece, but the depth of
+    # a lazy side is bounded all the same
+    @pytest.mark.parametrize(
+        "what, words", LAZY_PIECE_COMMANDS + [("depth", ["iso", "{pair_a}", "{zeta}", "{n}"])]
+    )
+    def test_over_the_limit_exits_before_any_piece(self, what, words, argv, no_pieces, capsys):
+        n = MAX_LAZY_PIECES + 1
+        assert main(argv(words, n)) == 3
+        assert capsys.readouterr() == (
+            "", f"error: {what} {n} exceeds the limit of {MAX_LAZY_PIECES} pieces\n"
+        )
+
+    @pytest.mark.parametrize("what, words", LAZY_PIECE_COMMANDS)
+    def test_the_limit_itself_is_accepted(self, what, words, argv, no_pieces, capsys):
+        # reaching the placement shows the limit passes the check
+        assert main(argv(words, MAX_LAZY_PIECES)) == 2
+        assert capsys.readouterr().err == "error: a piece was placed\n"
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ["eval", "{pair_a}", "3/8", "3/8", "{n}"],
+            ["signature", "{pair_a}", "{n}"],
+            ["theta", "{pair_a}", "8", "{n}"],
+            ["iso", "{pair_a}", "{pair_a}", "{n}"],
+        ],
+    )
+    def test_a_finite_presentation_ignores_the_count(self, words, argv, capsys):
+        assert main(argv(words, 10**9)) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_no_command_is_a_usage_error():

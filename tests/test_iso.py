@@ -5,12 +5,14 @@ import re
 import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FINITE_CORPUS
 from ordsum.cantor import CantorGapGenerator, parse_system
 from ordsum.cli import main
 from ordsum.families import LadderGenerator
@@ -173,12 +175,12 @@ class TestWitnessMap:
 
 
 class StubGenerator(PieceGenerator):
-    """Order facts unknown unless given; used to exercise the UNKNOWN path."""
+    """Order facts False unless given; used to exercise the UNKNOWN path."""
 
-    def __init__(self, tag, has_min_piece=None, has_max_piece=None):
+    def __init__(self, tag, has_min_piece=False, has_max_piece=False):
         self.family = f"stub {tag}"
         self.has_min_piece, self.has_max_piece = has_min_piece, has_max_piece
-        self.dense_no_endpoints = None
+        self.dense_no_endpoints = False
 
     def piece_at(self, n):
         return Piece(F(1, n + 3), F(1, n + 2), Label.P)
@@ -194,10 +196,18 @@ class StubGenerator(PieceGenerator):
 
 
 class TestLazyDecision:
-    def test_rejects_finite_inputs_and_bad_depth(self):
+    def test_decides_finite_pairs_and_rejects_bad_depth(self):
+        # two finite sides get decide_iso_finite's verdict at any depth
+        for t1, t2 in product(FINITE_CORPUS, repeat=2):
+            want = decide_iso_finite(compute_signature(t1), compute_signature(t2))
+            for depth in (0, 1, 8):
+                got = decide_iso_lazy(t1, t2, depth)
+                assert type(got) is type(want)
+                if isinstance(want, Iso):
+                    assert (got.entry_map, got.full) == (want.entry_map, want.full)
+                else:
+                    assert got == want
         lazy = LadderGenerator("limit-left")
-        with pytest.raises(PreconditionError):
-            decide_iso_lazy(PAIR_A, PAIR_B, 4)
         with pytest.raises(PreconditionError):
             decide_iso_lazy(lazy, lazy, 0)
         with pytest.raises(PreconditionError):
