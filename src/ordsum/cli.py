@@ -37,7 +37,7 @@ MAX_SURFACE_GRID = 1000
 MAX_THETA_LESS_LINES = 5_000_000
 # piece n of an order family has denominator 3^(n+1); at 3200 pieces,
 # the fewest at which theta of cantor:svc still exceeds the line limit,
-# every lazy command but theta of theta eta takes seconds (README)
+# every lazy command on a shipped family takes seconds (README)
 MAX_LAZY_PIECES = 3200
 
 

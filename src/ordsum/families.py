@@ -52,20 +52,13 @@ class LadderGenerator(PieceGenerator):
         return Fraction(1, n + 1)
 
     def _rung_of(self, q: Fraction) -> int:
-        """Index n with q in [piece_at(n).lo, piece_at(n).hi)."""
-        if self.family == "limit-left":
-            # 1 - 1/(n+1) <= q  <=>  n >= 1/(1-q) - 1
-            frac = 1 / (1 - q)
-        else:
-            # q < 1/(n+1)  <=>  n < 1/q - 1; the rung holding q has
-            # 1/(n+2) <= q, so n = ceil(1/q) - 2
-            frac = 1 / q
-        n = frac.numerator // frac.denominator
-        if self.family == "limit-left":
-            return n - 1
-        if frac.denominator != 1:
-            n += 1
-        return n - 2
+        """The rung n whose open piece holds q, when any rung's does.
+
+        Mirrored onto the right ladder, q's distance r from the limit lies
+        in (1/(n+2), 1/(n+1)) exactly inside rung n, so n = ceil(1/r) - 2.
+        """
+        r = 1 - q if self.family == "limit-left" else q
+        return -(-r.denominator // r.numerator) - 2
 
     def locate(self, q: Fraction, depth: int):
         """Closed-form placement; every unit rational resolves exactly."""

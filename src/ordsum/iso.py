@@ -96,6 +96,11 @@ def build_iso_map(t1: TNorm, t2: TNorm) -> Iso:
     return verdict
 
 
+def _depths(limit: int) -> list[int]:
+    """1, 2, 4, ... below limit, then limit: a certificate is read at the first that shows it."""
+    return [1 << k for k in range((limit - 1).bit_length())] + [limit]
+
+
 def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownAtDepth:
     """Decide any pair of presentations; every verdict rests on a certificate.
 
@@ -117,9 +122,9 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownA
             "one side has finitely many pieces; "
             "the other lists infinitely many disjoint pieces",
         )
+    rounds = min(depth, 8)
     if t1.family == t2.family:
-        entries = compute_signature(t1, min(depth, 8)).entries
-        return Iso(tuple((e, e) for e in entries))
+        return Iso(tuple((e, e) for e in compute_signature(t1, rounds).entries))
 
     # each end: the entry's position, and the endpoint of [0,1] it must touch
     ends = (
@@ -129,8 +134,8 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownA
     for name, end, has1, has2, at, bound in ends:
         if has1 == has2:
             continue
-        # the certified entry may need a few more pieces than `depth` to show
-        for pieces in (depth << k for k in range(7)):
+        # the certified entry may need more pieces than `depth` to show
+        for pieces in _depths(depth << 6):
             entry = compute_signature(t1 if has1 else t2, pieces).entries[at]
             if (entry.lo, entry.hi)[at] == bound:
                 break
@@ -145,11 +150,11 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownA
 
     d1, d2 = t1.dense_no_endpoints, t2.dense_no_endpoints
     if d1 and d2:
-        s1 = compute_signature(t1, depth)
-        s2 = compute_signature(t2, depth)
-        return Iso(back_and_forth(s1, s2, min(8, depth)))
+        s1, s2 = compute_signature(t1, rounds), compute_signature(t2, rounds)
+        return Iso(back_and_forth(s1, s2, rounds))
     if d1 or d2:
-        pair = compute_signature(t2 if d1 else t1, depth).successor_pair()
+        pairs = (compute_signature(t2 if d1 else t1, d).successor_pair() for d in _depths(depth))
+        pair = next((p for p in pairs if p is not None), None)
         if pair is not None:
             a, b = pair
             return NotIso(

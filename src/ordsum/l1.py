@@ -82,19 +82,6 @@ class L1Structure(Record):
         return tuple(n for n, _ in self.entries)
 
 
-def _index_below(q: Fraction, cut: int, size: int) -> int | None:
-    """The enumeration index of q when it is below size, else None.
-
-    `cut` is the denominator of q_(size-1).  The enumeration is
-    denominator-major, so a q of larger denominator has an index of at
-    least size and is dismissed before its index is counted.
-    """
-    if q.denominator > cut:
-        return None
-    idx = rational_index(q)
-    return idx if idx < size else None
-
-
 def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
     """The index structure of t at truncation size, read off its signature.
 
@@ -106,21 +93,20 @@ def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
     if size < 1:
         raise PreconditionError("size must be >= 1")
     sig = compute_signature(t, depth)
-    cut = rational_at(size - 1).denominator
+    last = rational_at(size - 1)
     # the complete signature covers [0, 1] up to isolated touching points,
     # which are degenerate idempotents and stay inactive; a truncated one
     # leaves regions that deeper pieces may still claim
     qualified = not sig.complete and any(
-        _index_below(min_rational_in(lo, hi, closed=True), cut, size) is not None
+        min_rational_in(lo, hi, closed=True, last=last) is not None
         for lo, hi in uncovered((e.lo, e.hi) for e in sig.entries)
     )
     witnesses: list[tuple[Fraction, int, Label]] = []
     for e in sig.entries:
         # a min region owns its endpoints, a piece only its interior
-        value = min_rational_in(e.lo, e.hi, closed=e.label is Label.M)
-        idx = _index_below(value, cut, size)
-        if idx is not None:
-            witnesses.append((value, idx, e.label))
+        value = min_rational_in(e.lo, e.hi, closed=e.label is Label.M, last=last)
+        if value is not None:
+            witnesses.append((value, rational_index(value), e.label))
     return L1Structure(size, tuple((n, label) for _, n, label in sorted(witnesses)), qualified)
 
 

@@ -195,19 +195,29 @@ def rational_index(q: Fraction) -> int:
     return _count(d - 1) + _coprimes_below(p, _signed_divisors(d))
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+def _enumeration_key(q: Fraction) -> tuple[int, int]:
+    """The enumeration's order: (denominator, numerator), which puts 0 = q_0 before 1 = q_1."""
+    return q.denominator, q.numerator
+
+
+def _simplest_between(lo: Fraction, hi: Fraction, max_denominator: int | None) -> Fraction | None:
     """The least-denominator rational strictly inside (lo, hi), 0 <= lo < hi <= 1.
 
     Stern-Brocot descent from the bounds 0/1 and 1/1: each round moves
     one bound as far toward the interval as it can go in one batch of
     equal steps, which is one continued-fraction term, so the loop runs
     O(log d) times.  The first mediant that lands inside is the answer.
+    Every rational strictly between the bounds pl/ql and pr/qr has a
+    denominator of at least ql + qr, so once that exceeds
+    `max_denominator` the descent stops and returns None.
     """
     a, b = lo.numerator, lo.denominator
     c, e = hi.numerator, hi.denominator
     pl, ql, pr, qr = 0, 1, 1, 1
     while True:
         pm, qm = pl + pr, ql + qr
+        if max_denominator is not None and qm > max_denominator:
+            return None
         if pm * b <= a * qm:
             # mediant <= lo: the largest k with (pl + k pr)/(ql + k qr) <= lo
             k = (a * ql - b * pl) // (b * pr - a * qr)
@@ -220,7 +230,9 @@ def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
             return Fraction(pm, qm)
 
 
-def min_rational_in(lo: Fraction, hi: Fraction, closed: bool = False) -> Fraction:
+def min_rational_in(
+    lo: Fraction, hi: Fraction, closed: bool = False, last: Fraction | None = None
+) -> Fraction | None:
     """Least-index enumeration rational in (lo, hi), or [lo, hi] when closed.
 
     The enumeration is denominator-major, and for d >= 2 an interval
@@ -228,17 +240,20 @@ def min_rational_in(lo: Fraction, hi: Fraction, closed: bool = False) -> Fractio
     with the same denominator always have a smaller one between them),
     so the answer is the Stern-Brocot simplest rational of the open
     interval.  A closed interval also competes its endpoints, compared
-    by (denominator, numerator): that order agrees with the
-    enumeration, including at denominator 1, where 0 (index 0) precedes
-    1 (index 1).  No index is computed.
+    by `_enumeration_key`.  Given `last`, the answer is returned only
+    when it comes no later than `last` in the enumeration, else None;
+    the descent then stops at `last`'s denominator.  No index is
+    computed.
     """
     check_unit(lo)
     check_unit(hi)
     if lo >= hi:
         raise ValueError("interval must satisfy lo < hi")
-    q = _simplest_between(lo, hi)
+    q = _simplest_between(lo, hi, None if last is None else last.denominator)
     if closed:
-        q = min((lo, hi, q), key=lambda r: (r.denominator, r.numerator))
+        q = min((r for r in (lo, hi, q) if r is not None), key=_enumeration_key)
+    if q is None or (last is not None and _enumeration_key(q) > _enumeration_key(last)):
+        return None
     return q
 
 

@@ -48,10 +48,13 @@ def test_locate_always_resolves(anchor):
                 assert placed is IDEMPOTENT
 
 
-@given(st.fractions(min_value=0, max_value=1, max_denominator=200))
+@given(
+    st.sampled_from(["limit-left", "limit-right"]),
+    st.fractions(min_value=0, max_value=1, max_denominator=200),
+)
 @settings(max_examples=80, deadline=None)
-def test_locate_agrees_with_rung_scan(q):
-    gen = LadderGenerator("limit-right")
+def test_locate_agrees_with_rung_scan(anchor, q):
+    gen = LadderGenerator(anchor)
     placed = gen.locate(q, 1)
     hits = [n for n in range(300) if gen.piece_at(n).contains_open(q)]
     if hits:

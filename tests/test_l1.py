@@ -177,13 +177,16 @@ LAZY_FAMILIES = {
 }
 
 
-def oracle_theta_by_size(t, size, depth=None):
+def oracle_theta_by_size(t, size, depth=None, cut=None):
     """`theta` with the rule it had before the cutoff: a rational is
-    dismissed without an index only when its denominator exceeds size."""
+    dismissed without an index only when its denominator exceeds `cut`
+    (default: size).  Any cut at least the denominator of q_(size-1) is
+    sound, since the enumeration is denominator-major."""
     sig = compute_signature(t, depth)
+    cut = size if cut is None else cut
 
     def index_below(q):
-        if q.denominator > size:
+        if q.denominator > cut:
             return None
         idx = rational_index(q)
         return idx if idx < size else None
@@ -215,23 +218,42 @@ class TestSizeCutoff:
         t, depth = t_depth
         assert theta(t, size, depth) == oracle_theta_by_size(t, size, depth)
 
-    @pytest.mark.parametrize("line", sorted(LAZY_FAMILIES))
-    def test_no_index_counted_beyond_the_cutoff(self, monkeypatch, line):
-        t = LAZY_FAMILIES[line]
-        counted = []
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Every rational `theta` asks `rational_index` about, in call order."""
+        calls = []
 
         def counting_index(q):
-            counted.append(q)
+            calls.append(q)
             return rational_index(q)
 
         monkeypatch.setattr(l1, "rational_index", counting_index)
+        return calls
+
+    @pytest.mark.parametrize("line", sorted(LAZY_FAMILIES))
+    def test_no_index_counted_beyond_the_cutoff(self, counted, line):
+        t = LAZY_FAMILIES[line]
         for size in (1, 12, 1000, 10**6):
             cut = rational_at(size - 1).denominator
             counted.clear()
             s = theta(t, size, depth=30)
             beyond = [q for q in counted if q.denominator > cut]
             assert not beyond, (size, cut, beyond)
+            assert len(counted) == len(s.entries)
             assert s == oracle_theta_by_size(t, size, depth=30)
+
+    def test_eta_counts_an_index_only_for_a_chain_entry(self, counted):
+        # 30 of eta's first 400 pieces have witnesses with denominators
+        # between q_(size-1)'s and the size; `theta` counts none of them
+        t, size = LAZY_FAMILIES["theta eta"], 10**12
+        s = theta(t, size, depth=400)
+        assert len(counted) == len(s.entries) > 0
+        # counting those 30 indices would take minutes (6 s for one at
+        # denominator 10^9), so the oracle dismisses past q_(size-1)'s
+        # denominator, which is sound because the enumeration is
+        # denominator-major
+        cut = rational_at(size - 1).denominator
+        assert s == oracle_theta_by_size(t, size, depth=400, cut=cut)
 
 
 # cuts of the random presentations sit on multiples of 1/PROBE_DEN, and

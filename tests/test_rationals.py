@@ -14,6 +14,7 @@ from ordsum.rationals import (
     count_up_to,
     fractions_up_to,
     min_entry_in,
+    min_rational_in,
     parse_rational,
     rational_at,
     rational_index,
@@ -252,6 +253,50 @@ def test_min_entry_matches_denominator_scan(interval, closed):
     # the mediant lies inside, so the answer's denominator is <= 3000
     q = scan_min_entry(lo, hi, closed)
     assert min_entry_in(lo, hi, closed) == (sieve_index(q), q)
+
+
+@st.composite
+def deep_intervals(draw):
+    """Intervals between multiples of 3^-k, k up to 60, of any width down to 3^-k."""
+    k = draw(st.integers(min_value=1, max_value=60))
+    d = 3**k
+    p = draw(st.integers(min_value=0, max_value=d - 1))
+    r = min(d, p + 3 ** draw(st.integers(min_value=0, max_value=k)))
+    return Fraction(p, d), Fraction(r, d)
+
+
+def no_later_than(q: Fraction, n: int) -> bool:
+    """Does q come no later than q_n?  A larger denominator always comes
+    later; otherwise q's index is cheap to count."""
+    return q.denominator <= rational_at(n).denominator and rational_index(q) <= n
+
+
+TABLE_END = count_up_to(1024)
+
+
+@given(
+    interval=st.one_of(intervals(), deep_intervals()),
+    closed=st.booleans(),
+    n=st.one_of(
+        st.integers(min_value=0, max_value=10**12),
+        st.integers(min_value=TABLE_END - 100, max_value=TABLE_END + 100),
+    ),
+)
+# 2/5 is the answer of (1/3, 1/2): q_8, after 1/5 = q_7 of the same denominator ...
+@example(interval=(Fraction(1, 3), Fraction(1, 2)), closed=False, n=8)
+@example(interval=(Fraction(1, 3), Fraction(1, 2)), closed=False, n=7)
+@example(interval=(Fraction(1, 3), Fraction(1, 2)), closed=False, n=6)
+# ... and the closed interval's answer is its endpoint 1/2, q_2
+@example(interval=(Fraction(1, 3), Fraction(1, 2)), closed=True, n=2)
+@example(interval=(Fraction(1, 3), Fraction(1, 2)), closed=True, n=1)
+@example(interval=(Fraction(0), Fraction(1, 3**60)), closed=True, n=0)
+@example(interval=(Fraction(0), Fraction(1, 3**60)), closed=False, n=10**12)
+@settings(max_examples=150, deadline=None)
+def test_min_rational_in_stops_at_last(interval, closed, n):
+    lo, hi = interval
+    q = min_rational_in(lo, hi, closed)
+    want = q if no_later_than(q, n) else None
+    assert min_rational_in(lo, hi, closed, last=rational_at(n)) == want
 
 
 def test_min_entry_in_pairs_index_with_value():
