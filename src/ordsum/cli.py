@@ -24,7 +24,7 @@ from functools import cmp_to_key
 # command imports any other module it runs inside its function, so a
 # command loads only what it uses.
 from .presentations import load_presentation
-from .rationals import min_entry_in, parse_rational
+from .rationals import parse_rational
 from .tnorm import Label, PieceGenerator, PreconditionError, UnknownAtDepth, check_axioms
 
 GRID_21 = tuple(Fraction(i, 20) for i in range(21))
@@ -39,6 +39,11 @@ MAX_THETA_LESS_LINES = 5_000_000
 # the fewest at which theta of cantor:svc still exceeds the line limit,
 # every lazy command on a shipped family takes seconds (README)
 MAX_LAZY_PIECES = 3200
+# roundtrip counts the index of every piece's witness, and piece n is
+# 3^-(n+1) wide in any order, so its witness's denominator can reach
+# about 3^(n+1); at 20 pieces of omega the command takes about 2 s, and
+# each piece more about twice as long (README)
+MAX_ROUNDTRIP_PIECES = 20
 
 
 def _check_pieces(what: str, n: int, *presentations) -> None:
@@ -74,11 +79,12 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_signature(args) -> int:
-    from .signature import compute_signature, format_signature
+    from .signature import compute_signature, signature_lines
 
     t = load_presentation(args.file)
     _check_pieces("depth", args.depth, t)
-    sys.stdout.write(format_signature(compute_signature(t, args.depth)))
+    # line by line: the dump of a deep lazy signature is tens of megabytes
+    sys.stdout.writelines(signature_lines(compute_signature(t, args.depth)))
     return 0
 
 
@@ -129,16 +135,19 @@ def _cmd_cantor(args) -> int:
 def _cmd_roundtrip(args) -> int:
     from .l1 import theta
     from .orders import build_intervals, order_tnorm, parse_order
+    from .rationals import _IndexCounter, min_rational_in
 
-    order = parse_order(args.order)
     count = args.count
+    if count > MAX_ROUNDTRIP_PIECES:
+        raise PreconditionError(f"count {count} exceeds the limit of {MAX_ROUNDTRIP_PIECES} pieces")
+    order = parse_order(args.order)
     t = order_tnorm(order)
-    witness_piece: dict[int, int] = {}
-    for n, (lo, hi) in enumerate(build_intervals(order, count)):
-        idx, _value = min_entry_in(lo, hi)
-        witness_piece[idx] = n
+    values = [min_rational_in(lo, hi) for lo, hi in build_intervals(order, count)]
+    # one batch for the command: theta's witnesses have the same denominators
+    counter = _IndexCounter(max(q.denominator for q in values))
+    witness_piece = {idx: n for n, idx in enumerate(counter.indices(values))}
     size = 1 + max(witness_piece)
-    s = theta(t, size, depth=count)
+    s = theta(t, size, depth=count, counter=counter)
     rp = [idx for idx, label in s.entries if label is Label.P]
     recovered = [witness_piece.get(idx, -1) for idx in rp]
     ascending = cmp_to_key(lambda m, n: -1 if order.less(m, n) else 1)

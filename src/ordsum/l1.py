@@ -16,13 +16,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 
-from .rationals import (
-    count_up_to,
-    fractions_up_to,
-    min_rational_in,
-    rational_at,
-    rational_index,
-)
+from .rationals import _IndexCounter, count_up_to, fractions_up_to, min_rational_in, rational_at
 from .signature import Label, compute_signature
 from .tnorm import (
     PieceGenerator,
@@ -82,18 +76,27 @@ class L1Structure(Record):
         return tuple(n for n, _ in self.entries)
 
 
-def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
+def theta(
+    t: TNorm, size: int, depth: int | None = None, counter: _IndexCounter | None = None
+) -> L1Structure:
     """The index structure of t at truncation size, read off its signature.
 
     Finite presentations resolve completely.  Lazy ones read the
     signature truncated at `depth`: the pieces and certified min-regions
     visible there.  If any index below size falls in territory the depth
     does not cover, the result is marked qualified rather than guessed at.
+
+    The index work is one batch: q_(size-1) and the index of every kept
+    witness, which comes no later than q_(size-1), share one counter.  A
+    caller that has counted indices of the same denominators passes its
+    own `counter`, so that the two share one sieve and one memo.
     """
     if size < 1:
         raise PreconditionError("size must be >= 1")
     sig = compute_signature(t, depth)
-    last = rational_at(size - 1)
+    if counter is None:
+        counter = _IndexCounter.up_to(size - 1)
+    last = counter.at(size - 1)
     # the complete signature covers [0, 1] up to isolated touching points,
     # which are degenerate idempotents and stay inactive; a truncated one
     # leaves regions that deeper pieces may still claim
@@ -101,13 +104,15 @@ def theta(t: TNorm, size: int, depth: int | None = None) -> L1Structure:
         min_rational_in(lo, hi, closed=True, last=last) is not None
         for lo, hi in uncovered((e.lo, e.hi) for e in sig.entries)
     )
-    witnesses: list[tuple[Fraction, int, Label]] = []
+    kept: list[tuple[Fraction, Label]] = []
     for e in sig.entries:
         # a min region owns its endpoints, a piece only its interior
         value = min_rational_in(e.lo, e.hi, closed=e.label is Label.M, last=last)
         if value is not None:
-            witnesses.append((value, rational_index(value), e.label))
-    return L1Structure(size, tuple((n, label) for _, n, label in sorted(witnesses)), qualified)
+            kept.append((value, e.label))
+    kept.sort()  # by value: no two entries share a witness
+    indices = counter.indices([value for value, _ in kept])
+    return L1Structure(size, tuple(zip(indices, (label for _, label in kept))), qualified)
 
 
 def theta_by_probing(t: TNorm, size: int, denominator_limit: int = 32) -> L1Structure:

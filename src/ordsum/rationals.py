@@ -13,32 +13,43 @@ appears exactly once, so the enumeration has an exact inverse
 nothing here is approximate.
 
 Index arithmetic never walks the enumeration across denominators.
-The entries with denominator <= d number 1 + Phi(d), where
-Phi(n) = phi(1) + ... + phi(n) is the summatory totient.  Up to
-denominator 1024 it is read from a fixed table; beyond that it comes
-from the recursion
+The entries with denominator <= d number C(d) = 1 + Phi(d), where
+Phi(n) = phi(1) + ... + phi(n) is the summatory totient, and
 
-    Phi(n) = n(n+1)/2 - sum_{k>=2} Phi(n // k),
+    C(n) = n(n+3)/2 - sum_{k=2..n} C(n // k),
 
-grouped over the O(sqrt n) distinct quotients n // k and memoised in a
-dict that lives for one call, which takes sublinear time.  The position
-inside denominator d is an inclusion-exclusion count over the
-squarefree divisors of d, listed once per call.  `rational_at` reads
-the denominator of an index below the table's end off the table; past
-it, it estimates d from Phi(d) ~ 3 d^2 / pi^2 and corrects the
-estimate by single totients, each the inclusion-exclusion count of
-all of [1, d].  Either way it bisects the numerator on that count.
-The least-index rational of an interval is its Stern-Brocot
-simplest rational, found by continued-fraction descent in O(log d)
-steps.  No cache grows with the input: memory stays flat however deep
-the denominators go.
+grouped over the O(sqrt n) distinct quotients n // k.  A fixed table,
+built on first use, holds C up to denominator 1024.  Past it, index
+arithmetic runs in batches: one `rational_at`, one `rational_index`,
+one `rational_indices` call or one `l1.theta` is a batch, and a
+private counter serves it and no longer.  The counter sieves phi up
+to about D^(2/3) for the batch's largest denominator D (the fixed
+table when that reaches far enough, never past a fixed cap) and
+memoises the recursion above the sieve in one dict, so a batch builds
+one sieve and counts each denominator once.  This is the usual
+n^(2/3) split for summatory arithmetic functions (Deleglise and
+Rivat, "Computing the summation of the Moebius function",
+Experimental Mathematics 5, 1996).  The position inside denominator d
+is an inclusion-exclusion count over the squarefree divisors of d.
+`rational_at` reads the denominator of an index below the table's end
+off the table; past it, it estimates d from C(d) ~ 3 d^2 / pi^2 and
+corrects the estimate by single totients, each the
+inclusion-exclusion count of all of [1, d].  Either way it bisects
+the numerator on that count.  The least-index rational of an interval
+is its Stern-Brocot simplest rational, found by continued-fraction
+descent in O(log d) steps.  Nothing but the fixed table outlives a
+batch, so memory stays bounded by one batch's sieve however deep the
+denominators go.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 from math import isqrt
 
 __all__ = [
@@ -46,6 +57,7 @@ __all__ = [
     "parse_rational",
     "rational_at",
     "rational_index",
+    "rational_indices",
     "min_rational_in",
     "min_entry_in",
     "fractions_up_to",
@@ -56,23 +68,41 @@ __all__ = [
 _RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
 
 _TABLE_LIMIT = 1024
+# A batch's sieve ends near _SIEVE_SCALE * D^(2/3) for its largest
+# denominator D, where building the sieve and running the recursion above
+# it cost about the same, and never past _SIEVE_CAP entries (32 MiB at
+# 8 bytes each): past the cap the recursion is slower, not wrong.
+_SIEVE_SCALE = 0.5
+_SIEVE_CAP = 1 << 22
 
 
-def _count_table(limit: int) -> tuple[int, ...]:
+def _count_table(limit: int) -> Sequence[int]:
     """counts[d] = entries with denominator <= d, for 0 <= d <= limit."""
-    phi = list(range(limit + 1))
+    # loaded on first use, which most commands never make
+    from array import array
+
+    phi = array("q", range(limit + 1))
     for p in range(2, limit + 1):
-        if phi[p] == p:  # p is prime; sieve out its factor from all multiples
+        if phi[p] != p:
+            continue
+        # p is prime; sieve out its factor from all multiples, one at a
+        # time when they are few, else a slice of 2^16 at a time, so no
+        # list of Python ints outgrows phi
+        if p > limit >> 4:
             for m in range(p, limit + 1, p):
                 phi[m] -= phi[m] // p
-    counts = [0, 2]
-    for d in range(2, limit + 1):
-        counts.append(counts[-1] + phi[d])
-    return tuple(counts)
+            continue
+        for start in range(p, limit + 1, p << 16):
+            part = slice(start, start + (p << 16), p)
+            phi[part] = array("q", [m - m // p for m in phi[part]])
+    phi[1] = 2  # denominator 1 holds two entries, 0 and 1
+    return array("q", accumulate(phi))
 
 
-# Fixed at import; counts[d] == 1 + Phi(d) for d >= 1.
-_COUNTS = _count_table(_TABLE_LIMIT)
+@cache
+def _fixed_table() -> Sequence[int]:
+    """counts[d] for d <= _TABLE_LIMIT, built on first use and never changed."""
+    return _count_table(_TABLE_LIMIT)
 
 
 def check_unit(q: Fraction) -> Fraction:
@@ -97,62 +127,116 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _totient_sum(n: int, memo: dict[int, int]) -> int:
-    """Phi(n) for n > _TABLE_LIMIT, by the quotient recursion over the fixed table."""
-    total = memo.get(n)
-    if total is not None:
+def _sieve_limit(max_denominator: int) -> int:
+    """Where the sieve of a batch whose largest denominator is max_denominator ends."""
+    # past 2^40 the cap holds anyway, and the float power stays finite
+    scaled = int(_SIEVE_SCALE * min(max_denominator, 1 << 40) ** (2 / 3))
+    return max(_TABLE_LIMIT, min(_SIEVE_CAP, scaled))
+
+
+class _IndexCounter:
+    """Index arithmetic for one batch of rationals, and no longer.
+
+    It holds the entry counts up to `_sieve_limit(max_denominator)`, the
+    fixed table's when that is its end, and one memo for the quotient
+    recursion above them.  Counts of one denominator, or of two whose
+    quotients meet, are computed once per batch.
+    """
+
+    __slots__ = ("_counts", "_memo")
+
+    def __init__(self, max_denominator: int):
+        limit = _sieve_limit(max_denominator)
+        self._counts = _fixed_table() if limit == _TABLE_LIMIT else _count_table(limit)
+        self._memo: dict[int, int] = {}
+
+    @classmethod
+    def up_to(cls, n: int) -> _IndexCounter:
+        """A counter for a batch that reaches no further than q_n."""
+        return cls(_denominator_estimate(n))
+
+    def count(self, d: int) -> int:
+        """How many entries have denominator <= d, for d >= 0.
+
+        C(d) = 1 + Phi(d) obeys C(d) = d(d+3)/2 - sum_{j=2..d} C(d // j).
+        Each j <= isqrt(d) is one term; every larger j has a quotient
+        q = d // j <= isqrt(d), shared by d // q - d // (q + 1) values of j.
+        """
+        counts = self._counts
+        if d < len(counts):
+            return counts[d]
+        total = self._memo.get(d)
+        if total is None:
+            r = isqrt(d)
+            # quotients d // j below len(counts) are read off the sieve, and
+            # so is every q <= d // (r + 1) unless the cap cut the sieve short
+            deep = min(r, d // len(counts))
+            m = d // (r + 1)
+            small = counts[1 : m + 1] if m < len(counts) else map(self.count, range(1, m + 1))
+            total = (
+                d * (d + 3) // 2
+                - sum([self.count(d // j) for j in range(2, deep + 1)])
+                - sum([counts[d // j] for j in range(deep + 1, r + 1)])
+                - sum([(d // q - d // (q + 1)) * c for q, c in enumerate(small, 1)])
+            )
+            self._memo[d] = total
         return total
-    total = n * (n + 1) // 2
-    k = 2
-    while k <= n:
-        quotient = n // k
-        last = n // quotient  # every k' in [k, last] has n // k' == quotient
-        if quotient <= _TABLE_LIMIT:
-            total -= (last - k + 1) * (_COUNTS[quotient] - 1)
-        else:
-            total -= (last - k + 1) * _totient_sum(quotient, memo)
-        k = last + 1
-    memo[n] = total
-    return total
 
+    def indices(self, qs: list[Fraction]) -> list[int]:
+        """The index of each rational in qs, in order."""
+        return [_index(q, self.count) for q in qs]
 
-def _count(d: int) -> int:
-    """How many entries have denominator <= d, for d >= 0."""
-    if d <= _TABLE_LIMIT:
-        return _COUNTS[d]
-    return 1 + _totient_sum(d, {})
-
-
-def rational_at(n: int) -> Fraction:
-    """Return q_n, the n-th rational of the enumeration."""
-    if n < 0:
-        raise ValueError("index must be a natural number")
-    if n == 0:
-        return Fraction(0)
-    if n == 1:
-        return Fraction(1)
-    if n < _COUNTS[-1]:
-        d = bisect_right(_COUNTS, n)
-        below = _COUNTS[d - 1]
-    else:
+    def at(self, n: int) -> Fraction:
+        """q_n, the n-th rational of the enumeration."""
+        if n < _fixed_table()[-1]:
+            return _table_at(n)
         # count(d) = 3 d^2 / pi^2 + O(d log d): start at the estimate and
         # step by single totients, keeping below == count(d - 1)
-        d = max(_TABLE_LIMIT + 1, isqrt(n * 328986813369645 // 10**14))
-        below = _count(d - 1)
+        d = _denominator_estimate(n)
+        below = self.count(d - 1)
         while below > n:
             d -= 1
             below -= _coprimes_below(d + 1, _signed_divisors(d))
         while n >= below + (phi := _coprimes_below(d + 1, _signed_divisors(d))):
             below += phi
             d += 1
-    # the (n - below)-th numerator coprime to d: the least p with more
-    # than n - below coprimes to d in [1, p]
-    offset = n - below
+        return _nth_coprime(d, n - below)
+
+
+def _denominator_estimate(n: int) -> int:
+    """About the denominator of q_n, from count(d) ~ 3 d^2 / pi^2; never inside the table."""
+    return max(_TABLE_LIMIT + 1, isqrt(n * 328986813369645 // 10**14))
+
+
+def _nth_coprime(d: int, offset: int) -> Fraction:
+    """p/d for the least p with more than offset coprimes to d in [1, p]."""
     divisors = _signed_divisors(d)
     p = 1 + bisect_left(
         range(1, d), True, key=lambda m: _coprimes_below(m + 1, divisors) > offset
     )
     return Fraction(p, d)
+
+
+def _table_at(n: int) -> Fraction:
+    """q_n for 0 <= n below the fixed table's end."""
+    if n < 2:
+        return Fraction(n)
+    table = _fixed_table()
+    d = bisect_right(table, n)
+    return _nth_coprime(d, n - table[d - 1])
+
+
+def rational_at(n: int) -> Fraction:
+    """Return q_n, the n-th rational of the enumeration.
+
+    Below the fixed table's end this is a lookup; past it, one counter
+    serves the call.
+    """
+    if n < 0:
+        raise ValueError("index must be a natural number")
+    if n < _fixed_table()[-1]:
+        return _table_at(n)
+    return _IndexCounter.up_to(n).at(n)
 
 
 def _distinct_prime_factors(d: int) -> list[int]:
@@ -186,13 +270,30 @@ def _coprimes_below(p: int, divisors: list[tuple[int, int]]) -> int:
     return sum(mu * ((p - 1) // k) for k, mu in divisors)
 
 
-def rational_index(q: Fraction) -> int:
-    """Inverse of `rational_at`: the unique n with q_n == q."""
-    check_unit(q)
+def _index(q: Fraction, count) -> int:
+    """The unique n with q_n == q, given count(d) = entries with denominator <= d."""
     p, d = q.numerator, q.denominator
     if d == 1:
         return p
-    return _count(d - 1) + _coprimes_below(p, _signed_divisors(d))
+    return count(d - 1) + _coprimes_below(p, _signed_divisors(d))
+
+
+def rational_index(q: Fraction) -> int:
+    """Inverse of `rational_at`: the unique n with q_n == q.
+
+    A denominator the fixed table reaches is a lookup; past it, one
+    counter serves the call.
+    """
+    check_unit(q)
+    if q.denominator <= _TABLE_LIMIT + 1:
+        return _index(q, _fixed_table().__getitem__)
+    return rational_indices([q])[0]
+
+
+def rational_indices(qs: Iterable[Fraction]) -> list[int]:
+    """The index of each rational of a batch, in order, from one counter."""
+    qs = [check_unit(q) for q in qs]
+    return _IndexCounter(max((q.denominator for q in qs), default=1)).indices(qs)
 
 
 def _enumeration_key(q: Fraction) -> tuple[int, int]:
@@ -282,7 +383,7 @@ def fractions_up_to(max_denominator: int) -> list[tuple[Fraction, int]]:
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
     # next_index[d - 1] is the index of the next entry with denominator d
-    next_index = list(_count_table(max_denominator))
+    next_index = _count_table(max_denominator)
     items = [(Fraction(0), 0)]
     a, b, c, d = 0, 1, 1, max_denominator
     while d > 1:
@@ -298,4 +399,4 @@ def count_up_to(max_denominator: int) -> int:
     """How many enumeration entries have denominator <= max_denominator."""
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    return _count(max_denominator)
+    return _IndexCounter(max_denominator).count(max_denominator)

@@ -11,6 +11,7 @@ encodings) reads it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import pairwise
 
 from .tnorm import (
@@ -28,7 +29,7 @@ __all__ = [
     "Label",
     "Signature",
     "compute_signature",
-    "format_signature",
+    "signature_lines",
 ]
 
 
@@ -79,9 +80,14 @@ def compute_signature(t: TNorm, depth: int | None = None) -> Signature:
     return Signature((*pieces, *(Piece(lo, hi, Label.M) for lo, hi in gaps)), depth)
 
 
-def format_signature(sig: Signature) -> str:
+def signature_lines(sig: Signature) -> Iterator[str]:
+    """The signature dump, one newline-terminated line at a time."""
     depth = "-" if sig.truncation_depth is None else str(sig.truncation_depth)
-    lines = [f"signature v1 complete={'true' if sig.complete else 'false'} depth={depth}"]
+    yield f"signature v1 complete={'true' if sig.complete else 'false'} depth={depth}\n"
     for e in sig.entries:
-        lines.append(f"{e.label.value} {e.lo} {e.hi}")
-    return "\n".join(lines) + "\n"
+        yield f"{e.label.value} {e.lo} {e.hi}\n"
+
+
+def format_signature(sig: Signature) -> str:
+    """The whole signature dump as one string."""
+    return "".join(signature_lines(sig))

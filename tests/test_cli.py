@@ -10,12 +10,14 @@ import ordsum.l1
 from ordsum.cli import (
     LAZY_TRUNCATION,
     MAX_LAZY_PIECES,
+    MAX_ROUNDTRIP_PIECES,
     MAX_SURFACE_GRID,
     MAX_THETA_LESS_LINES,
     main,
 )
 from ordsum.orders import _Placement
 from ordsum.presentations import load_presentation
+from ordsum.rationals import _IndexCounter
 from ordsum.tnorm import FinitePresentation, Piece
 
 PAIR_A_TEXT = "tnorm v1\npiece 1/4 1/2 P\npiece 1/2 3/4 L\n"
@@ -50,6 +52,15 @@ def write(tmp_path):
         return str(p)
 
     return _write
+
+
+@pytest.fixture
+def no_pieces(monkeypatch):
+    # every piece of an order, lazy or not, is placed by extend
+    def placed(self, count):
+        raise OSError("a piece was placed")
+
+    monkeypatch.setattr(_Placement, "extend", placed)
 
 
 class TestEval:
@@ -386,6 +397,37 @@ class TestRoundtrip:
         assert "recovered 1 2 0\n" in out
         assert out.endswith("PASS\n")
 
+    def test_one_counter_serves_the_command(self, monkeypatch, capsys):
+        # the witnesses' indices and theta's share one sieve and one memo
+        made = []
+        init = _IndexCounter.__init__
+
+        def counting_init(self, max_denominator):
+            made.append(max_denominator)
+            init(self, max_denominator)
+
+        monkeypatch.setattr(_IndexCounter, "__init__", counting_init)
+        assert main(["roundtrip", "omega", "13"]) == 0
+        assert made == [797162]
+        assert capsys.readouterr().out.endswith("PASS\n")
+
+    # a finite order's first pieces have the same denominators as omega's
+    ROUNDTRIP_ORDERS = ["omega", "eta", "finite:" + ",".join(map(str, range(MAX_ROUNDTRIP_PIECES + 1)))]
+
+    @pytest.mark.parametrize("order", ROUNDTRIP_ORDERS)
+    def test_over_the_limit_exits_before_any_piece(self, order, no_pieces, capsys):
+        n = MAX_ROUNDTRIP_PIECES + 1
+        assert main(["roundtrip", order, str(n)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: count {n} exceeds the limit of {MAX_ROUNDTRIP_PIECES} pieces\n"
+        )
+
+    @pytest.mark.parametrize("order", ROUNDTRIP_ORDERS)
+    def test_the_limit_itself_is_accepted(self, order, no_pieces, capsys):
+        # reaching the placement shows the limit passes the check
+        assert main(["roundtrip", order, str(MAX_ROUNDTRIP_PIECES)]) == 2
+        assert capsys.readouterr().err == "error: a piece was placed\n"
+
 
 class TestSurface:
     def test_finite_grid(self, write, capsys):
@@ -496,14 +538,6 @@ class TestLazyPieceBudget:
             "pair_a": write("pair_a", PAIR_A_TEXT),
         }
         return lambda words, n: [w.format(n=n, **files) for w in words]
-
-    @pytest.fixture
-    def no_pieces(self, monkeypatch):
-        # every piece of an order family, lazy or not, is placed by extend
-        def placed(self, count):
-            raise OSError("a piece was placed")
-
-        monkeypatch.setattr(_Placement, "extend", placed)
 
     # a finite side against a lazy one builds no piece, but the depth of
     # a lazy side is bounded all the same

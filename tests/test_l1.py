@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ordsum.l1 as l1
 from conftest import (
     FINITE_CORPUS,
     LAZY_FAMILY_LINES,
@@ -32,6 +31,7 @@ from ordsum.l1 import (
 from ordsum.orders import parse_order, order_tnorm
 from ordsum.presentations import parse_presentation_text
 from ordsum.rationals import (
+    _IndexCounter,
     count_up_to,
     fractions_up_to,
     min_rational_in,
@@ -159,15 +159,15 @@ class TestThetaLazy:
         # omega's piece n has denominator about 3^(n+1): far past size 20
         # from piece 3 on, so no index needs to be counted for it
         counted = []
-        index = l1.rational_index
+        indices = _IndexCounter.indices
 
-        def counting_index(q):
-            counted.append(q)
-            return index(q)
+        def counting_indices(self, qs):
+            counted.extend(qs)
+            return indices(self, qs)
 
         t = order_tnorm(parse_order("omega"))
         shallow = theta(t, 20, depth=12)
-        monkeypatch.setattr(l1, "rational_index", counting_index)
+        monkeypatch.setattr(_IndexCounter, "indices", counting_indices)
         assert theta(t, 20, depth=16) == shallow
         assert counted and max(q.denominator for q in counted) <= 20
 
@@ -220,14 +220,15 @@ class TestSizeCutoff:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Every rational `theta` asks `rational_index` about, in call order."""
+        """Every rational whose index `theta`'s batch counts, in call order."""
         calls = []
+        indices = _IndexCounter.indices
 
-        def counting_index(q):
-            calls.append(q)
-            return rational_index(q)
+        def counting_indices(self, qs):
+            calls.extend(qs)
+            return indices(self, qs)
 
-        monkeypatch.setattr(l1, "rational_index", counting_index)
+        monkeypatch.setattr(_IndexCounter, "indices", counting_indices)
         return calls
 
     @pytest.mark.parametrize("line", sorted(LAZY_FAMILIES))

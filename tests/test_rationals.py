@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ordsum.rationals as rationals
 from ordsum.rationals import (
+    _SIEVE_CAP,
+    _IndexCounter,
+    _count_table,
+    _sieve_limit,
     check_unit,
     count_up_to,
     fractions_up_to,
@@ -18,6 +24,7 @@ from ordsum.rationals import (
     parse_rational,
     rational_at,
     rational_index,
+    rational_indices,
 )
 
 
@@ -334,3 +341,127 @@ def test_check_unit_needs_a_fraction():
     for q in (0, 1, 0.5, "1/2"):
         with pytest.raises(ValueError, match="expected a Fraction"):
             check_unit(q)
+
+
+def oracle_totient_sum(n: int, memo: dict[int, int]) -> int:
+    """Phi(n) for n > 1024 as the library counted it before batches: the
+    quotient recursion over the fixed 1024 table, memoised for one call."""
+    total = memo.get(n)
+    if total is not None:
+        return total
+    total = n * (n + 1) // 2
+    k = 2
+    while k <= n:
+        quotient = n // k
+        last = n // quotient  # every k' in [k, last] has n // k' == quotient
+        if quotient <= 1024:
+            total -= (last - k + 1) * (SIEVE[quotient] - 1)
+        else:
+            total -= (last - k + 1) * oracle_totient_sum(quotient, memo)
+        k = last + 1
+    memo[n] = total
+    return total
+
+
+def oracle_coprimes_below(p: int, d: int) -> int:
+    """How many k in [1, p) are coprime to d, by inclusion-exclusion over
+    d's prime factors, found by trial division."""
+    primes, rest, f = [], d, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            primes.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        primes.append(rest)
+    return sum(
+        (-1) ** r * ((p - 1) // prod(subset))
+        for r in range(len(primes) + 1)
+        for subset in combinations(primes, r)
+    )
+
+
+def oracle_index(q: Fraction) -> int:
+    p, d = q.numerator, q.denominator
+    if d == 1:
+        return p
+    below = SIEVE[d - 1] if d - 1 <= 1024 else 1 + oracle_totient_sum(d - 1, {})
+    return below + oracle_coprimes_below(p, d)
+
+
+def reduced(draw, d: int) -> Fraction:
+    """A rational of denominator exactly d: the first numerator coprime to d
+    from a drawn start."""
+    if d == 1:
+        return Fraction(draw(st.integers(0, 1)))
+    p = draw(st.integers(1, d - 1))
+    while gcd(p, d) != 1:
+        p = p % (d - 1) + 1
+    return Fraction(p, d)
+
+
+@st.composite
+def index_batches(draw):
+    """An unsorted batch with repeats whose largest denominator is `top`;
+    the others sit within a few of 1024, of the batch's sieve end, of the
+    cap and of `top`, and count the entries of d - 1 on both sides of each."""
+    top = draw(st.one_of(st.integers(1, 3000), st.integers(1025, 10**6),
+                         st.integers(_SIEVE_CAP - 10, _SIEVE_CAP + 10)))
+    edges = [e for e in (1024, _sieve_limit(top), _SIEVE_CAP, top) if e <= top]
+    denominators = [top] + [
+        min(top, max(1, draw(st.sampled_from(edges)) + draw(st.integers(-2, 3))))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    batch = [reduced(draw, d) for d in denominators]
+    batch += draw(st.lists(st.sampled_from(batch), max_size=3))
+    return draw(st.permutations(batch))
+
+
+@given(batch=index_batches())
+@settings(max_examples=40, deadline=None)
+def test_rational_indices_match_the_old_recursion(batch):
+    assert rational_indices(batch) == [oracle_index(q) for q in batch]
+
+
+@given(batch=index_batches(), cap=st.integers(1025, 1100))
+@example(batch=[Fraction(1, _SIEVE_CAP + 1), Fraction(5, 7), Fraction(1, _SIEVE_CAP + 1)], cap=1025)
+@settings(max_examples=15, deadline=None)
+def test_a_capped_sieve_still_counts_exactly(batch, cap):
+    # a cap far below sqrt(d) sends the recursion past the sieve's end
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rationals, "_SIEVE_CAP", cap)
+        assert rational_indices(batch) == [oracle_index(q) for q in batch]
+
+
+def test_count_table_matches_a_plain_sieve():
+    # past 2^17 + 2 the sieve of 2's multiples, and of 3's, takes a second slice
+    n = 2**18 + 5
+    assert list(_count_table(n)) == sieve_counts(n)
+
+
+def test_rational_indices_of_an_empty_batch():
+    assert rational_indices([]) == []
+
+
+def test_the_sieve_stays_under_its_cap():
+    # read off the limit alone: a capped sieve would take 32 MiB
+    limits = [_sieve_limit(10**k) for k in range(0, 401, 5)]
+    assert all(1024 <= n <= _SIEVE_CAP for n in limits)
+    assert limits == sorted(limits) and limits[-1] == _SIEVE_CAP
+    for d in (1, 1025, 10**6, 3**17):
+        assert len(_IndexCounter(d)._counts) == _sieve_limit(d) + 1
+
+
+@st.composite
+def deep_rationals(draw):
+    """Rationals whose denominators lie between 3^13 and 3^17."""
+    return reduced(draw, draw(st.integers(3**13, 3**17)))
+
+
+@given(q=deep_rationals())
+@example(q=Fraction(1, 3**13))
+@example(q=Fraction(3**17 - 1, 3**17))
+@settings(max_examples=8, deadline=None)
+def test_round_trip_at_encoding_depths(q):
+    assert rational_at(rational_index(q)) == q

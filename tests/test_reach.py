@@ -22,6 +22,7 @@ import test_cli_digests
 from conftest import FINITE_CORPUS
 
 import ordsum
+import ordsum.rationals as rationals
 
 SRC = Path(ordsum.__file__).parent
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -42,6 +43,8 @@ REACH_EXEMPT = {
     ("l1", "subbasis_predicates"): "paper API (test_package.PAPER_API)",
     ("l1", "SubbasisRecord.__init__"): "made only by subbasis_predicates",
     ("presentations", "format_presentation"): "paper API (test_package.PAPER_API)",
+    ("signature", "format_signature"): "the dump as one string for library callers; "
+    "the `signature` command streams `signature_lines`",
     ("cantor", "expand"): "called by no command; perfbench/tracing.py traces it by name",
     ("tnorm", "Record.__hash__"): "keeps records hashable, which __eq__ alone would undo",
     ("families", "LadderGenerator.locate"): "no command or benchmark operation "
@@ -96,6 +99,9 @@ def _run_everything(tmp_path: Path, monkeypatch) -> None:
 
 
 def test_every_function_runs(tmp_path, monkeypatch, capsys):
+    # a fresh process builds the fixed index table on first use; an
+    # earlier test in this one may have built it already
+    rationals._fixed_table.cache_clear()
     ran = set()
 
     def profile(frame, event, arg):

@@ -11,6 +11,7 @@ from ordsum.signature import (
     Signature,
     compute_signature,
     format_signature,
+    signature_lines,
 )
 from ordsum.presentations import parse_presentation_text
 from ordsum.tnorm import FinitePresentation, Piece
@@ -109,7 +110,8 @@ def test_label_partition_semantics():
 
 
 def test_format_signature():
-    text = format_signature(compute_signature(TWO_PIECE))
+    sig = compute_signature(TWO_PIECE)
+    text = format_signature(sig)
     assert text == (
         "signature v1 complete=true depth=-\n"
         "M 0 1/4\n"
@@ -117,6 +119,8 @@ def test_format_signature():
         "L 1/2 3/4\n"
         "M 3/4 1\n"
     )
+    # the `signature` command streams the same lines
+    assert list(signature_lines(sig)) == text.splitlines(keepends=True)
 
 
 # each lazy family, and the first depth at which its truncated signature
