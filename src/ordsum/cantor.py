@@ -21,11 +21,12 @@ Every endpoint at level d is an integer over the level's denominator,
 (0, 1) and 4, svc (0, 2) and 4.  Its `split(lo, hi, depth)` takes a
 level-`depth` box as numerators and returns the node's parts left to
 right, each `(lo, hi, is_gap)` over the next level's denominator; the
-parts tile the box.  The walks split in integers and make a `Fraction`
-only for a gap they hand out.
+parts tile the box.  The walk splits in integers and makes a `Fraction`
+only for a gap it hands out.
 
 Gaps are enumerated breadth-first: level by level, left to right inside
-a level.  The gap t-norm puts a Product piece on each gap.
+a level.  The gap t-norm puts a Product piece on each gap, and the gap
+dump sorts the same gaps left to right.
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def _check_depth(depth: int) -> None:
         raise PreconditionError(f"expansion depth capped at {MAX_EXPAND_DEPTH}")
 
 
-# Both walks scan a node's parts left to right.  A box travels with the
-# Fraction of its left end when a gap ends there, or None: a rule that
-# abandons left endpoints (non-e) starts a deeper gap at that end, and the
-# two gaps then share one Fraction instead of holding two equal ones.
-
-
 def _walk(rule):
-    """Every gap in removal order, holding only the boxes not yet split."""
+    """Every gap in removal order, holding only the boxes not yet split.
+
+    A node's parts are scanned left to right.  A box travels with the
+    Fraction of its left end when a gap ends there, or None: a rule that
+    abandons left endpoints (non-e) starts a deeper gap at that end, and
+    the two gaps then share one Fraction instead of holding two equal ones.
+    """
     split, scale = rule.split, rule.scale
     lo, hi = rule.root
     boxes = deque([(lo, hi, None)])
@@ -178,30 +179,13 @@ def expand(rule: _Rule, depth: int) -> tuple[Box, ...]:
 def analyze_gap_order(rule: _Rule, depth: int) -> list[Box]:
     """The gaps of `expand(rule, depth)` left to right.
 
-    An in-order walk of the box tree, recursing into each child box
-    between the node's gaps; it recurses at most `depth` levels.
+    Every endpoint above level `depth` is an integer over
+    `root[1] * scale**depth`, so the gaps sort by their left ends'
+    numerators over it, and no `Fraction` is compared.
     """
-    _check_depth(depth)
-    out: list[Box] = []
-    split, scale = rule.split, rule.scale
-
-    def visit(lo: int, hi: int, level: int, den: int, left: Fraction | None) -> None:
-        # den is the denominator of the node's parts, level + 1's
-        inner = level + 1 < depth
-        for a, b, gap in split(lo, hi, level):
-            if gap:
-                right = Fraction(b, den)
-                out.append(((Fraction(a, den) if left is None else left), right))
-                left = right
-            else:
-                if inner:
-                    visit(a, b, level + 1, den * scale, left)
-                left = None
-
-    if depth:
-        lo, hi = rule.root
-        visit(lo, hi, 0, hi * scale, None)
-    return out
+    gaps = expand(rule, depth)  # checks depth before den is built
+    den = rule.root[1] * rule.scale**depth
+    return sorted(gaps, key=lambda gap: gap[0].numerator * (den // gap[0].denominator))
 
 
 class CantorGapGenerator(PieceGenerator):

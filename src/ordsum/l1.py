@@ -48,10 +48,12 @@ class BoundInsufficiency(RuntimeError):
 class L1Structure(Record):
     """A labeled chain over {0..size-1}; indices off the chain are inactive.
 
-    `entries` holds the active indices in ascending order, each with its
-    label.  The relations rp, rl, rm and the strict linear order are the
-    label groups and the chain order, so they are disjoint and linear
-    by construction.
+    `entries` holds the active indices in chain order, ascending by
+    witness value rather than by index, each with its label: at size 8
+    a P piece on [1/4, 1/2] and an L piece on [1/2, 3/4] give the chain
+    (0, 3, 4, 1).  The relations rp, rl, rm and the strict linear order
+    are the label groups and the chain order, so they are disjoint and
+    linear by construction.
     `qualified` is set when some index below size could not be resolved
     at the configured depth; such structures must not enter isomorphism
     comparisons.  `size` may be astronomically large: nothing here
@@ -72,7 +74,7 @@ class L1Structure(Record):
                 raise ValueError(f"index {n} outside 0..{size - 1}")
 
     def chain(self) -> tuple[int, ...]:
-        """Active indices in ascending order."""
+        """Active indices in chain order, ascending by witness value, not by index."""
         return tuple(n for n, _ in self.entries)
 
 

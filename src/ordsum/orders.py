@@ -208,17 +208,19 @@ NAMED_ORDERS = {
 
 
 def parse_order(spec: str) -> LinearOrder:
-    """Order spec strings: a named order or "finite:3,0,2,1"."""
+    """Order spec strings: a named order or "finite:3,0,2,1".
+
+    A rank is ASCII digits only; `int` would also take a sign, `_`,
+    spaces and other scripts' digits.
+    """
     spec = spec.strip()
     if spec in NAMED_ORDERS:
         return NAMED_ORDERS[spec]()
     if spec.startswith("finite:"):
-        body = spec[len("finite:"):]
-        try:
-            ranks = [int(part) for part in body.split(",")]
-        except ValueError:
-            raise ValueError(f"bad finite order spec: {spec!r}") from None
-        return FiniteOrder(ranks)
+        parts = spec[len("finite:"):].split(",")
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(f"bad finite order spec: {spec!r}")
+        return FiniteOrder([int(part) for part in parts])
     raise ValueError(f"unknown order spec: {spec!r}")
 
 

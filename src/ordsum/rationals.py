@@ -96,7 +96,14 @@ def _count_table(limit: int) -> Sequence[int]:
             part = slice(start, start + (p << 16), p)
             phi[part] = array("q", [m - m // p for m in phi[part]])
     phi[1] = 2  # denominator 1 holds two entries, 0 and 1
-    return array("q", accumulate(phi))
+    # prefix sums in place, 2^16 at a time, so no second table is built
+    total = 0
+    for start in range(0, limit + 1, 1 << 16):
+        part = slice(start, start + (1 << 16))
+        sums = array("q", accumulate(phi[part], initial=total))
+        total = sums[-1]
+        phi[part] = sums[1:]
+    return phi
 
 
 @cache

@@ -299,22 +299,21 @@ def test_order_facts_agree_with_gap_scan(system):
 
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
-def test_in_order_walk_sorts_the_expansion(system):
-    # analyze_gap_order walks the box tree in order; sorting the
-    # removal-order expansion is the reference
+def test_gap_order_sorts_the_oracle_gaps(system):
+    # the integer sort key must order the gaps as the Fractions do
     for depth in range(13):
-        assert analyze_gap_order(system, depth) == sorted(expand(system, depth))
+        _, gaps = oracle_expand(system, depth)
+        assert analyze_gap_order(system, depth) == sorted(gaps)
 
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
 def test_walks_share_each_endpoint(system):
     # a non-e successor pair meets at one Fraction object, not two equal
-    # ones; both walks hand out one object per endpoint value
+    # ones; the walk hands out one object per endpoint value
     ordered = analyze_gap_order(system, 10)
-    for gaps in (expand(system, 10), ordered):
-        objects = {}
-        for end in (end for gap in gaps for end in gap):
-            assert objects.setdefault(end, end) is end
+    objects = {}
+    for end in (end for gap in ordered for end in gap):
+        assert objects.setdefault(end, end) is end
     # one successor pair below every node but the root
     shared = sum(lo == hi for (_, hi), (lo, _) in zip(ordered, ordered[1:]))
     assert shared == (0 if system.keeps_left_endpoint else 2**10 - 2)
@@ -472,6 +471,9 @@ def test_depth_guard():
         analyze_gap_order(MT, -1)
     with pytest.raises(PreconditionError, match="capped at 16"):
         analyze_gap_order(MT, 17)
+    # refused before the level's denominator, 2 * 4**depth, is built
+    with pytest.raises(PreconditionError, match="capped at 16"):
+        analyze_gap_order(SVC, 10**9)
 
 
 def test_format_gaps():

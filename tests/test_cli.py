@@ -374,6 +374,10 @@ class TestCantor:
     def test_bad_system(self, capsys):
         assert main(["cantor", "svc", "2"]) == 2
 
+    def test_depth_over_the_cap(self, capsys):
+        assert main(["cantor", "cantor:svc", "1000000000"]) == 3
+        assert "capped at 16" in capsys.readouterr().err
+
 
 class TestRoundtrip:
     def test_omega_eight(self, capsys):

@@ -70,7 +70,7 @@ def _corpus() -> list[str]:
     out += [f"from-lo {o} {n}" for o in ORDERS for n in (1, 6, 13)]
     out += ["from-lo finite:2,0,1 3", "from-lo finite:3,0,2,1 5", "from-lo nope 3"]
     out += [f"cantor {s} {d}" for s in SYSTEMS for d in range(8)]
-    out += [f"cantor {s} 12" for s in SYSTEMS] + ["cantor cantor:non-e 16"]
+    out += [f"cantor {s} {d}" for d in (12, 16) for s in SYSTEMS]
     out += ["cantor cantor:svc 17", "cantor cantor:nope 2"]
     out += [f"roundtrip {o} {n}" for o in ORDERS for n in (1, 4, 8)]
     out += ["roundtrip finite:3,0,2,1 4", "roundtrip finite:1,0 3"]

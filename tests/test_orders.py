@@ -254,7 +254,8 @@ def test_named_orders_reject_negative_elements(name):
 def test_parse_order():
     assert parse_order("omega").name == "omega"
     assert parse_order("finite:3,0,2,1").name == "finite:3,0,2,1"
-    for bad in ["", "bogus", "finite:", "finite:1,1", "finite:-1,0", "finite:a,b"]:
+    for bad in ["", "bogus", "finite:", "finite:1,1", "finite:-1,0", "finite:a,b",
+                "finite:+1,0", " finite: 1,0", "finite:1_0,0", "finite:\u0661,0"]:
         with pytest.raises(ValueError):
             parse_order(bad)
 

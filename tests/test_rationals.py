@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -438,6 +439,18 @@ def test_count_table_matches_a_plain_sieve():
     # past 2^17 + 2 the sieve of 2's multiples, and of 3's, takes a second slice
     n = 2**18 + 5
     assert list(_count_table(n)) == sieve_counts(n)
+
+
+def test_count_table_sums_in_place():
+    # the prefix sums overwrite phi a slice at a time; a second table of
+    # the same size would double the peak
+    tracemalloc.start()
+    try:
+        counts = _count_table(1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * counts.itemsize * len(counts)
 
 
 def test_rational_indices_of_an_empty_batch():

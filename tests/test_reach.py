@@ -27,9 +27,8 @@ import ordsum.rationals as rationals
 SRC = Path(ordsum.__file__).parent
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
-# (module, qualified name): why no run of the package reaches it.  The
-# entries from `cantor.expand` on are candidates for removal (ROADMAP
-# item 6).
+# (module, qualified name): why no run of the package reaches it.  Each
+# entry is kept for its reason (ROADMAP item 6).
 REACH_EXEMPT = {
     ("tnorm", "Record.__repr__"): "debug aid for interactive use",
     ("tnorm", "_IdempotentMarker.__repr__"): "debug aid for interactive use",
@@ -45,7 +44,6 @@ REACH_EXEMPT = {
     ("presentations", "format_presentation"): "paper API (test_package.PAPER_API)",
     ("signature", "format_signature"): "the dump as one string for library callers; "
     "the `signature` command streams `signature_lines`",
-    ("cantor", "expand"): "called by no command; perfbench/tracing.py traces it by name",
     ("tnorm", "Record.__hash__"): "keeps records hashable, which __eq__ alone would undo",
     ("families", "LadderGenerator.locate"): "no command or benchmark operation "
     "places a point on a ladder",
