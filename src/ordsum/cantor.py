@@ -10,19 +10,24 @@ ship:
     non-e          children [l+w/4, l+w/2], [l+3w/4, r]; removes (l, l+w/4)
                    and (l+w/2, l+3w/4), abandoning the left endpoint
 
-The first two keep both endpoints of every box (children share them), so
-their gap orders are dense without endpoints.  The third drops the left
-endpoint at every step: the root gap (0, 1/4) is a least gap, and each
-abandoned endpoint glues two gaps together into a successor pair.
-
 Every endpoint at level d is an integer over the level's denominator,
 `root[1] * scale**d`.  A rule states its root numerators `root` (the box
 [0, 1]) and its per-level `scale`: middle-third (0, 1) and 3, non-e
-(0, 1) and 4, svc (0, 2) and 4.  Its `split(lo, hi, depth)` takes a
-level-`depth` box as numerators and returns the node's parts left to
-right, each `(lo, hi, is_gap)` over the next level's denominator; the
-parts tile the box.  The walk splits in integers and makes a `Fraction`
-only for a gap it hands out.
+(0, 1) and 4, svc (0, 2) and 4.  Its `split(lo, hi)` takes a box as
+numerators and returns the node's parts left to right, each
+`(lo, hi, is_gap)` over the next level's denominator; the parts tile
+the box.  The walk splits in integers and makes a `Fraction` only for a
+gap it hands out.
+
+Every box splits into the same kinds of part in the same order, and no
+two gaps of a split touch, so one split of the root gives every node's
+gap count and the order facts of all gaps.  A gap first is a gap at
+every box's left end, and the root's is the least gap; a box first
+keeps every box's left end, gaps pile up toward it, and none is least.
+The right end is alike.  With a box at both ends (middle-third, svc)
+the gaps are dense without endpoints.  non-e starts with a gap: (0, 1/4)
+is the least gap, and each abandoned endpoint glues two gaps together
+into a successor pair.
 
 Gaps are enumerated breadth-first: level by level, left to right inside
 a level.  The gap t-norm puts a Product piece on each gap, and the gap
@@ -69,12 +74,9 @@ class MiddleThirdRule:
     name = "middle-third"
     root = (0, 1)
     scale = 3
-    keeps_left_endpoint = True
-    keeps_right_endpoint = True
-    gaps_per_node = 1
     total_gap_length = Fraction(1)
 
-    def split(self, lo: int, hi: int, depth: int) -> Parts:
+    def split(self, lo: int, hi: int) -> Parts:
         a, b = 2 * lo + hi, lo + 2 * hi
         return (3 * lo, a, BOX), (a, b, GAP), (b, 3 * hi, BOX)
 
@@ -83,18 +85,15 @@ class SvcRule:
     """Fat-Cantor variant: ever smaller centered removals, positive leftover.
 
     The gap at depth d has length 4^-(d+1) = 2 / 2^(2d+3), two units of
-    the next level's denominator, so the split needs no depth.
+    the next level's denominator, whatever the depth.
     """
 
     name = "svc"
     root = (0, 2)
     scale = 4
-    keeps_left_endpoint = True
-    keeps_right_endpoint = True
-    gaps_per_node = 1
     total_gap_length = Fraction(1, 2)
 
-    def split(self, lo: int, hi: int, depth: int) -> Parts:
+    def split(self, lo: int, hi: int) -> Parts:
         mid = 2 * (lo + hi)
         return (4 * lo, mid - 1, BOX), (mid - 1, mid + 1, GAP), (mid + 1, 4 * hi, BOX)
 
@@ -105,12 +104,9 @@ class NonERule:
     name = "non-e"
     root = (0, 1)
     scale = 4
-    keeps_left_endpoint = False
-    keeps_right_endpoint = True
-    gaps_per_node = 2
     total_gap_length = Fraction(1)
 
-    def split(self, lo: int, hi: int, depth: int) -> Parts:
+    def split(self, lo: int, hi: int) -> Parts:
         a, b, c = 3 * lo + hi, 2 * (lo + hi), lo + 3 * hi
         return (4 * lo, a, GAP), (a, b, BOX), (b, c, GAP), (c, 4 * hi, BOX)
 
@@ -137,43 +133,39 @@ def _check_depth(depth: int) -> None:
         raise PreconditionError(f"expansion depth capped at {MAX_EXPAND_DEPTH}")
 
 
-def _walk(rule):
-    """Every gap in removal order, holding only the boxes not yet split.
+def _walk(rule, levels: int | None = None):
+    """The gaps of the first `levels` levels, or of all, in removal order.
 
-    A node's parts are scanned left to right.  A box travels with the
-    Fraction of its left end when a gap ends there, or None: a rule that
-    abandons left endpoints (non-e) starts a deeper gap at that end, and
-    the two gaps then share one Fraction instead of holding two equal ones.
+    The walk holds only the boxes it will still split.  A node's parts
+    are scanned left to right.  A box travels with the Fraction of its
+    left end when a gap ends there, or None: a rule that abandons left
+    endpoints (non-e) starts a deeper gap at that end, and the two gaps
+    then share one Fraction instead of holding two equal ones.
     """
     split, scale = rule.split, rule.scale
     lo, hi = rule.root
     boxes = deque([(lo, hi, None)])
     depth, den = 0, hi
-    while True:
+    while depth != levels:
         den *= scale  # the denominator of this level's parts
+        depth += 1
         for _ in range(len(boxes)):  # exactly the boxes of this level
             lo, hi, left = boxes.popleft()
-            for a, b, gap in split(lo, hi, depth):
+            for a, b, gap in split(lo, hi):
                 if gap:
                     right = Fraction(b, den)
                     yield (Fraction(a, den) if left is None else left), right
                     left = right
                 else:
-                    boxes.append((a, b, left))
+                    if depth != levels:  # the last level's children stay unsplit
+                        boxes.append((a, b, left))
                     left = None
-        depth += 1
-
-
-def _gap_index(rule, node_depth: int, node_pos: int, which: int) -> int:
-    per = rule.gaps_per_node
-    return per * (2**node_depth - 1) + per * node_pos + which
 
 
 def expand(rule: _Rule, depth: int) -> tuple[Box, ...]:
     """The gaps removed by all nodes shallower than `depth`, in removal order."""
     _check_depth(depth)
-    count = _gap_index(rule, depth, 0, 0)  # every gap above level `depth`
-    return tuple(islice(_walk(rule), count))
+    return tuple(_walk(rule, depth))
 
 
 def analyze_gap_order(rule: _Rule, depth: int) -> list[Box]:
@@ -191,9 +183,9 @@ def analyze_gap_order(rule: _Rule, depth: int) -> list[Box]:
 class CantorGapGenerator(PieceGenerator):
     """Product pieces on the removed gaps, level by level, left to right.
 
-    A rule that keeps both endpoints of every box has property E: its
-    gaps pile up toward every box endpoint, so their order is dense
-    without endpoints.
+    The order facts come from one split of the root (module docstring):
+    a gap first is a least piece, a gap last a greatest, and a box at
+    both ends is property E, gaps dense without endpoints.
     """
 
     def __init__(self, rule: _Rule):
@@ -201,9 +193,10 @@ class CantorGapGenerator(PieceGenerator):
         self._gaps: list[Box] = []  # gaps 0..len-1, read off self._walk
         self._walk = _walk(rule)
         self.family = f"cantor cantor:{rule.name}"
-        self.has_min_piece = not rule.keeps_left_endpoint
-        self.has_max_piece = not rule.keeps_right_endpoint
-        self.dense_no_endpoints = rule.keeps_left_endpoint and rule.keeps_right_endpoint
+        parts = rule.split(*rule.root)  # as every node splits
+        self._node_gaps = sum(gap for _, _, gap in parts)
+        self.has_min_piece, self.has_max_piece = parts[0][2], parts[-1][2]
+        self.dense_no_endpoints = not (self.has_min_piece or self.has_max_piece)
 
     def _first_gaps(self, count: int) -> list[Box]:
         gaps = self._gaps
@@ -225,7 +218,7 @@ class CantorGapGenerator(PieceGenerator):
         """Descend the box tree at most `depth` levels looking for q's gap.
 
         Unlike `PieceGenerator.locate`, `depth` counts tree levels, not
-        pieces: it covers the first `gaps_per_node * (2**depth - 1)` gaps.
+        pieces: it covers the gaps of `expand(rule, depth)`.
         """
         check_unit(q)
         if depth < 1:
@@ -243,10 +236,10 @@ class CantorGapGenerator(PieceGenerator):
             den *= rule.scale
             x *= rule.scale
             which = bit = 0
-            for a, b, gap in rule.split(lo, hi, d):
+            for a, b, gap in rule.split(lo, hi):
                 if gap:
                     if a * qd < x < b * qd:
-                        index = _gap_index(rule, d, node_pos, which)
+                        index = self._node_gaps * (2**d - 1 + node_pos) + which
                         return InPiece(index, Piece(Fraction(a, den), Fraction(b, den), Label.P))
                     which += 1
                 elif a * qd <= x <= b * qd:

@@ -100,7 +100,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    from .l1 import format_l1, theta
+    from .l1 import _l1_blocks, theta
 
     # a finite presentation resolves completely and ignores the depth
     t = load_presentation(args.file)
@@ -112,7 +112,9 @@ def _cmd_theta(args) -> int:
         raise PreconditionError(
             f"the dump's {pairs} less lines exceed the limit of {MAX_THETA_LESS_LINES}"
         )
-    sys.stdout.write(format_l1(s))
+    # block by block: the dump of a deep lazy structure is tens of megabytes
+    for block in _l1_blocks(s):
+        sys.stdout.write(block)
     return 0
 
 
@@ -134,15 +136,20 @@ def _cmd_cantor(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     from .l1 import theta
-    from .orders import build_intervals, order_tnorm, parse_order
+    from .orders import FiniteOrder, build_intervals, order_tnorm, parse_order
     from .rationals import _IndexCounter, min_rational_in
 
     count = args.count
     if count > MAX_ROUNDTRIP_PIECES:
         raise PreconditionError(f"count {count} exceeds the limit of {MAX_ROUNDTRIP_PIECES} pieces")
     order = parse_order(args.order)
-    t = order_tnorm(order)
     values = [min_rational_in(lo, hi) for lo, hi in build_intervals(order, count)]
+    if order.size is not None:
+        # theta's depth truncates only a lazy presentation, so a finite one
+        # encodes just these `count` elements; placement never moves an
+        # earlier interval, so their intervals are the ones above
+        order = FiniteOrder(order.ranks[:count])
+    t = order_tnorm(order)
     # one batch for the command: theta's witnesses have the same denominators
     counter = _IndexCounter(max(q.denominator for q in values))
     witness_piece = {idx: n for n, idx in enumerate(counter.indices(values))}

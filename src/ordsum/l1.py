@@ -14,6 +14,7 @@ idempotence and product questions with bounded quantifier scans.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .rationals import _IndexCounter, count_up_to, fractions_up_to, min_rational_in, rational_at
@@ -106,13 +107,15 @@ def theta(
         min_rational_in(lo, hi, closed=True, last=last) is not None
         for lo, hi in uncovered((e.lo, e.hi) for e in sig.entries)
     )
+    # the entries come sorted and disjoint, and each witness lies inside
+    # its entry, closed only for M, and no two M entries touch: so the
+    # kept witnesses ascend, and no two tie
     kept: list[tuple[Fraction, Label]] = []
     for e in sig.entries:
         # a min region owns its endpoints, a piece only its interior
         value = min_rational_in(e.lo, e.hi, closed=e.label is Label.M, last=last)
         if value is not None:
             kept.append((value, e.label))
-    kept.sort()  # by value: no two entries share a witness
     indices = counter.indices([value for value, _ in kept])
     return L1Structure(size, tuple(zip(indices, (label for _, label in kept))), qualified)
 
@@ -232,22 +235,28 @@ def l1_iso_finite(a: L1Structure, b: L1Structure) -> bool:
     return _canonical(a) == _canonical(b)
 
 
-def format_l1(s: L1Structure) -> str:
+def _l1_blocks(s: L1Structure) -> Iterator[str]:
+    """The `theta` dump, one newline-terminated block of lines at a time."""
     groups: dict[Label, list[int]] = {label: [] for label in Label}
     for n, label in s.entries:
         groups[label].append(n)
-    lines = [f"l1 v1 n={s.size} qualified={'true' if s.qualified else 'false'}"]
+    yield f"l1 v1 n={s.size} qualified={'true' if s.qualified else 'false'}\n"
     for name, label in (("rp", Label.P), ("rl", Label.L), ("rm", Label.M)):
         member_text = " ".join(map(str, sorted(groups[label])))
-        lines.append(f"{name}: {member_text}".rstrip())
+        yield f"{name}: {member_text}".rstrip() + "\n"
     # one `less: m n` line per pair, by (m, n): walking the chain right
     # to left, `after` holds the indices placed after m, ascending
     after: list[int] = []
-    blocks: dict[int, str] = {}
+    placed_after: dict[int, tuple[int, ...]] = {}
     for m in reversed(s.chain()):
         if after:
-            head = f"less: {m} "
-            blocks[m] = head + f"\n{head}".join(map(str, after))
+            placed_after[m] = tuple(after)
         insort(after, m)
-    lines.extend(blocks[m] for m in sorted(blocks))
-    return "\n".join(lines) + "\n"
+    for m in sorted(placed_after):
+        head = f"less: {m} "
+        yield head + f"\n{head}".join(map(str, placed_after[m])) + "\n"
+
+
+def format_l1(s: L1Structure) -> str:
+    """The whole `theta` dump as one string."""
+    return "".join(_l1_blocks(s))

@@ -18,6 +18,15 @@ endpoints of n's nearest placed neighbours below and above.  The placed
 elements are kept sorted by position, so placing a new piece costs one
 binary search of O(log n) `less` comparisons, and a lazy generator
 extends its placement without recomputing any piece already placed.
+
+Three named orders are terms over omega, and each term derives its
+facts from its parts.  rev(A) keeps A's numbering and swaps its
+extremes.  A + B numbers A's element k as 2k + parity and B's as
+2k + 1 - parity; it has a least element exactly when A has one and a
+greatest exactly when B has one, its adjacent pairs are A's, B's and
+(max A, min B) when both exist, and it is dense exactly when A and B
+are and that pair does not exist.  A term asks its parts' `_less` and
+`_adjacent`, so an element is checked once, by the outermost order.
 """
 
 from __future__ import annotations
@@ -43,10 +52,7 @@ __all__ = [
     "LinearOrder",
     "FiniteOrder",
     "OmegaOrder",
-    "OmegaStarOrder",
-    "ZetaOrder",
     "EtaOrder",
-    "OmegaPlusOmegaStarOrder",
     "NAMED_ORDERS",
     "parse_order",
     "build_intervals",
@@ -113,35 +119,6 @@ class OmegaOrder(LinearOrder):
         return n == m + 1
 
 
-class OmegaStarOrder(LinearOrder):
-    """The naturals reversed: every element has 0 above it eventually."""
-
-    name = "omega_star"
-    max_element = 0
-
-    def _less(self, m, n):
-        return m > n
-
-    def _adjacent(self, m, n):
-        return n == m - 1
-
-
-def _zeta_image(n: int) -> int:
-    return n // 2 if n % 2 == 0 else -(n + 1) // 2
-
-
-class ZetaOrder(LinearOrder):
-    """Order type of the integers: evens code 0, 1, 2, ...; odds code -1, -2, ..."""
-
-    name = "zeta"
-
-    def _less(self, m, n):
-        return _zeta_image(m) < _zeta_image(n)
-
-    def _adjacent(self, m, n):
-        return _zeta_image(n) == _zeta_image(m) + 1
-
-
 class EtaOrder(LinearOrder):
     """Dense order without endpoints: n compares as the rational q_{n+2}."""
 
@@ -152,28 +129,6 @@ class EtaOrder(LinearOrder):
         return rational_at(m + 2) < rational_at(n + 2)
 
     def _adjacent(self, m, n):
-        return False
-
-
-class OmegaPlusOmegaStarOrder(LinearOrder):
-    """Evens ascending below all odds, odds descending above: 0, 2, 4, ... 5, 3, 1."""
-
-    name = "omega_plus_omega_star"
-    min_element = 0
-    max_element = 1
-
-    @staticmethod
-    def _key(n: int) -> tuple[int, int]:
-        return (0, n) if n % 2 == 0 else (1, -n)
-
-    def _less(self, m, n):
-        return self._key(m) < self._key(n)
-
-    def _adjacent(self, m, n):
-        if m % 2 == 0 and n % 2 == 0:
-            return n == m + 2
-        if m % 2 == 1 and n % 2 == 1:
-            return n == m - 2
         return False
 
 
@@ -201,9 +156,53 @@ class FiniteOrder(LinearOrder):
         return self._position[n] == self._position[m] + 1
 
 
+class _Rev(LinearOrder):
+    """A reversed, in A's numbering."""
+
+    def __init__(self, a: LinearOrder, name: str = ""):
+        self.a, self.size, self.dense, self.name = a, a.size, a.dense, name
+        self.min_element, self.max_element = a.max_element, a.min_element
+
+    def _less(self, m, n):
+        return self.a._less(n, m)
+
+    def _adjacent(self, m, n):
+        return self.a._adjacent(n, m)
+
+
+class _Sum(LinearOrder):
+    """A + B for infinite A and B: A's k is 2k + parity, B's is 2k + 1 - parity."""
+
+    def __init__(self, a: LinearOrder, b: LinearOrder, parity: int, name: str = ""):
+        self._parts, self._parity, self.name = (a, b), parity, name
+        self.min_element = None if a.min_element is None else 2 * a.min_element + parity
+        self.max_element = None if b.max_element is None else 2 * b.max_element + 1 - parity
+        both = a.max_element is not None and b.min_element is not None
+        self._seam = (a.max_element, b.min_element) if both else None  # parts' numberings
+        self.dense = a.dense and b.dense and not both
+
+    def _less(self, m, n):
+        side = (m + self._parity) % 2  # 0 in A, 1 in B
+        if side != (n + self._parity) % 2:
+            return side == 0
+        return self._parts[side]._less(m // 2, n // 2)
+
+    def _adjacent(self, m, n):
+        side = (m + self._parity) % 2
+        if side == (n + self._parity) % 2:
+            return self._parts[side]._adjacent(m // 2, n // 2)
+        return side == 0 and (m // 2, n // 2) == self._seam
+
+
 NAMED_ORDERS = {
-    cls.name: cls
-    for cls in (OmegaOrder, OmegaStarOrder, ZetaOrder, EtaOrder, OmegaPlusOmegaStarOrder)
+    "omega": OmegaOrder,
+    "omega_star": lambda: _Rev(OmegaOrder(), "omega_star"),
+    # rev(omega) on the odds: 0, 2, 4, ... code 0, 1, 2, ... and 1, 3, 5, ... code -1, -2, ...
+    "zeta": lambda: _Sum(_Rev(OmegaOrder()), OmegaOrder(), 1, "zeta"),
+    "eta": EtaOrder,
+    # omega on the evens: 0, 2, 4, ... 5, 3, 1
+    "omega_plus_omega_star": lambda: _Sum(OmegaOrder(), _Rev(OmegaOrder()), 0,
+                                          "omega_plus_omega_star"),
 }
 
 

@@ -1,7 +1,6 @@
 """Box refinement rules, gap enumeration, and gap-order analysis."""
 
 import random
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -74,17 +73,33 @@ def oracle_expand(rule, depth):
 
 
 def counting_system(rule):
-    """`rule`, counting how often it splits each node."""
+    """`rule`, listing the boxes it splits in call order."""
 
     class Counting(type(rule)):
         def __init__(self):
-            self.calls = Counter()
+            self.calls = []
 
-        def split(self, lo, hi, depth):
-            self.calls[depth, lo, hi] += 1
-            return super().split(lo, hi, depth)
+        def split(self, lo, hi):
+            self.calls.append((lo, hi))
+            return super().split(lo, hi)
 
     return Counting()
+
+
+def breadth_first_boxes(rule, depth):
+    """The oracle's boxes above level `depth`, level by level, as numerators."""
+    levels, _ = oracle_expand(rule, depth)
+    return [
+        tuple(int(end * rule.root[1] * rule.scale**d) for end in box)
+        for d, boxes in enumerate(levels[:-1])
+        for box in boxes
+    ]
+
+
+def oracle_keeps(rule):
+    """Whether the root's outer children keep its left and right endpoints."""
+    children, _ = oracle_split(rule, (F(0), F(1)), 0)
+    return children[0][0] == 0, children[-1][1] == 1
 
 
 def middle_third_gap(d, p):
@@ -156,7 +171,7 @@ def test_split_matches_rational_geometry(system):
         for box in boxes:
             lo, hi = (end * den for end in box)
             assert lo.denominator == hi.denominator == 1
-            parts = system.split(lo.numerator, hi.numerator, d)
+            parts = system.split(lo.numerator, hi.numerator)
             assert parts[0][0] == system.scale * lo and parts[-1][1] == system.scale * hi
             assert all(p[1] == q[0] for p, q in zip(parts, parts[1:]))
             spans = {True: [], False: []}
@@ -171,9 +186,11 @@ def test_walk_splits_each_node_once(system):
     for depth in range(11):
         counted = counting_system(system)
         expand(counted, depth)
-        assert sum(counted.calls.values()) == 2**depth - 1
+        assert counted.calls == breadth_first_boxes(system, depth)
     counted = counting_system(system)
     gen = CantorGapGenerator(counted)
+    assert counted.calls == [system.root]  # the order facts read one split
+    counted.calls.clear()
     count = 2000
     order = list(range(count))
     random.Random(8).shuffle(order)
@@ -181,8 +198,8 @@ def test_walk_splits_each_node_once(system):
         gen.piece_at(n)
     # one walk serves every read; a descent from the root per piece would
     # split the root 2000 times
-    assert max(counted.calls.values()) == 1
-    assert sum(counted.calls.values()) == -(-count // system.gaps_per_node)
+    nodes = -(-count // len(expand(system, 1)))
+    assert counted.calls == breadth_first_boxes(system, 11)[:nodes]
 
 
 def test_middle_third_closed_form():
@@ -278,8 +295,8 @@ def gap_scan_facts(rule, depth):
         return False if keeps else None
 
     return (
-        scan(lambda g: g[0] == 0, rule.keeps_left_endpoint),
-        scan(lambda g: g[1] == 1, rule.keeps_right_endpoint),
+        scan(lambda g: g[0] == 0, oracle_keeps(rule)[0]),
+        scan(lambda g: g[1] == 1, oracle_keeps(rule)[1]),
     )
 
 
@@ -292,9 +309,10 @@ def test_order_facts_agree_with_gap_scan(system):
             if scanned is not None:
                 assert fact is scanned, (depth, certified)
         gaps = analyze_gap_order(system, depth)
-        if system.keeps_left_endpoint:
+        keeps_left, keeps_right = oracle_keeps(system)
+        if keeps_left:
             assert all(lo != 0 for lo, _ in gaps)
-        if system.keeps_right_endpoint:
+        if keeps_right:
             assert all(hi != 1 for _, hi in gaps)
 
 
@@ -316,7 +334,7 @@ def test_walks_share_each_endpoint(system):
         assert objects.setdefault(end, end) is end
     # one successor pair below every node but the root
     shared = sum(lo == hi for (_, hi), (lo, _) in zip(ordered, ordered[1:]))
-    assert shared == (0 if system.keeps_left_endpoint else 2**10 - 2)
+    assert shared == (0 if oracle_keeps(system)[0] else 2**10 - 2)
 
 
 @pytest.mark.parametrize("system", [MT, SVC])
@@ -352,7 +370,7 @@ def test_tail_bound_is_exact_remainder():
         gen = CantorGapGenerator(system)
         levels, _ = oracle_expand(system, 6)
         for depth, boxes in enumerate(levels):
-            count = system.gaps_per_node * (2**depth - 1)
+            count = len(expand(system, 1)) * (2**depth - 1)
             left = sum(hi - lo for lo, hi in boxes) - kept
             assert gen.tail_length_bound(count) == left, (system.name, depth)
 

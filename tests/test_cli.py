@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -260,7 +261,7 @@ class TestTheta:
         def no_format(s):
             pytest.fail("the line count is checked before the dump is formatted")
 
-        monkeypatch.setattr(ordsum.l1, "format_l1", no_format)
+        monkeypatch.setattr(ordsum.l1, "_l1_blocks", no_format)
         # 3,200 chain entries make 5,118,400 ordered pairs
         f = write("t", "tnorm v1\nfamily cantor cantor:svc\n")
         assert main(["theta", f, "1000000000000", "3200"]) == 3
@@ -400,6 +401,16 @@ class TestRoundtrip:
         out = capsys.readouterr().out
         assert "recovered 1 2 0\n" in out
         assert out.endswith("PASS\n")
+
+    def test_every_small_finite_order_and_count(self, capsys):
+        # a count below the size encodes only the first `count` elements
+        for size in range(1, 6):
+            for ranks in permutations(range(size)):
+                spec = "finite:" + ",".join(map(str, ranks))
+                for count in range(1, size + 1):
+                    assert main(["roundtrip", spec, str(count)]) == 0, (spec, count)
+                    assert capsys.readouterr().out.endswith("PASS\n")
+        assert main(["roundtrip", "finite:0,1,3,2", "5"]) == 3
 
     def test_one_counter_serves_the_command(self, monkeypatch, capsys):
         # the witnesses' indices and theta's share one sieve and one memo

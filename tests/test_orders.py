@@ -11,14 +11,14 @@ from ordsum.orders import (
     EtaOrder,
     FiniteOrder,
     NAMED_ORDERS,
+    LinearOrder,
     OmegaOrder,
-    OmegaPlusOmegaStarOrder,
-    OmegaStarOrder,
     OrderPieceGenerator,
-    ZetaOrder,
     agreement_ball_check,
     build_intervals,
     order_tnorm,
+    _Rev,
+    _Sum,
     parse_order,
     sampled_distance,
 )
@@ -36,6 +36,74 @@ from ordsum.tnorm import (
 )
 
 F = Fraction
+
+
+# The hand-written classes the three composite named orders replaced,
+# kept as the oracle for the terms over omega.
+class OldOmegaStarOrder(LinearOrder):
+    name = "omega_star"
+    max_element = 0
+
+    def _less(self, m, n):
+        return m > n
+
+    def _adjacent(self, m, n):
+        return n == m - 1
+
+
+def _zeta_image(n):
+    return n // 2 if n % 2 == 0 else -(n + 1) // 2
+
+
+class OldZetaOrder(LinearOrder):
+    """Evens code 0, 1, 2, ...; odds code -1, -2, ..."""
+
+    name = "zeta"
+
+    def _less(self, m, n):
+        return _zeta_image(m) < _zeta_image(n)
+
+    def _adjacent(self, m, n):
+        return _zeta_image(n) == _zeta_image(m) + 1
+
+
+class OldOmegaPlusOmegaStarOrder(LinearOrder):
+    """Evens ascending below all odds, odds descending above: 0, 2, 4, ... 5, 3, 1."""
+
+    name = "omega_plus_omega_star"
+    min_element = 0
+    max_element = 1
+
+    @staticmethod
+    def _key(n):
+        return (0, n) if n % 2 == 0 else (1, -n)
+
+    def _less(self, m, n):
+        return self._key(m) < self._key(n)
+
+    def _adjacent(self, m, n):
+        if m % 2 == 0 and n % 2 == 0:
+            return n == m + 2
+        if m % 2 == 1 and n % 2 == 1:
+            return n == m - 2
+        return False
+
+
+@pytest.mark.parametrize(
+    "old", [OldOmegaStarOrder, OldZetaOrder, OldOmegaPlusOmegaStarOrder], ids=lambda c: c.name
+)
+def test_terms_over_omega_match_the_old_classes(old):
+    old, new = old(), parse_order(old.name)
+    assert new.name == old.name
+    assert (new.min_element, new.max_element, new.dense) == (
+        old.min_element,
+        old.max_element,
+        old.dense,
+    )
+    for m in range(200):
+        for n in range(200):
+            assert new.less(m, n) == old.less(m, n), (m, n)
+            assert new.adjacent(m, n) == old.adjacent(m, n), (m, n)
 
 
 def intervals_by_rescan(order, count):
@@ -143,19 +211,21 @@ def test_placement_does_not_depend_on_call_order(name, data):
             assert gen.certified_m_gaps(depth) == fresh
 
 
-@pytest.mark.parametrize("order_class", [ZetaOrder, EtaOrder])
-def test_signature_comparison_budget(order_class):
-    class Counting(order_class):
-        calls = 0
+@pytest.mark.parametrize("name", ["zeta", "eta"])
+def test_signature_comparison_budget(name):
+    order = parse_order(name)
+    calls = 0
+    less = order.less
 
-        def less(self, m, n):
-            self.calls += 1
-            return super().less(m, n)
+    def counting(m, n):
+        nonlocal calls
+        calls += 1
+        return less(m, n)
 
-    order = Counting()
+    order.less = counting
     compute_signature(order_tnorm(order), 150)
     # one binary search per new piece; a rebuild per piece makes ~5 * 10^5
-    assert 0 < order.calls <= 150 * 10
+    assert 0 < calls <= 150 * 10
 
 
 def placement_properties(order, count):
@@ -201,16 +271,33 @@ def test_placement_embeds_any_small_order(ranks):
                 assert order.less(m, n) == (ivs[m][1] < ivs[n][0])
 
 
+def test_sum_derives_its_facts_from_its_parts():
+    # facts only: these stubs state extremes their `less` does not have
+    class EtaWithMax(EtaOrder):
+        max_element = 0
+
+    class EtaWithMin(EtaOrder):
+        min_element = 0
+
+    # dense parts without a seam stay dense; a seam is an adjacent pair
+    assert _Sum(EtaWithMax(), EtaOrder(), 0).dense
+    capped = _Sum(EtaWithMax(), EtaWithMin(), 0)
+    assert not capped.dense and capped.min_element is None and capped.max_element is None
+    assert capped.adjacent(0, 1) and not capped.adjacent(2, 1)
+    both = _Sum(OmegaOrder(), _Rev(OmegaOrder()), 1)
+    assert (both.min_element, both.max_element) == (1, 0)
+
+
 def test_order_metadata():
     omega = OmegaOrder()
     assert (omega.min_element, omega.max_element, omega.dense) == (0, None, False)
     assert omega.adjacent(3, 4) and not omega.adjacent(3, 5)
 
-    star = OmegaStarOrder()
+    star = parse_order("omega_star")
     assert (star.min_element, star.max_element) == (None, 0)
     assert star.adjacent(4, 3) and not star.adjacent(3, 4)
 
-    zeta = ZetaOrder()
+    zeta = parse_order("zeta")
     assert zeta.min_element is None and zeta.max_element is None and not zeta.dense
     assert zeta.less(1, 2) and not zeta.less(2, 1)
     assert zeta.adjacent(1, 0) and zeta.adjacent(0, 2) and zeta.adjacent(3, 1)
@@ -220,7 +307,7 @@ def test_order_metadata():
     assert eta.less(3, 2) and not eta.less(2, 3)
     assert not eta.adjacent(0, 2)
 
-    both = OmegaPlusOmegaStarOrder()
+    both = parse_order("omega_plus_omega_star")
     assert (both.min_element, both.max_element) == (0, 1)
     assert both.less(2, 3) and both.less(4, 5) and both.less(0, 1)
     assert both.adjacent(0, 2) and both.adjacent(3, 1) and not both.adjacent(2, 1)
@@ -316,7 +403,7 @@ def test_generator_facts():
         False,
         True,
     )
-    gen = OrderPieceGenerator(OmegaPlusOmegaStarOrder())
+    gen = OrderPieceGenerator(parse_order("omega_plus_omega_star"))
     assert (gen.has_min_piece, gen.has_max_piece) == (True, True)
 
 
@@ -330,7 +417,7 @@ def test_certified_gaps_omega():
 
 
 def test_certified_gaps_omega_star():
-    gen = OrderPieceGenerator(OmegaStarOrder())
+    gen = OrderPieceGenerator(parse_order("omega_star"))
     assert gen.certified_m_gaps(3) == [
         (F(2, 27), F(1, 9)),
         (F(2, 9), F(1, 3)),
@@ -364,12 +451,12 @@ def test_locate_certifies_final_gaps():
     assert gen.locate(F(3, 4), 2) is IDEMPOTENT
     assert gen.locate(F(1, 10), 1) is IDEMPOTENT
 
-    star = OrderPieceGenerator(OmegaStarOrder())
+    star = OrderPieceGenerator(parse_order("omega_star"))
     assert star.locate(F(9, 10), 1) is IDEMPOTENT
 
 
 def test_locate_unknown_until_gap_settles():
-    gen = OrderPieceGenerator(ZetaOrder())
+    gen = OrderPieceGenerator(parse_order("zeta"))
     placed = gen.locate(F(1, 10), 2)
     assert placed == UnknownAtDepth(2)
     assert gen.locate(F(1, 10), 4) is IDEMPOTENT
@@ -378,9 +465,9 @@ def test_locate_unknown_until_gap_settles():
 
 def test_agreement_ball_check():
     assert agreement_ball_check(OmegaOrder(), OmegaOrder(), 4, 9)
-    assert agreement_ball_check(OmegaOrder(), ZetaOrder(), 1, 17)
+    assert agreement_ball_check(OmegaOrder(), parse_order("zeta"), 1, 17)
     with pytest.raises(PreconditionError):
-        agreement_ball_check(OmegaOrder(), OmegaStarOrder(), 2, 9)
+        agreement_ball_check(OmegaOrder(), parse_order("omega_star"), 2, 9)
 
 
 def test_sampled_distance_zero_on_same_truncation():
