@@ -44,6 +44,10 @@ MAX_LAZY_PIECES = 3200
 # about 3^(n+1); at 20 pieces of omega the command takes about 2 s, and
 # each piece more about twice as long (README)
 MAX_ROUNDTRIP_PIECES = 20
+# theta finds q_(size-1), whose denominator is about 1.8 sqrt(size); at
+# 10^18 that takes about 1 s, and each factor 100 more about five times
+# as long (README)
+MAX_THETA_SIZE = 10**18
 
 
 def _check_pieces(what: str, n: int, *presentations) -> None:
@@ -102,6 +106,8 @@ def _cmd_iso(args) -> int:
 def _cmd_theta(args) -> int:
     from .l1 import _l1_blocks, theta
 
+    if args.size > MAX_THETA_SIZE:
+        raise PreconditionError(f"size {args.size} exceeds the limit of {MAX_THETA_SIZE}")
     # a finite presentation resolves completely and ignores the depth
     t = load_presentation(args.file)
     _check_pieces("depth", args.depth, t)

@@ -6,6 +6,13 @@ least entry and no greatest one.  The right-anchored ladder mirrors this
 with pieces (1/(n+2), 1/(n+1)) descending toward 0.  Consecutive rungs
 share endpoints, so no idempotent interval ever appears between them,
 and the shared endpoints themselves are the successor witnesses.
+
+The order facts are read off rungs 0 and 1.  The rungs tile [0, 1]
+from rung 0 toward the limit and a ladder has no M entries, so rung 0
+is the entry at the far end: there is a least entry exactly when rung
+0 touches 0, and a greatest exactly when it touches 1.  Rungs 0 and 1
+share an endpoint, so they are a successor pair and the ladder is not
+dense.
 """
 
 from __future__ import annotations
@@ -34,9 +41,11 @@ class LadderGenerator(PieceGenerator):
         if name not in LADDER_NAMES:
             raise ValueError(f"unknown ladder: {name!r}")
         self.family = name
-        self.has_min_piece = name == "limit-left"
-        self.has_max_piece = not self.has_min_piece
-        self.dense_no_endpoints = False
+        rung0, rung1 = self.piece_at(0), self.piece_at(1)
+        self.has_min_piece = rung0.lo == 0
+        self.has_max_piece = rung0.hi == 1
+        successor_pair = rung0.hi == rung1.lo or rung1.hi == rung0.lo
+        self.dense_no_endpoints = not (successor_pair or self.has_min_piece or self.has_max_piece)
 
     def piece_at(self, n: int) -> Piece:
         if n < 0:

@@ -34,6 +34,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import cache
 
 from .rationals import check_unit, rational_at
 from .tnorm import (
@@ -125,8 +126,13 @@ class EtaOrder(LinearOrder):
     name = "eta"
     dense = True
 
+    def __init__(self):
+        # placing piece n compares it with O(log n) placed pieces, each
+        # asked about again for every later piece: look each q_n up once
+        self._q = cache(rational_at)
+
     def _less(self, m, n):
-        return rational_at(m + 2) < rational_at(n + 2)
+        return self._q(m + 2) < self._q(n + 2)
 
     def _adjacent(self, m, n):
         return False

@@ -18,21 +18,22 @@ Phi(n) = phi(1) + ... + phi(n) is the summatory totient, and
 
     C(n) = n(n+3)/2 - sum_{k=2..n} C(n // k),
 
-grouped over the O(sqrt n) distinct quotients n // k.  A fixed table,
-built on first use, holds C up to denominator 1024.  Past it, index
-arithmetic runs in batches: one `rational_at`, one `rational_index`,
-one `rational_indices` call or one `l1.theta` is a batch, and a
-private counter serves it and no longer.  The counter sieves phi up
-to about D^(2/3) for the batch's largest denominator D (the fixed
-table when that reaches far enough, never past a fixed cap) and
-memoises the recursion above the sieve in one dict, so a batch builds
-one sieve and counts each denominator once.  This is the usual
-n^(2/3) split for summatory arithmetic functions (Deleglise and
-Rivat, "Computing the summation of the Moebius function",
-Experimental Mathematics 5, 1996).  The position inside denominator d
-is an inclusion-exclusion count over the squarefree divisors of d.
-`rational_at` reads the denominator of an index below the table's end
-off the table; past it, it estimates d from C(d) ~ 3 d^2 / pi^2 and
+grouped over the O(sqrt n) distinct quotients n // k.  Every lookup,
+from an index to a rational or back, goes through one private counter
+that serves a batch and no longer: one `rational_at`, one
+`rational_index`, one `rational_indices` call or one `l1.theta` is a
+batch.  The counter sieves phi up to about D^(2/3) for the batch's
+largest denominator D, never below denominator 1024 and never past a
+fixed cap, and memoises the recursion above the sieve in one dict, so
+a batch builds one sieve and counts each denominator once.  This is
+the usual n^(2/3) split for summatory arithmetic functions (Deleglise
+and Rivat, "Computing the summation of the Moebius function",
+Experimental Mathematics 5, 1996).  The sieve to 1024 is the one every
+small batch uses, so it is built once, on first use, and kept: the
+fixed table.  The position inside denominator d is an
+inclusion-exclusion count over the squarefree divisors of d.  The
+counter reads the denominator of an index below its sieve's end off
+the sieve; past it, it estimates d from C(d) ~ 3 d^2 / pi^2 and
 corrects the estimate by single totients, each the
 inclusion-exclusion count of all of [1, d].  Either way it bisects
 the numerator on that count.  The least-index rational of an interval
@@ -190,13 +191,27 @@ class _IndexCounter:
         return total
 
     def indices(self, qs: list[Fraction]) -> list[int]:
-        """The index of each rational in qs, in order."""
-        return [_index(q, self.count) for q in qs]
+        """The index of each rational in qs, in order.
+
+        p/d with d >= 2 follows the count(d - 1) entries of smaller
+        denominators and the numerators below p that are coprime to d.
+        """
+        out = []
+        for q in qs:
+            p, d = q.numerator, q.denominator
+            n = p if d == 1 else self.count(d - 1) + _coprimes_below(p, _signed_divisors(d))
+            out.append(n)
+        return out
 
     def at(self, n: int) -> Fraction:
-        """q_n, the n-th rational of the enumeration."""
-        if n < _fixed_table()[-1]:
-            return _table_at(n)
+        """q_n, the n-th rational of the enumeration, for n >= 0."""
+        counts = self._counts
+        if n < 2:
+            return Fraction(n)
+        if n < counts[-1]:
+            # the sieve reaches q_n's denominator
+            d = bisect_right(counts, n)
+            return _nth_coprime(d, n - counts[d - 1])
         # count(d) = 3 d^2 / pi^2 + O(d log d): start at the estimate and
         # step by single totients, keeping below == count(d - 1)
         d = _denominator_estimate(n)
@@ -224,25 +239,10 @@ def _nth_coprime(d: int, offset: int) -> Fraction:
     return Fraction(p, d)
 
 
-def _table_at(n: int) -> Fraction:
-    """q_n for 0 <= n below the fixed table's end."""
-    if n < 2:
-        return Fraction(n)
-    table = _fixed_table()
-    d = bisect_right(table, n)
-    return _nth_coprime(d, n - table[d - 1])
-
-
 def rational_at(n: int) -> Fraction:
-    """Return q_n, the n-th rational of the enumeration.
-
-    Below the fixed table's end this is a lookup; past it, one counter
-    serves the call.
-    """
+    """Return q_n, the n-th rational of the enumeration, from one counter."""
     if n < 0:
         raise ValueError("index must be a natural number")
-    if n < _fixed_table()[-1]:
-        return _table_at(n)
     return _IndexCounter.up_to(n).at(n)
 
 
@@ -277,23 +277,8 @@ def _coprimes_below(p: int, divisors: list[tuple[int, int]]) -> int:
     return sum(mu * ((p - 1) // k) for k, mu in divisors)
 
 
-def _index(q: Fraction, count) -> int:
-    """The unique n with q_n == q, given count(d) = entries with denominator <= d."""
-    p, d = q.numerator, q.denominator
-    if d == 1:
-        return p
-    return count(d - 1) + _coprimes_below(p, _signed_divisors(d))
-
-
 def rational_index(q: Fraction) -> int:
-    """Inverse of `rational_at`: the unique n with q_n == q.
-
-    A denominator the fixed table reaches is a lookup; past it, one
-    counter serves the call.
-    """
-    check_unit(q)
-    if q.denominator <= _TABLE_LIMIT + 1:
-        return _index(q, _fixed_table().__getitem__)
+    """Inverse of `rational_at`: the unique n with q_n == q, from one counter."""
     return rational_indices([q])[0]
 
 

@@ -14,6 +14,7 @@ from ordsum.cli import (
     MAX_ROUNDTRIP_PIECES,
     MAX_SURFACE_GRID,
     MAX_THETA_LESS_LINES,
+    MAX_THETA_SIZE,
     main,
 )
 from ordsum.orders import _Placement
@@ -283,6 +284,25 @@ class TestTheta:
         f = write("t", "tnorm v1\nfamily cantor cantor:svc\n")
         assert main(["theta", f, "1000000000000", "2000"]) == 0
         assert sink.lines == 4 + 2000 * 1999 // 2
+
+    @pytest.fixture
+    def no_load(self, monkeypatch):
+        def loaded(path):
+            raise OSError("the file was read")
+
+        monkeypatch.setattr(ordsum.cli, "load_presentation", loaded)
+
+    def test_size_over_the_limit_exits_before_the_file_is_read(self, no_load, capsys):
+        n = MAX_THETA_SIZE + 1
+        assert main(["theta", "unread.tnorm", str(n), "3200"]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: size {n} exceeds the limit of {MAX_THETA_SIZE}\n"
+        )
+
+    def test_the_size_limit_itself_is_accepted(self, no_load, capsys):
+        # reaching the file shows the limit passes the check
+        assert main(["theta", "unread.tnorm", str(MAX_THETA_SIZE)]) == 2
+        assert capsys.readouterr().err == "error: the file was read\n"
 
 
 class TestFromLo:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsum.families import LadderGenerator
+from ordsum.presentations import parse_presentation_text
 from ordsum.signature import Label, compute_signature
 from ordsum.tnorm import IDEMPOTENT, InPiece, check_axioms
 
@@ -78,6 +79,30 @@ def test_structural_certificates():
     assert first.hi == second.lo == F(1, 2)
     assert first.label is Label.P and second.label is Label.P
     assert compute_signature(t, 1).successor_pair() is None
+
+
+LAZY_FAMILIES = [
+    "limit-left",
+    "limit-right",
+    "theta omega",
+    "theta omega_star",
+    "theta zeta",
+    "theta eta",
+    "theta omega_plus_omega_star",
+    "cantor cantor:middle-third",
+    "cantor cantor:svc",
+    "cantor cantor:non-e",
+]
+
+
+@pytest.mark.parametrize("family", LAZY_FAMILIES)
+def test_extreme_facts_match_the_signature(family):
+    # an entry that touches an end of [0, 1] is a final extreme entry,
+    # and every certified extreme shows within 40 pieces
+    t = parse_presentation_text(f"tnorm v1\nfamily {family}\n")
+    entries = compute_signature(t, 40).entries
+    assert t.has_min_piece == (entries[0].lo == 0)
+    assert t.has_max_piece == (entries[-1].hi == 1)
 
 
 def test_signature_prefix_and_axioms():

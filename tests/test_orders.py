@@ -1,12 +1,14 @@
 """Linear orders and the intervals they pin into [0, 1]."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordsum.orders as orders
 from ordsum.orders import (
     EtaOrder,
     FiniteOrder,
@@ -429,6 +431,21 @@ def test_certified_gaps_eta_empty():
     gen = OrderPieceGenerator(EtaOrder())
     assert gen.certified_m_gaps(8) == []
     assert compute_signature(gen, 8).successor_pair() is None
+
+
+def test_eta_looks_each_rational_up_once(monkeypatch):
+    # placing piece n compares it with O(log n) placed pieces, and each of
+    # them is compared again for later pieces
+    asked = Counter()
+    rational_at = orders.rational_at
+
+    def counting(n):
+        asked[n] += 1
+        return rational_at(n)
+
+    monkeypatch.setattr(orders, "rational_at", counting)
+    compute_signature(OrderPieceGenerator(EtaOrder()), 200)
+    assert sorted(asked) == list(range(2, 202)) and max(asked.values()) == 1
 
 
 def test_successor_pair_shares_endpoint():

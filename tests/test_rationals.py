@@ -466,6 +466,19 @@ def test_the_sieve_stays_under_its_cap():
         assert len(_IndexCounter(d)._counts) == _sieve_limit(d) + 1
 
 
+def test_a_sieve_past_the_fixed_table_reads_q_n():
+    # a batch to denominator 200,000 sieves to 1,709: q_n below C(1709)
+    # is read off that sieve, and past it found by the estimate
+    counter = _IndexCounter(200_000)
+    assert len(counter._counts) == 1710
+    for edge in (1024, 1709):
+        for n in range(SIEVE[edge] - 3, SIEVE[edge] + 3):
+            q = counter.at(n)
+            assert SIEVE[q.denominator - 1] <= n < SIEVE[q.denominator]
+            assert sieve_index(q) == n
+            assert counter.indices([q]) == [n]
+
+
 @st.composite
 def deep_rationals(draw):
     """Rationals whose denominators lie between 3^13 and 3^17."""
