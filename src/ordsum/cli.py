@@ -35,9 +35,9 @@ MAX_SURFACE_GRID = 1000
 # a theta dump prints one `less:` line per ordered pair of chain
 # entries; cantor:svc at depth 2000 prints about 2 M of them (README)
 MAX_THETA_LESS_LINES = 5_000_000
-# piece n of an order family has denominator 3^(n+1); at 3200 pieces,
-# the fewest at which theta of cantor:svc still exceeds the line limit,
-# every lazy command on a shipped family takes seconds (README)
+# piece n of an order family is 3^-(n+1) wide, its ends over 6^(n+1); at 3200
+# pieces, the fewest at which theta of cantor:svc still exceeds the line limit,
+# every lazy command on a shipped family takes under a second (README)
 MAX_LAZY_PIECES = 3200
 # roundtrip counts the index of every piece's witness, and piece n is
 # 3^-(n+1) wide in any order, so its witness's denominator can reach

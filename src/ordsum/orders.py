@@ -13,6 +13,11 @@ m below n holds exactly when b_m < a_n, and the windows never collapse,
 so truncating after N pieces changes the operation by at most
 2 * sum of the remaining lengths = 3^-N.
 
+The endpoints of I_n are integers over 6^(n+1), by induction on n: x_n
+and y_n are 0, 1 or earlier endpoints, integers X and Y over 6^n, so
+a_n = (3(X + Y) - 2^n) / 6^(n+1) and b_n = (3(X + Y) + 2^n) / 6^(n+1);
+the halving keeps a factor 2, so most are not over 3^(n+1).
+
 Because the placement embeds the order, x_n and y_n are the facing
 endpoints of n's nearest placed neighbours below and above.  The placed
 elements are kept sorted by position, so placing a new piece costs one
@@ -336,16 +341,21 @@ class OrderPieceGenerator(PieceGenerator):
             return left == self.order.max_element
         return self.order.adjacent(left, right)
 
+    def entries(self, depth: int) -> list[Piece]:
+        """Pieces 0..depth-1 and the gaps no later piece can enter, left to right."""
+        intervals, out, left, gap_lo = self._intervals, [], None, Fraction(0)
+        for k in [*self._built_by_position(depth), None]:  # None: the gap up to 1
+            lo, hi = (Fraction(1), None) if k is None else intervals[k]
+            if self._gap_is_final(left, k):
+                out.append(Piece(gap_lo, lo, Label.M))
+            if k is not None:
+                out.append(Piece(lo, hi, Label.P))
+            left, gap_lo = k, hi
+        return out
+
     def certified_m_gaps(self, depth: int) -> list[tuple[Fraction, Fraction]]:
-        """Gaps between placed pieces that no later piece can enter."""
-        intervals = self._intervals
-        ends = [None, *self._built_by_position(depth), None]
-        return [
-            (intervals[m][1] if m is not None else Fraction(0),
-             intervals[n][0] if n is not None else Fraction(1))
-            for m, n in zip(ends, ends[1:])
-            if self._gap_is_final(m, n)
-        ]
+        """The M entries at this depth, as (lo, hi) pairs."""
+        return [(e.lo, e.hi) for e in self.entries(depth) if e.label is Label.M]
 
 
 def order_tnorm(order: LinearOrder) -> TNorm:

@@ -11,7 +11,7 @@ encodings) reads it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import pairwise
 
 from .tnorm import (
@@ -22,7 +22,6 @@ from .tnorm import (
     Record,
     TNorm,
     first_shared_endpoint,
-    sort_pieces,
 )
 
 __all__ = [
@@ -34,16 +33,18 @@ __all__ = [
 
 
 class Signature(Record):
-    """Pieces labeled P, L or M, left to right; complete unless truncated at a depth."""
+    """Pieces labeled P, L or M, checked to come left to right; complete unless truncated."""
 
     __slots__ = ("entries", "truncation_depth")
 
-    def __init__(self, entries: tuple[Piece, ...], truncation_depth: int | None = None):
-        ordered = sort_pieces(entries)
-        for a, b in pairwise(ordered):
+    def __init__(self, entries: Iterable[Piece], truncation_depth: int | None = None):
+        entries = tuple(entries)
+        for a, b in pairwise(entries):
+            if a.hi > b.lo:
+                raise ValueError(f"pieces overlap or are out of order: {a.hi} > {b.lo}")
             if a.hi == b.lo and a.label is Label.M and b.label is Label.M:
                 raise ValueError("two adjacent M entries would merge; signature malformed")
-        self.entries, self.truncation_depth = ordered, truncation_depth
+        self.entries, self.truncation_depth = entries, truncation_depth
 
     @property
     def complete(self) -> bool:
@@ -68,16 +69,13 @@ def compute_signature(t: TNorm, depth: int | None = None) -> Signature:
 
     A truncated signature lists the first `depth` generated pieces plus
     only those idempotent intervals the generator certifies as final;
-    deeper pieces can only subdivide territory not yet claimed.  The
-    entries are the presentation's own pieces plus one M piece per gap.
+    deeper pieces can only subdivide territory not yet claimed.
     """
     if not isinstance(t, PieceGenerator):  # complete, whatever the depth
-        pieces, gaps, depth = t.pieces, t.gaps(), None
-    elif depth is None or depth < 1:
+        return Signature(t.entries())
+    if depth is None or depth < 1:
         raise PreconditionError("lazy signatures need a positive truncation depth")
-    else:
-        pieces, gaps = [t.piece_at(n) for n in range(depth)], t.certified_m_gaps(depth)
-    return Signature((*pieces, *(Piece(lo, hi, Label.M) for lo, hi in gaps)), depth)
+    return Signature(t.entries(depth), depth)
 
 
 def signature_lines(sig: Signature) -> Iterator[str]:
@@ -86,8 +84,3 @@ def signature_lines(sig: Signature) -> Iterator[str]:
     yield f"signature v1 complete={'true' if sig.complete else 'false'} depth={depth}\n"
     for e in sig.entries:
         yield f"{e.label.value} {e.lo} {e.hi}\n"
-
-
-def format_signature(sig: Signature) -> str:
-    """The whole signature dump as one string."""
-    return "".join(signature_lines(sig))

@@ -116,10 +116,6 @@ class Piece(Record):
         shift = x - self.hi
         return lambda y: max(lo, y + shift)
 
-    def combine(self, x: Fraction, y: Fraction) -> Fraction:
-        """The piece formula; callers guarantee x, y in [lo, hi]."""
-        return self.times(x)(y)
-
     def nilpotency_index(self, q: Fraction) -> int:
         """Least l with the l-th power equal to lo (Lukasiewicz pieces only)."""
         if self.label is not Label.L:
@@ -229,9 +225,10 @@ class FinitePresentation(TNorm):
             return i
         return None
 
-    def gaps(self) -> list[tuple[Fraction, Fraction]]:
-        """Maximal open intervals of [0, 1] not covered by piece closures."""
-        return uncovered((p.lo, p.hi) for p in self.pieces)
+    def entries(self) -> tuple[Piece, ...]:
+        """The signature entries left to right: the pieces, and as M entries the gaps."""
+        gaps = (Piece(lo, hi, Label.M) for lo, hi in uncovered((p.lo, p.hi) for p in self.pieces))
+        return sort_pieces((*self.pieces, *gaps))
 
     def eval(self, x: Fraction, y: Fraction) -> Fraction:
         """Exact value of x * y."""
@@ -243,7 +240,7 @@ class FinitePresentation(TNorm):
             # y = hi shared with the next piece is looked up there by
             # piece_index_of, but the formula gives min(x, y) at hi anyway
             if piece.lo <= y <= piece.hi:
-                return piece.combine(x, y)
+                return piece.times(x)(y)
         return min(x, y)
 
     def rows(self, points):
@@ -290,8 +287,8 @@ class PieceGenerator(TNorm):
     every piece at position >= n (monotone, tending to 0).  `family` is
     the generator's presentation-file line after the word "family".
     The contract is `piece_at`, `tail_length_bound`, `locate` and
-    `certified_m_gaps`; certificates about the order of the entries,
-    such as a successor pair, are read off `compute_signature`.
+    `entries`; certificates about the order of the entries, such as a
+    successor pair, are read off `compute_signature`.
 
     Beside `family`, each generator sets three certified order facts
     about its complete signature: `has_min_piece` and `has_max_piece`
@@ -315,9 +312,9 @@ class PieceGenerator(TNorm):
     def tail_length_bound(self, n: int) -> Fraction:
         raise NotImplementedError
 
-    def certified_m_gaps(self, depth: int) -> list[tuple[Fraction, Fraction]]:
-        """Maximal idempotent intervals certified final at this depth."""
-        return []
+    def entries(self, depth: int) -> list[Piece]:
+        """Pieces 0..depth-1 sorted: no Cantor rule or ladder certifies a final gap."""
+        return sorted((self.piece_at(n) for n in range(depth)), key=lambda p: p.lo)
 
     def truncation(self, n: int) -> FinitePresentation:
         """Finite t-norm from the first n generated pieces."""

@@ -1,15 +1,17 @@
 """Ladder families: closed-form placement and structural certificates."""
 
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsum.families import LadderGenerator
+from ordsum.orders import OrderPieceGenerator
 from ordsum.presentations import parse_presentation_text
 from ordsum.signature import Label, compute_signature
-from ordsum.tnorm import IDEMPOTENT, InPiece, check_axioms
+from ordsum.tnorm import IDEMPOTENT, InPiece, Piece, check_axioms, sort_pieces
 
 F = Fraction
 
@@ -70,7 +72,7 @@ def test_structural_certificates():
     assert left.has_min_piece and not left.has_max_piece
     assert right.has_max_piece and not right.has_min_piece
     assert not left.dense_no_endpoints
-    assert left.certified_m_gaps(10) == []
+    assert all(e.label is not Label.M for e in left.entries(10))
 
     t = LadderGenerator("limit-left")
     pair = compute_signature(t, 4).successor_pair()
@@ -103,6 +105,39 @@ def test_extreme_facts_match_the_signature(family):
     entries = compute_signature(t, 40).entries
     assert t.has_min_piece == (entries[0].lo == 0)
     assert t.has_max_piece == (entries[-1].hi == 1)
+
+
+def entries_by_sorting(t, depth):
+    """Pieces 0..depth-1 and the final gaps between them, run through `sort_pieces`.
+
+    The route the signature took before each presentation listed its own
+    entries: a gap of an order family is final when its two sides are
+    adjacent in the order, or when the side toward 0 or 1 is missing and
+    the other is the order's extreme there; no other family has one.
+    """
+    pieces = [t.piece_at(n) for n in range(depth)]
+    gaps = []
+    if isinstance(t, OrderPieceGenerator):
+        order = t.order
+        by_lo = sorted(range(depth), key=lambda n: pieces[n].lo)
+        for m, n in pairwise([None, *by_lo, None]):
+            if m is None:
+                final = n == order.min_element
+            elif n is None:
+                final = m == order.max_element
+            else:
+                final = order.adjacent(m, n)
+            if final:
+                lo = F(0) if m is None else pieces[m].hi
+                gaps.append(Piece(lo, F(1) if n is None else pieces[n].lo, Label.M))
+    return sort_pieces(pieces + gaps)
+
+
+@pytest.mark.parametrize("family", LAZY_FAMILIES)
+def test_entries_match_the_sorted_route(family):
+    t = parse_presentation_text(f"tnorm v1\nfamily {family}\n")
+    for depth in range(1, 65):
+        assert compute_signature(t, depth).entries == entries_by_sorting(t, depth)
 
 
 def test_signature_prefix_and_axioms():

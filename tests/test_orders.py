@@ -194,7 +194,7 @@ def test_placement_does_not_depend_on_call_order(name, data):
     gen = OrderPieceGenerator(order)
     depths = st.integers(1, CALL_ORDER_DEPTH)
     for _ in range(data.draw(st.integers(1, 12))):
-        call = data.draw(st.sampled_from(["piece_at", "locate", "certified_m_gaps"]))
+        call = data.draw(st.sampled_from(["piece_at", "locate", "certified_m_gaps", "entries"]))
         if call == "piece_at":
             k = data.draw(depths) - 1
             piece = gen.piece_at(k)
@@ -209,8 +209,39 @@ def test_placement_does_not_depend_on_call_order(name, data):
             assert gen.locate(q, depth) == locate_by_scan(order, oracle, q, depth)
         else:
             depth = data.draw(depths)
-            fresh = OrderPieceGenerator(order).certified_m_gaps(depth)
-            assert gen.certified_m_gaps(depth) == fresh
+            fresh = getattr(OrderPieceGenerator(order), call)(depth)
+            assert getattr(gen, call)(depth) == fresh
+
+
+def test_signature_compares_each_neighbour_pair_once(monkeypatch):
+    # the entries come left to right, so no endpoints of thousands of
+    # digits are sorted: one comparison makes each entry, and one checks
+    # each neighbouring pair
+    compared = 0
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        def counting(a, b, method=getattr(Fraction, name)):
+            nonlocal compared
+            compared += 1
+            return method(a, b)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    sig = compute_signature(order_tnorm(parse_order("zeta")), 400)
+    assert compared < 2 * len(sig.entries)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ORDERS))
+def test_piece_endpoints_are_over_powers_of_six(name):
+    # the induction in the module docstring; 3^(n+1) is not enough
+    gen = OrderPieceGenerator(parse_order(name))
+    ends = []
+    for n in range(300):
+        piece = gen.piece_at(n)
+        assert piece.hi - piece.lo == Fraction(1, 3 ** (n + 1))
+        for end in (piece.lo, piece.hi):
+            assert 6 ** (n + 1) % end.denominator == 0
+            ends.append(end)
+    if name in ("zeta", "eta"):
+        assert sum(end.denominator % 2 == 0 for end in ends) > len(ends) // 2
 
 
 @pytest.mark.parametrize("name", ["zeta", "eta"])

@@ -42,8 +42,8 @@ REACH_EXEMPT = {
     ("l1", "subbasis_predicates"): "paper API (test_package.PAPER_API)",
     ("l1", "SubbasisRecord.__init__"): "made only by subbasis_predicates",
     ("presentations", "format_presentation"): "paper API (test_package.PAPER_API)",
-    ("signature", "format_signature"): "the dump as one string for library callers; "
-    "the `signature` command streams `signature_lines`",
+    ("orders", "OrderPieceGenerator.certified_m_gaps"): "a view of `entries` that "
+    "perfbench/tracing.py wraps by name; no command asks for the gaps alone",
     ("tnorm", "Record.__hash__"): "keeps records hashable, which __eq__ alone would undo",
     ("families", "LadderGenerator.locate"): "no command or benchmark operation "
     "places a point on a ladder",

@@ -10,7 +10,6 @@ from ordsum.signature import (
     Label,
     Signature,
     compute_signature,
-    format_signature,
     signature_lines,
 )
 from ordsum.presentations import parse_presentation_text
@@ -97,6 +96,13 @@ def test_overlapping_entries_rejected():
         Signature((Piece(F(0), F(1, 2), Label.M), Piece(F(1, 3), F(1), Label.P)))
 
 
+def test_entries_out_of_order_rejected():
+    # the presentations hand their entries over left to right; a
+    # signature checks that order and does not restore it
+    with pytest.raises(ValueError, match="out of order"):
+        Signature((Piece(F(1, 2), F(1), Label.P), Piece(F(0), F(1, 4), Label.M)))
+
+
 def test_signature_deterministic():
     assert compute_signature(TWO_PIECE) == compute_signature(TWO_PIECE)
 
@@ -111,16 +117,13 @@ def test_label_partition_semantics():
 
 def test_format_signature():
     sig = compute_signature(TWO_PIECE)
-    text = format_signature(sig)
-    assert text == (
+    assert "".join(signature_lines(sig)) == (
         "signature v1 complete=true depth=-\n"
         "M 0 1/4\n"
         "P 1/4 1/2\n"
         "L 1/2 3/4\n"
         "M 3/4 1\n"
     )
-    # the `signature` command streams the same lines
-    assert list(signature_lines(sig)) == text.splitlines(keepends=True)
 
 
 # each lazy family, and the first depth at which its truncated signature
