@@ -8,22 +8,20 @@ orders, analyze Cantor-style gap systems, and export evaluation grids.
 All output is plain text with rationals in lowest terms; identical
 inputs produce byte-identical outputs.  Exit codes: 0 success or a
 decided verdict, 1 failed check (axiom violations, roundtrip FAIL),
-2 unreadable input, 3 precondition violation, 4 undecided outcome.
+2 unreadable input or a usage error, 3 precondition violation,
+4 undecided outcome.
 """
 
 from __future__ import annotations
 
-import argparse
-import re
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
-# Every command loads these three modules: each reads a presentation or
-# a rational, and `main` maps `PreconditionError` to exit 3.  Each
-# command imports any other module it runs inside its function, so a
-# command loads only what it uses.
-from .presentations import load_presentation
+# Every command loads `tnorm`, and with it `rationals`: `main` maps
+# `PreconditionError` to exit 3.  Each command imports any other module
+# it runs inside its function, `presentations` too, so a command loads
+# only what it uses.
 from .rationals import parse_rational
 from .tnorm import Label, PieceGenerator, PreconditionError, UnknownAtDepth, check_axioms
 
@@ -58,20 +56,24 @@ def _check_pieces(what: str, n: int, *presentations) -> None:
         raise PreconditionError(f"{what} {n} exceeds the limit of {MAX_LAZY_PIECES} pieces")
 
 
-def _cmd_eval(args) -> int:
-    t = load_presentation(args.file)
-    _check_pieces("pieces", args.pieces, t)
-    x, y = parse_rational(args.x), parse_rational(args.y)
+def _cmd_eval(file: str, x: str, y: str, pieces: int) -> int:
+    from .presentations import load_presentation
+
+    t = load_presentation(file)
+    _check_pieces("pieces", pieces, t)
+    x, y = parse_rational(x), parse_rational(y)
     if isinstance(t, PieceGenerator):
-        value, bound = t.eval_approx(x, y, args.pieces)
+        value, bound = t.eval_approx(x, y, pieces)
         print(f"value {value} error_bound {bound}")
     else:
         print(t.eval(x, y))
     return 0
 
 
-def _cmd_axioms(args) -> int:
-    t = load_presentation(args.file)
+def _cmd_axioms(file: str) -> int:
+    from .presentations import load_presentation
+
+    t = load_presentation(file)
     if isinstance(t, PieceGenerator):
         t = t.truncation(LAZY_TRUNCATION)
     report = check_axioms(t, GRID_21)
@@ -82,36 +84,38 @@ def _cmd_axioms(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_signature(args) -> int:
+def _cmd_signature(file: str, depth: int) -> int:
+    from .presentations import load_presentation
     from .signature import compute_signature, signature_lines
 
-    t = load_presentation(args.file)
-    _check_pieces("depth", args.depth, t)
+    t = load_presentation(file)
+    _check_pieces("depth", depth, t)
     # line by line: the dump of a deep lazy signature is tens of megabytes
-    sys.stdout.writelines(signature_lines(compute_signature(t, args.depth)))
+    sys.stdout.writelines(signature_lines(compute_signature(t, depth)))
     return 0
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(file_a: str, file_b: str, depth: int) -> int:
     from .iso import decide_iso_lazy, format_verdict
+    from .presentations import load_presentation
 
-    t1 = load_presentation(args.file_a)
-    t2 = load_presentation(args.file_b)
-    _check_pieces("depth", args.depth, t1, t2)
-    verdict = decide_iso_lazy(t1, t2, args.depth)
+    t1, t2 = load_presentation(file_a), load_presentation(file_b)
+    _check_pieces("depth", depth, t1, t2)
+    verdict = decide_iso_lazy(t1, t2, depth)
     sys.stdout.write(format_verdict(verdict))
     return 4 if isinstance(verdict, UnknownAtDepth) else 0
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(file: str, size: int, depth: int) -> int:
     from .l1 import _l1_blocks, theta
+    from .presentations import load_presentation
 
-    if args.size > MAX_THETA_SIZE:
-        raise PreconditionError(f"size {args.size} exceeds the limit of {MAX_THETA_SIZE}")
+    if size > MAX_THETA_SIZE:
+        raise PreconditionError(f"size {size} exceeds the limit of {MAX_THETA_SIZE}")
     # a finite presentation resolves completely and ignores the depth
-    t = load_presentation(args.file)
-    _check_pieces("depth", args.depth, t)
-    s = theta(t, args.size, depth=args.depth)
+    t = load_presentation(file)
+    _check_pieces("depth", depth, t)
+    s = theta(t, size, depth=depth)
     k = len(s.entries)
     pairs = k * (k - 1) // 2
     if pairs > MAX_THETA_LESS_LINES:
@@ -124,31 +128,30 @@ def _cmd_theta(args) -> int:
     return 0
 
 
-def _cmd_from_lo(args) -> int:
+def _cmd_from_lo(order: str, count: int) -> int:
     from .orders import build_intervals, parse_order
 
-    _check_pieces("count", args.count)
-    for lo, hi in build_intervals(parse_order(args.order), args.count):
+    _check_pieces("count", count)
+    for lo, hi in build_intervals(parse_order(order), count):
         print(f"({lo}, {hi})")
     return 0
 
 
-def _cmd_cantor(args) -> int:
+def _cmd_cantor(system: str, depth: int) -> int:
     from .cantor import format_gap_order, parse_system
 
-    sys.stdout.write(format_gap_order(parse_system(args.system), args.depth))
+    sys.stdout.write(format_gap_order(parse_system(system), depth))
     return 0
 
 
-def _cmd_roundtrip(args) -> int:
+def _cmd_roundtrip(order: str, count: int) -> int:
     from .l1 import theta
     from .orders import FiniteOrder, build_intervals, order_tnorm, parse_order
     from .rationals import _IndexCounter, min_rational_in
 
-    count = args.count
     if count > MAX_ROUNDTRIP_PIECES:
         raise PreconditionError(f"count {count} exceeds the limit of {MAX_ROUNDTRIP_PIECES} pieces")
-    order = parse_order(args.order)
+    order = parse_order(order)
     values = [min_rational_in(lo, hi) for lo, hi in build_intervals(order, count)]
     if order.size is not None:
         # theta's depth truncates only a lazy presentation, so a finite one
@@ -174,95 +177,92 @@ def _cmd_roundtrip(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_surface(args) -> int:
-    if args.grid < 2:
+def _cmd_surface(file: str, grid: int) -> int:
+    from .presentations import load_presentation
+
+    if grid < 2:
         raise PreconditionError("grid needs at least two sample points per axis")
-    if args.grid > MAX_SURFACE_GRID:
+    if grid > MAX_SURFACE_GRID:
         raise PreconditionError(
-            f"grid {args.grid} exceeds the limit of {MAX_SURFACE_GRID} points per axis"
+            f"grid {grid} exceeds the limit of {MAX_SURFACE_GRID} points per axis"
         )
-    t = load_presentation(args.file)
+    t = load_presentation(file)
     if isinstance(t, PieceGenerator):
         t = t.truncation(LAZY_TRUNCATION)
-    pts = [Fraction(i, args.grid - 1) for i in range(args.grid)]
+    pts = [Fraction(i, grid - 1) for i in range(grid)]
     print("," + ",".join(str(p) for p in pts))
     for x, row in zip(pts, t.rows(pts)):
         print(",".join([str(x)] + [str(v) for v in row]))
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ordsum",
-        description="exact ordinal-sum t-norms: evaluation, signatures, "
-        "isomorphism, and order encodings",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# name: (function, one-line help, positional words, defaults of the
+# trailing optional words); a word named in INTEGER_WORDS is an integer
+COMMANDS = {
+    "eval": (_cmd_eval, "value of x * y from a presentation file; a lazy one to PIECES "
+             "pieces", ("file", "x", "y", "pieces"), (LAZY_TRUNCATION,)),
+    "axioms": (_cmd_axioms, "exact axiom audit on the 21-point grid", ("file",), ()),
+    "signature": (_cmd_signature, "labeled interval signature dump; a lazy presentation "
+                  "to DEPTH pieces", ("file", "depth"), (8,)),
+    "iso": (_cmd_iso, "decide whether two presentations are isomorphic; lazy ones "
+            "to DEPTH pieces", ("file_a", "file_b", "depth"), (8,)),
+    "theta": (_cmd_theta, "index structure dump at truncation size SIZE; a lazy "
+              "presentation to DEPTH pieces", ("file", "size", "depth"), (LAZY_TRUNCATION,)),
+    "from-lo": (_cmd_from_lo, "interval system of the first COUNT elements of a linear order",
+                ("order", "count"), ()),
+    "cantor": (_cmd_cantor, "gap dump and order analysis of a gap system to depth DEPTH",
+               ("system", "depth"), ()),
+    "roundtrip": (_cmd_roundtrip, "encode COUNT elements of an order, index the image, "
+                  "compare the orders", ("order", "count"), ()),
+    "surface": (_cmd_surface, f"comma-separated grid of x * y at GRID evenly spaced points, "
+                f"2 to {MAX_SURFACE_GRID} (lazy: 12 pieces)", ("file", "grid"), ()),
+}
+INTEGER_WORDS = ("pieces", "depth", "size", "count", "grid")
 
-    p = sub.add_parser("eval", help="value of x * y from a presentation file")
-    # read "-1/2" as a point for parse_rational to reject, not as an option
-    p._negative_number_matcher = re.compile(r"^-\d")
-    p.add_argument("file")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("pieces", nargs="?", type=int, default=LAZY_TRUNCATION,
-                   help="truncation size for lazy presentations (default 12)")
-    p.set_defaults(run=_cmd_eval)
 
-    p = sub.add_parser("axioms", help="exact axiom audit on the 21-point grid")
-    p.add_argument("file")
-    p.set_defaults(run=_cmd_axioms)
+def _parse(argv: list[str]):
+    """The function of argv's command and its words, integer words converted.
 
-    p = sub.add_parser("signature", help="labeled interval signature dump")
-    p.add_argument("file")
-    p.add_argument("depth", nargs="?", type=int, default=8,
-                   help="piece count for lazy presentations (default 8)")
-    p.set_defaults(run=_cmd_signature)
-
-    p = sub.add_parser("iso", help="decide whether two presentations are isomorphic")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("depth", nargs="?", type=int, default=8,
-                   help="exploration depth for lazy presentations (default 8)")
-    p.set_defaults(run=_cmd_iso)
-
-    p = sub.add_parser("theta", help="index structure dump at a truncation size")
-    p.add_argument("file")
-    p.add_argument("size", type=int)
-    p.add_argument("depth", nargs="?", type=int, default=LAZY_TRUNCATION,
-                   help="piece count for lazy presentations (default 12)")
-    p.set_defaults(run=_cmd_theta)
-
-    p = sub.add_parser("from-lo", help="interval system of a linear order")
-    p.add_argument("order")
-    p.add_argument("count", type=int)
-    p.set_defaults(run=_cmd_from_lo)
-
-    p = sub.add_parser("cantor", help="gap dump and order analysis of a gap system")
-    p.add_argument("system")
-    p.add_argument("depth", type=int)
-    p.set_defaults(run=_cmd_cantor)
-
-    p = sub.add_parser("roundtrip",
-                       help="encode an order, index the image, compare the orders")
-    p.add_argument("order")
-    p.add_argument("count", type=int)
-    p.set_defaults(run=_cmd_roundtrip)
-
-    p = sub.add_parser("surface", help="comma-separated grid of x * y at evenly spaced "
-                       "points (lazy: the 12-piece truncation)")
-    p.add_argument("file")
-    p.add_argument("grid", type=int,
-                   help=f"sample points per axis, 2 to {MAX_SURFACE_GRID}")
-    p.set_defaults(run=_cmd_surface)
-
-    return parser
+    `-h` and `--help` are the only options: they print help and exit 0.
+    A usage error writes the usage line and the error to stderr and exits
+    2, as argparse does.  An integer word is `-?[0-9]+` in ASCII digits,
+    like the digits of a rational or of a finite order's ranks.
+    """
+    name, *words = argv or [""]
+    if name in COMMANDS:
+        run, text, names, defaults = COMMANDS[name]
+        required = len(names) - len(defaults)
+        shown = [w.upper() for w in names[:required]]
+        optional = [f"[{w.upper()}={d}]" for w, d in zip(names[required:], defaults)]
+        usage = " ".join(["usage: ordsum", name, *shown, *optional])
+        if len(words) < required:
+            error = "missing " + " ".join(shown[len(words):])
+        elif len(words) > len(names):
+            error = "unexpected " + " ".join(words[len(names):])
+        else:
+            bad = [f"{w.upper()} is not an integer: {v!r}" for w, v in zip(names, words)
+                   if w in INTEGER_WORDS and not (v.isascii() and v.removeprefix("-").isdigit())]
+            error = bad[0] if bad else ""
+    else:
+        usage = "usage: ordsum COMMAND WORD..."
+        text = "".join(["exact ordinal-sum t-norms: evaluation, signatures, isomorphism, and "
+                        "order encodings\n"] + [f"\n  {c:10} {e[1]}" for c, e in COMMANDS.items()]
+                       + ["\n\nordsum COMMAND -h shows the words of one command"])
+        error = f"unknown command {name!r}" if name else "a command is required"
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(f"{usage}\n\n{text}\n")
+        raise SystemExit(0)
+    if error:
+        sys.stderr.write(f"{usage}\nordsum: error: {error}\n")
+        raise SystemExit(2)
+    words += defaults[len(words) - required:]
+    return run, [int(v) if w in INTEGER_WORDS else v for w, v in zip(names, words)]
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    run, words = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.run(args)
+        return run(*words)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

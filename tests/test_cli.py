@@ -6,8 +6,8 @@ from itertools import permutations
 
 import pytest
 
-import ordsum.cli
 import ordsum.l1
+import ordsum.presentations
 from ordsum.cli import (
     LAZY_TRUNCATION,
     MAX_LAZY_PIECES,
@@ -290,7 +290,7 @@ class TestTheta:
         def loaded(path):
             raise OSError("the file was read")
 
-        monkeypatch.setattr(ordsum.cli, "load_presentation", loaded)
+        monkeypatch.setattr(ordsum.presentations, "load_presentation", loaded)
 
     def test_size_over_the_limit_exits_before_the_file_is_read(self, no_load, capsys):
         n = MAX_THETA_SIZE + 1
@@ -494,7 +494,7 @@ class TestSurface:
         def no_load(path):
             pytest.fail("the grid is checked before the file is loaded")
 
-        monkeypatch.setattr(ordsum.cli, "load_presentation", no_load)
+        monkeypatch.setattr(ordsum.presentations, "load_presentation", no_load)
         assert main(["surface", "unread.tnorm", grid]) == 3
         assert capsys.readouterr().err.startswith("error: grid")
 
@@ -503,7 +503,7 @@ class TestSurface:
         def missing(path):
             raise OSError("loader reached")
 
-        monkeypatch.setattr(ordsum.cli, "load_presentation", missing)
+        monkeypatch.setattr(ordsum.presentations, "load_presentation", missing)
         assert main(["surface", "unread.tnorm", str(MAX_SURFACE_GRID)]) == 2
         assert capsys.readouterr().err == "error: loader reached\n"
 
@@ -610,3 +610,83 @@ def test_no_command_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+# each command with a word missing, a word too many, and one integer
+# word replaced by "{n}"
+USAGE_COMMANDS = [
+    ("eval", ["eval", "t", "1/2"], ["eval", "t", "1/2", "1/2", "12", "1"],
+     ["eval", "t", "1/2", "1/2", "{n}"]),
+    ("signature", ["signature"], ["signature", "t", "8", "1"], ["signature", "t", "{n}"]),
+    ("iso", ["iso", "t"], ["iso", "t", "t", "8", "1"], ["iso", "t", "t", "{n}"]),
+    ("theta", ["theta", "t"], ["theta", "t", "8", "12", "1"], ["theta", "t", "{n}"]),
+    ("from-lo", ["from-lo", "omega"], ["from-lo", "omega", "3", "1"], ["from-lo", "omega", "{n}"]),
+    ("cantor", ["cantor"], ["cantor", "cantor:svc", "2", "1"], ["cantor", "cantor:svc", "{n}"]),
+    ("roundtrip", ["roundtrip", "omega"], ["roundtrip", "omega", "3", "1"],
+     ["roundtrip", "omega", "{n}"]),
+    ("surface", ["surface", "t"], ["surface", "t", "5", "1"], ["surface", "t", "{n}"]),
+]
+
+
+class TestUsage:
+    @staticmethod
+    def usage_error(argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert err.startswith("usage: ordsum")
+        return err
+
+    def test_unknown_command(self, capsys):
+        err = self.usage_error(["sideways", "omega", "3"], capsys)
+        assert err.endswith("ordsum: error: unknown command 'sideways'\n")
+
+    @pytest.mark.parametrize("words", [c[1] for c in USAGE_COMMANDS] + [["axioms"]],
+                             ids=[c[0] for c in USAGE_COMMANDS] + ["axioms"])
+    def test_missing_word(self, words, capsys):
+        assert "ordsum: error: missing " in self.usage_error(words, capsys)
+
+    @pytest.mark.parametrize("words", [c[2] for c in USAGE_COMMANDS] + [["axioms", "t", "1"]],
+                             ids=[c[0] for c in USAGE_COMMANDS] + ["axioms"])
+    def test_extra_word(self, words, capsys):
+        assert self.usage_error(words, capsys).endswith("ordsum: error: unexpected 1\n")
+
+    # int() takes the first four and str.isdigit the fourth and fifth; an
+    # integer word is ASCII digits after an optional minus sign
+    @pytest.mark.parametrize("word", ["1_2", "+12", " 12", "١٢", "²", "--1", "-", "", "1.0"])
+    @pytest.mark.parametrize("words", [c[3] for c in USAGE_COMMANDS],
+                             ids=[c[0] for c in USAGE_COMMANDS])
+    def test_non_integer_count(self, words, word, capsys):
+        argv = [w.format(n=word) for w in words]
+        err = self.usage_error(argv, capsys)
+        assert err.endswith(f"is not an integer: {word!r}\n")
+
+    def test_a_negative_count_reaches_the_command(self, capsys):
+        assert main(["from-lo", "omega", "-1"]) == 3
+        assert capsys.readouterr() == ("", "error: need at least one interval\n")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_every_command(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([flag])
+        out, err = capsys.readouterr()
+        assert (info.value.code, err) == (0, "")
+        assert out.startswith("usage: ordsum COMMAND WORD...\n")
+        assert [line.split()[0] for line in out.splitlines() if line.startswith("  ")] == [
+            "eval", "axioms", "signature", "iso", "theta", "from-lo", "cantor", "roundtrip",
+            "surface",
+        ]
+
+    # -h wins over a missing word and over a word that is not an integer
+    @pytest.mark.parametrize("argv", [["theta", "-h"], ["theta", "t", "x", "--help"]])
+    def test_command_help_shows_its_words(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr() == (
+            "usage: ordsum theta FILE SIZE [DEPTH=12]\n\n"
+            "index structure dump at truncation size SIZE; a lazy presentation "
+            "to DEPTH pieces\n",
+            "",
+        )
