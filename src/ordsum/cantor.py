@@ -16,8 +16,8 @@ Every endpoint at level d is an integer over the level's denominator,
 (0, 1) and 4, svc (0, 2) and 4.  Its `split(lo, hi)` takes a box as
 numerators and returns the node's parts left to right, each
 `(lo, hi, is_gap)` over the next level's denominator; the parts tile
-the box.  The walk splits in integers and makes a `Fraction` only for a
-gap it hands out.
+the box.  The walk, the gap sort and the dump stay in integers; a
+`Fraction` is made only for a piece the lazy family hands out.
 
 Every box splits into the same kinds of part in the same order, and no
 two gaps of a split touch, so one split of the root gives every node's
@@ -37,8 +37,11 @@ dump sorts the same gaps left to right.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from fractions import Fraction
+from functools import cache
 from itertools import islice
+from math import gcd
 
 from .rationals import check_unit
 from .tnorm import (
@@ -53,7 +56,7 @@ from .tnorm import (
 )
 
 __all__ = [
-    "Box",
+    "Gap",
     "MiddleThirdRule",
     "SvcRule",
     "NonERule",
@@ -64,7 +67,7 @@ __all__ = [
     "format_gap_order",
 ]
 
-Box = tuple[Fraction, Fraction]
+Gap = tuple[int, int, int]  # (lo, hi, den): end numerators over the gap's level denominator
 Parts = tuple[tuple[int, int, bool], ...]  # (lo, hi, is_gap) numerators, left to right
 GAP, BOX = True, False
 MAX_EXPAND_DEPTH = 16
@@ -136,48 +139,49 @@ def _check_depth(depth: int) -> None:
 def _walk(rule, levels: int | None = None):
     """The gaps of the first `levels` levels, or of all, in removal order.
 
-    The walk holds only the boxes it will still split.  A node's parts
-    are scanned left to right.  A box travels with the Fraction of its
-    left end when a gap ends there, or None: a rule that abandons left
-    endpoints (non-e) starts a deeper gap at that end, and the two gaps
-    then share one Fraction instead of holding two equal ones.
+    Each gap is `(lo, hi, den)` in integers.  The walk holds only the
+    boxes it will still split.
     """
     split, scale = rule.split, rule.scale
-    lo, hi = rule.root
-    boxes = deque([(lo, hi, None)])
-    depth, den = 0, hi
+    boxes = deque([rule.root])
+    depth, den = 0, rule.root[1]
     while depth != levels:
         den *= scale  # the denominator of this level's parts
         depth += 1
+        last = depth == levels  # the last level's children stay unsplit
         for _ in range(len(boxes)):  # exactly the boxes of this level
-            lo, hi, left = boxes.popleft()
-            for a, b, gap in split(lo, hi):
+            for a, b, gap in split(*boxes.popleft()):
                 if gap:
-                    right = Fraction(b, den)
-                    yield (Fraction(a, den) if left is None else left), right
-                    left = right
-                else:
-                    if depth != levels:  # the last level's children stay unsplit
-                        boxes.append((a, b, left))
-                    left = None
+                    yield a, b, den
+                elif not last:
+                    boxes.append((a, b))
 
 
-def expand(rule: _Rule, depth: int) -> tuple[Box, ...]:
+def _left_to_right(gaps: list[Gap]) -> tuple[list[tuple[int, int]], int]:
+    """Sort `gaps`, given in removal order, in place as (lo, hi) numerators
+    over the last gap's denominator, which every earlier one's divides; with it."""
+    den = gaps[-1][2] if gaps else 1
+    for i, (a, b, d) in enumerate(gaps):
+        gaps[i] = a * (k := den // d), b * k
+    gaps.sort()
+    return gaps, den
+
+
+def expand(rule: _Rule, depth: int) -> list[Gap]:
     """The gaps removed by all nodes shallower than `depth`, in removal order."""
     _check_depth(depth)
-    return tuple(_walk(rule, depth))
+    return list(_walk(rule, depth))
 
 
-def analyze_gap_order(rule: _Rule, depth: int) -> list[Box]:
-    """The gaps of `expand(rule, depth)` left to right.
+def analyze_gap_order(rule: _Rule, depth: int) -> tuple[list[tuple[int, int]], int]:
+    """The gaps of `expand(rule, depth)` left to right, over their denominator.
 
     Every endpoint above level `depth` is an integer over
-    `root[1] * scale**depth`, so the gaps sort by their left ends'
-    numerators over it, and no `Fraction` is compared.
+    `root[1] * scale**depth`, the deepest gap's denominator, so the gaps
+    sort as numerators over it, and no `Fraction` is made or compared.
+    Depth 0 removes no gap and hands over 1.
     """
-    gaps = expand(rule, depth)  # checks depth before den is built
-    den = rule.root[1] * rule.scale**depth
-    return sorted(gaps, key=lambda gap: gap[0].numerator * (den // gap[0].denominator))
+    return _left_to_right(expand(rule, depth))
 
 
 class CantorGapGenerator(PieceGenerator):
@@ -190,7 +194,7 @@ class CantorGapGenerator(PieceGenerator):
 
     def __init__(self, rule: _Rule):
         self.rule = rule
-        self._gaps: list[Box] = []  # gaps 0..len-1, read off self._walk
+        self._gaps: list[Gap] = []  # gaps 0..len-1, read off self._walk
         self._walk = _walk(rule)
         self.family = f"cantor cantor:{rule.name}"
         parts = rule.split(*rule.root)  # as every node splits
@@ -198,7 +202,7 @@ class CantorGapGenerator(PieceGenerator):
         self.has_min_piece, self.has_max_piece = parts[0][2], parts[-1][2]
         self.dense_no_endpoints = not (self.has_min_piece or self.has_max_piece)
 
-    def _first_gaps(self, count: int) -> list[Box]:
+    def _first_gaps(self, count: int) -> list[Gap]:
         gaps = self._gaps
         if count > len(gaps):
             gaps.extend(islice(self._walk, count - len(gaps)))
@@ -207,12 +211,18 @@ class CantorGapGenerator(PieceGenerator):
     def piece_at(self, n: int) -> Piece:
         if n < 0:
             raise PreconditionError(f"negative piece index {n}")
-        lo, hi = self._first_gaps(n + 1)[n]
-        return Piece(lo, hi, Label.P)
+        lo, hi, den = self._first_gaps(n + 1)[n]
+        return Piece(Fraction(lo, den), Fraction(hi, den), Label.P)
+
+    def entries(self, depth: int) -> list[Piece]:
+        """Pieces 0..depth-1 sorted as integers, as the gap dump sorts them."""
+        gaps, den = _left_to_right(self._first_gaps(depth)[:depth])
+        return [Piece(Fraction(lo, den), Fraction(hi, den), Label.P) for lo, hi in gaps]
 
     def tail_length_bound(self, n: int) -> Fraction:
         """Exact: the rule's total gap length less the widths of gaps 0..n-1."""
-        return self.rule.total_gap_length - sum(hi - lo for lo, hi in self._first_gaps(n)[:n])
+        gaps, den = _left_to_right(self._first_gaps(n)[:n])
+        return self.rule.total_gap_length - Fraction(sum(hi - lo for lo, hi in gaps), den)
 
     def locate(self, q: Fraction, depth: int):
         """Descend the box tree at most `depth` levels looking for q's gap.
@@ -259,30 +269,31 @@ def _tri(value: bool | None) -> str:
     return "unknown" if value is None else str(value).lower()
 
 
-def format_gap_order(rule: _Rule, depth: int) -> str:
+def format_gap_order(rule: _Rule, depth: int) -> Iterator[str]:
     """The gap dump, left to right, then one line per order fact of all gaps.
 
     Property E, `has_min` and `has_max` are the generator's order facts,
     which hold for the complete gap order at every depth; a successor
-    pair among the gaps refutes density.
+    pair among the gaps refutes density.  The lines come one at a time,
+    each ending in a newline: at depth 16 the dump is megabytes.
     """
-    gaps = analyze_gap_order(rule, depth)
+    gaps, den = analyze_gap_order(rule, depth)
+    # n/den in lowest terms as str(Fraction) writes it: n // g, then "/"
+    # and den // g unless g is den, for g = gcd(n, den)
+    tail = cache(lambda g: f"/{den // g}" if g != den else "")
     gen = CantorGapGenerator(rule)
     property_e = gen.dense_no_endpoints
     i = first_shared_endpoint(gaps)
     # without property E only a successor pair certifies anything
     dense = True if property_e else (None if i is None else False)
-    lines = [f"gaps depth={depth} count={len(gaps)}"]
-    lines.extend(f"( {lo} , {hi} )" for lo, hi in gaps)
-    lines += [
-        f"property_E {_tri(property_e)}",
-        f"dense {_tri(dense)}",
-        f"has_min {_tri(gen.has_min_piece)}",
-        f"has_max {_tri(gen.has_max_piece)}",
-    ]
+    yield f"gaps depth={depth} count={len(gaps)}\n"
+    for lo, hi in gaps:
+        g, h = gcd(lo, den), gcd(hi, den)
+        yield f"( {lo // g}{tail(g)} , {hi // h}{tail(h)} )\n"
+    yield (f"property_E {_tri(property_e)}\ndense {_tri(dense)}\n"
+           f"has_min {_tri(gen.has_min_piece)}\nhas_max {_tri(gen.has_max_piece)}\n")
     if i is None:
-        lines.append("successor_witness none")
+        yield "successor_witness none\n"
     else:
-        (a, b), (c, d) = gaps[i], gaps[i + 1]
-        lines.append(f"successor_witness ( {a} , {b} ) ( {c} , {d} )")
-    return "\n".join(lines) + "\n"
+        a, b, c, d = (f"{n // (g := gcd(n, den))}{tail(g)}" for n in (*gaps[i], *gaps[i + 1]))
+        yield f"successor_witness ( {a} , {b} ) ( {c} , {d} )\n"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import islice
 
 # Every command loads `tnorm`, and with it `rationals`: `main` maps
 # `PreconditionError` to exit 3.  Each command imports any other module
@@ -39,8 +40,8 @@ MAX_THETA_LESS_LINES = 5_000_000
 MAX_LAZY_PIECES = 3200
 # roundtrip counts the index of every piece's witness, and piece n is
 # 3^-(n+1) wide in any order, so its witness's denominator can reach
-# about 3^(n+1); at 20 pieces of omega the command takes about 2 s, and
-# each piece more about twice as long (README)
+# about 3^(n+1); at 20 pieces of omega the command takes about 1.1 s at
+# 24 MB, and each piece more about twice as long (README)
 MAX_ROUNDTRIP_PIECES = 20
 # theta finds q_(size-1), whose denominator is about 1.8 sqrt(size); at
 # 10^18 that takes about 1 s, and each factor 100 more about five times
@@ -140,7 +141,11 @@ def _cmd_from_lo(order: str, count: int) -> int:
 def _cmd_cantor(system: str, depth: int) -> int:
     from .cantor import format_gap_order, parse_system
 
-    sys.stdout.write(format_gap_order(parse_system(system), depth))
+    # in blocks of lines: an unbuffered stdout (PYTHONUNBUFFERED) makes one
+    # system call per string, and the whole dump at depth 16 is megabytes
+    lines = format_gap_order(parse_system(system), depth)
+    while block := "".join(islice(lines, 4096)):
+        sys.stdout.write(block)
     return 0
 
 

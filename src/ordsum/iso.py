@@ -20,7 +20,15 @@ from fractions import Fraction
 
 from .rationals import check_unit
 from .signature import Signature, compute_signature
-from .tnorm import Piece, PieceGenerator, PreconditionError, Record, TNorm, UnknownAtDepth
+from .tnorm import (
+    Piece,
+    PieceGenerator,
+    PreconditionError,
+    Record,
+    TNorm,
+    UnknownAtDepth,
+    check_lazy_depth,
+)
 
 __all__ = [
     "Iso",
@@ -114,8 +122,7 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownA
     lazy_sides = sum(isinstance(t, PieceGenerator) for t in (t1, t2))
     if lazy_sides == 0:
         return decide_iso_finite(compute_signature(t1), compute_signature(t2))
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
+    check_lazy_depth(depth)
     if lazy_sides == 1:
         return NotIso(
             "CardinalityMismatch",

@@ -221,7 +221,9 @@ def parse_order(spec: str) -> LinearOrder:
     """Order spec strings: a named order or "finite:3,0,2,1".
 
     A rank is ASCII digits only; `int` would also take a sign, `_`,
-    spaces and other scripts' digits.
+    spaces and other scripts' digits.  A malformed spec, repeated ranks
+    included, is a `ValueError`, so it reads as bad input wherever it
+    appears; `FiniteOrder` itself refuses repeats as a precondition.
     """
     spec = spec.strip()
     if spec in NAMED_ORDERS:
@@ -230,7 +232,10 @@ def parse_order(spec: str) -> LinearOrder:
         parts = spec[len("finite:"):].split(",")
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise ValueError(f"bad finite order spec: {spec!r}")
-        return FiniteOrder([int(part) for part in parts])
+        ranks = [int(part) for part in parts]
+        if len(set(ranks)) != len(ranks):
+            raise ValueError(f"finite order ranks must be distinct: {spec!r}")
+        return FiniteOrder(ranks)
     raise ValueError(f"unknown order spec: {spec!r}")
 
 

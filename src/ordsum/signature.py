@@ -18,9 +18,9 @@ from .tnorm import (
     Label,
     Piece,
     PieceGenerator,
-    PreconditionError,
     Record,
     TNorm,
+    check_lazy_depth,
     first_shared_endpoint,
 )
 
@@ -73,8 +73,7 @@ def compute_signature(t: TNorm, depth: int | None = None) -> Signature:
     """
     if not isinstance(t, PieceGenerator):  # complete, whatever the depth
         return Signature(t.entries())
-    if depth is None or depth < 1:
-        raise PreconditionError("lazy signatures need a positive truncation depth")
+    check_lazy_depth(depth)
     return Signature(t.entries(depth), depth)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "UnknownAtDepth",
     "TNorm",
     "PreconditionError",
+    "check_lazy_depth",
     "AxiomReport",
     "Violation",
     "check_axioms",
@@ -50,6 +51,12 @@ __all__ = [
 
 class PreconditionError(ValueError):
     """An operation was invoked outside its stated preconditions."""
+
+
+def check_lazy_depth(depth: int | None) -> None:
+    """Refuse to truncate a lazy presentation to fewer than one piece."""
+    if depth is None or depth < 1:
+        raise PreconditionError("a lazy presentation needs a depth of at least one piece")
 
 
 class Label(Enum):
@@ -318,8 +325,7 @@ class PieceGenerator(TNorm):
 
     def truncation(self, n: int) -> FinitePresentation:
         """Finite t-norm from the first n generated pieces."""
-        if n < 1:
-            raise PreconditionError("empty truncation")
+        check_lazy_depth(n)
         return FinitePresentation(tuple(self.piece_at(k) for k in range(n)))
 
     def eval_approx(self, x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fraction]:

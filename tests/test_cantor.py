@@ -1,6 +1,7 @@
 """Box refinement rules, gap enumeration, and gap-order analysis."""
 
 import random
+from bisect import insort
 from fractions import Fraction
 from functools import cache
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordsum.cantor
 from conftest import LAZY_FAMILY_LINES
 from ordsum.cantor import (
     CantorGapGenerator,
@@ -72,6 +74,50 @@ def oracle_expand(rule, depth):
     return levels, tuple(gaps)
 
 
+def as_fractions(gaps):
+    """`expand`'s integer gaps `(lo, hi, den)` as Fraction pairs, in their order."""
+    return tuple((F(lo, den), F(hi, den)) for lo, hi, den in gaps)
+
+
+def ordered_fractions(rule, depth):
+    """`analyze_gap_order`'s numerator pairs over its denominator as Fraction pairs."""
+    gaps, den = analyze_gap_order(rule, depth)
+    return [(F(lo, den), F(hi, den)) for lo, hi in gaps]
+
+
+def dump(rule, depth):
+    """The whole `format_gap_order` text."""
+    return "".join(format_gap_order(rule, depth))
+
+
+def oracle_dump(rule, depth):
+    """The gap dump built from the oracle's Fraction gaps with `str`.
+
+    The order facts come from the root's split: a rule that keeps an
+    endpoint of [0, 1] has no gap at that end, one that does not has its
+    least (greatest) gap there, and keeping both is property E.
+    """
+    gaps = sorted(oracle_expand(rule, depth)[1])
+    keeps_left, keeps_right = oracle_keeps(rule)
+    property_e = keeps_left and keeps_right
+    shared = [i for i in range(len(gaps) - 1) if gaps[i][1] == gaps[i + 1][0]]
+    dense = "true" if property_e else ("false" if shared else "unknown")
+    lines = [f"gaps depth={depth} count={len(gaps)}"]
+    lines += [f"( {lo} , {hi} )" for lo, hi in gaps]
+    lines += [
+        f"property_E {str(property_e).lower()}",
+        f"dense {dense}",
+        f"has_min {str(not keeps_left).lower()}",
+        f"has_max {str(not keeps_right).lower()}",
+    ]
+    if shared:
+        (a, b), (c, d) = gaps[shared[0]], gaps[shared[0] + 1]
+        lines.append(f"successor_witness ( {a} , {b} ) ( {c} , {d} )")
+    else:
+        lines.append("successor_witness none")
+    return "\n".join(lines) + "\n"
+
+
 def counting_system(rule):
     """`rule`, listing the boxes it splits in call order."""
 
@@ -110,7 +156,7 @@ def middle_third_gap(d, p):
 
 def printed_facts(rule, depth):
     """The order-fact lines of `format_gap_order`, by name."""
-    lines = format_gap_order(rule, depth).splitlines()[-5:]
+    lines = dump(rule, depth).splitlines()[-5:]
     return dict(line.split(" ", 1) for line in lines)
 
 
@@ -152,7 +198,7 @@ def test_non_e_expansion():
 def test_walk_matches_level_list_oracle(system):
     for depth in range(11):
         _, gaps = oracle_expand(system, depth)
-        assert expand(system, depth) == gaps
+        assert as_fractions(expand(system, depth)) == gaps
     gen = CantorGapGenerator(system)
     order = list(range(len(gaps)))
     random.Random(8).shuffle(order)
@@ -208,7 +254,7 @@ def test_middle_third_closed_form():
     assert [(p.lo, p.hi) for p in map(gen.piece_at, range(len(want)))] == want
     for depth in range(11):
         count = 2**depth - 1
-        assert expand(MT, depth) == tuple(want[:count])
+        assert as_fractions(expand(MT, depth)) == tuple(want[:count])
         for index, (lo, hi) in enumerate(want[:count]):
             placed = gen.locate((lo + hi) / 2, depth)
             assert placed == InPiece(index, placed.piece)
@@ -236,13 +282,13 @@ def test_boxes_nest_and_shrink(system):
 
 def test_middle_third_measure():
     for depth in range(1, 9):
-        total = sum(hi - lo for lo, hi in expand(MT, depth))
+        total = sum(hi - lo for lo, hi in as_fractions(expand(MT, depth)))
         assert total == 1 - F(2, 3) ** depth
 
 
 def test_svc_measure_stays_small():
     for depth in range(1, 9):
-        total = sum(hi - lo for lo, hi in expand(SVC, depth))
+        total = sum(hi - lo for lo, hi in as_fractions(expand(SVC, depth)))
         assert total <= F(1, 2)
 
 
@@ -287,7 +333,7 @@ def gap_scan_facts(rule, depth):
     endpoint pins it at every depth, so gaps pile up toward it and none
     is extreme.  Otherwise a scan that finds no such gap decides nothing.
     """
-    gaps = expand(rule, depth)
+    gaps = as_fractions(expand(rule, depth))
 
     def scan(touches, keeps):
         if any(touches(g) for g in gaps):
@@ -308,7 +354,7 @@ def test_order_facts_agree_with_gap_scan(system):
         for fact, scanned in zip(certified, gap_scan_facts(system, depth)):
             if scanned is not None:
                 assert fact is scanned, (depth, certified)
-        gaps = analyze_gap_order(system, depth)
+        gaps = ordered_fractions(system, depth)
         keeps_left, keeps_right = oracle_keeps(system)
         if keeps_left:
             assert all(lo != 0 for lo, _ in gaps)
@@ -318,21 +364,39 @@ def test_order_facts_agree_with_gap_scan(system):
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
 def test_gap_order_sorts_the_oracle_gaps(system):
-    # the integer sort key must order the gaps as the Fractions do
+    # the integer sort must order the gaps as the Fractions do, over the
+    # level-`depth` denominator
     for depth in range(13):
         _, gaps = oracle_expand(system, depth)
-        assert analyze_gap_order(system, depth) == sorted(gaps)
+        assert ordered_fractions(system, depth) == sorted(gaps)
+        if depth:
+            assert analyze_gap_order(system, depth)[1] == system.root[1] * system.scale**depth
 
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
-def test_walks_share_each_endpoint(system):
-    # a non-e successor pair meets at one Fraction object, not two equal
-    # ones; the walk hands out one object per endpoint value
-    ordered = analyze_gap_order(system, 10)
-    objects = {}
-    for end in (end for gap in ordered for end in gap):
-        assert objects.setdefault(end, end) is end
+def test_dump_matches_fraction_oracle(system):
+    # the digest corpus stops at depth 7
+    for depth in range(13):
+        assert dump(system, depth) == oracle_dump(system, depth), depth
+
+
+@pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
+def test_dump_builds_no_fraction_per_gap(system, monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(ordsum.cantor, "Fraction", counted)
+    text = dump(system, 10)
+    assert text.startswith(f"gaps depth=10 count={len(expand(system, 10))}\n")
+    assert made == []
+    # the counter sees the Fractions the lazy family does make: two per piece
+    CantorGapGenerator(system).entries(5)
+    assert len(made) == 10
     # one successor pair below every node but the root
+    ordered, _ = analyze_gap_order(system, 10)
     shared = sum(lo == hi for (_, hi), (lo, _) in zip(ordered, ordered[1:]))
     assert shared == (0 if oracle_keeps(system)[0] else 2**10 - 2)
 
@@ -348,10 +412,30 @@ def test_property_e_systems_show_no_witness(system):
 def test_generator_enumeration_matches_expansion():
     for system in (MT, SVC, NONE_SYS):
         gen = CantorGapGenerator(system)
-        gaps = expand(system, 4)
+        gaps = as_fractions(expand(system, 4))
         pieces = [gen.piece_at(n) for n in range(len(gaps))]
         assert [(p.lo, p.hi) for p in pieces] == list(gaps)
         assert all(p.label is Label.P for p in pieces)
+
+
+@pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
+def test_entries_are_the_pieces_sorted(system):
+    # depths that stop partway through a level included
+    gen = CantorGapGenerator(system)
+    ordered = []
+    for depth in range(1, 601):
+        insort(ordered, gen.piece_at(depth - 1), key=lambda p: p.lo)
+        assert gen.entries(depth) == ordered, depth
+
+
+@pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
+def test_tail_bound_matches_fraction_oracle(system):
+    gen = CantorGapGenerator(system)
+    _, gaps = oracle_expand(system, 9)
+    left = system.total_gap_length
+    for n, (lo, hi) in enumerate(gaps):
+        assert gen.tail_length_bound(n) == left, n
+        left -= hi - lo
 
 
 def test_tail_bound_is_exact_remainder():
@@ -399,7 +483,7 @@ def test_locate_non_e_endpoints():
 def test_locate_index_agrees_with_enumeration():
     for system in (MT, SVC, NONE_SYS):
         gen = CantorGapGenerator(system)
-        for index, (lo, hi) in enumerate(expand(system, 4)):
+        for index, (lo, hi) in enumerate(as_fractions(expand(system, 4))):
             mid = (lo + hi) / 2
             placed = gen.locate(mid, 4)
             assert placed == InPiece(index, placed.piece)
@@ -495,7 +579,7 @@ def test_depth_guard():
 
 
 def test_format_gaps():
-    text = format_gap_order(NONE_SYS, 1)
+    text = dump(NONE_SYS, 1)
     assert text == (
         "gaps depth=1 count=2\n( 0 , 1/4 )\n( 1/2 , 3/4 )\n"
         "property_E false\ndense unknown\nhas_min true\nhas_max false\n"

@@ -8,6 +8,7 @@ import pytest
 
 import ordsum.l1
 import ordsum.presentations
+from ordsum.cantor import format_gap_order, parse_system
 from ordsum.cli import (
     LAZY_TRUNCATION,
     MAX_LAZY_PIECES,
@@ -320,6 +321,15 @@ class TestFromLo:
     def test_count_beyond_finite_order(self, capsys):
         assert main(["from-lo", "finite:1,0", "5"]) == 3
 
+    # a repeated rank is malformed input, on the command line or in a file
+    @pytest.mark.parametrize("spec", ["finite:0,0", "finite:2,1,02"])
+    def test_repeated_rank_is_bad_input_everywhere(self, spec, write, capsys):
+        f = write("t", f"tnorm v1\nfamily theta {spec}\n")
+        for argv in (["from-lo", spec, "3"], ["signature", f, "3"], ["roundtrip", spec, "2"]):
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and "ranks must be distinct" in err, argv
+
 
 class TestCantor:
     def test_non_e_depth_one(self, capsys):
@@ -394,6 +404,13 @@ class TestCantor:
 
     def test_bad_system(self, capsys):
         assert main(["cantor", "svc", "2"]) == 2
+
+    def test_a_dump_of_several_blocks_is_written_whole(self, capsys):
+        # non-e at depth 12 removes 8,190 gaps: the command writes more
+        # than one block of lines
+        assert main(["cantor", "cantor:non-e", "12"]) == 0
+        want = "".join(format_gap_order(parse_system("cantor:non-e"), 12))
+        assert capsys.readouterr().out == want and want.count("\n") == 8190 + 6
 
     def test_depth_over_the_cap(self, capsys):
         assert main(["cantor", "cantor:svc", "1000000000"]) == 3
@@ -591,6 +608,15 @@ class TestLazyPieceBudget:
         # reaching the placement shows the limit passes the check
         assert main(argv(words, MAX_LAZY_PIECES)) == 2
         assert capsys.readouterr().err == "error: a piece was placed\n"
+
+    # a lazy side below one piece gets one refusal, whichever command reads it
+    @pytest.mark.parametrize("words", [words for _, words in LAZY_PIECE_COMMANDS[:4]])
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_a_lazy_depth_below_one_is_refused_alike(self, words, n, argv, no_pieces, capsys):
+        assert main(argv(words, n)) == 3
+        assert capsys.readouterr() == (
+            "", "error: a lazy presentation needs a depth of at least one piece\n"
+        )
 
     @pytest.mark.parametrize(
         "words",
