@@ -76,6 +76,6 @@ class LadderGenerator(PieceGenerator):
             return IDEMPOTENT
         n = self._rung_of(q)
         piece = self.piece_at(n)
-        if piece.contains_open(q):
+        if piece.lo < q < piece.hi:
             return InPiece(n, piece)
         return IDEMPOTENT

@@ -150,7 +150,9 @@ def theta_by_probing(t: TNorm, size: int, denominator_limit: int = 32) -> L1Stru
     at = [0] * len(scan)
     for pos, (_, n) in enumerate(scan):
         at[n] = pos
-    idem = [t.eval(q, q) == q for q in value]
+    # an eval that returns an input itself is equal to it without a
+    # Fraction comparison; the scan is sorted, so min is the lower position
+    idem = [(v := t.eval(q, q)) is q or v == q for q in value]
     # bad[j]: how many scan positions below j hold a non-idempotent
     bad = [0]
     for flag in idem:
@@ -164,7 +166,8 @@ def theta_by_probing(t: TNorm, size: int, denominator_limit: int = 32) -> L1Stru
         p = at[n]
         qn = value[p]
         if not idem[p]:
-            if not all(t.eval(value[at[i]], qn) == min(value[at[i]], qn) for i in range(n)):
+            if not all((v := t.eval(value[at[i]], qn)) is (m := value[min(at[i], p)]) or v == m
+                       for i in range(n)):
                 continue
             # a finite locate ignores the depth, so the search answers exactly
             power = find_idempotent_power(t, qn, 1)

@@ -65,8 +65,8 @@ __all__ = [
     "count_up_to",
 ]
 
-# ASCII digits only: `\d` would also take other scripts' digits, such as "١/٢"
-_RATIONAL_RE = re.compile(r"^([0-9]+)(?:/([0-9]+))?$")
+# ASCII digits, unlike `\d`; `re` compiles it on first use, as most commands parse none
+_RATIONAL = r"([0-9]+)(?:/([0-9]+))?"
 
 _TABLE_LIMIT = 1024
 # A batch's sieve ends near _SIEVE_SCALE * D^(2/3) for its largest
@@ -125,11 +125,10 @@ def check_unit(q: Fraction) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (lowest terms not required) or a bare integer."""
-    m = _RATIONAL_RE.match(text.strip())
+    m = re.fullmatch(_RATIONAL, text.strip())
     if m is None:
         raise ValueError(f"not a rational: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num, den = int(m[1]), int(m[2] or 1)
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(num, den)

@@ -23,7 +23,8 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
-from itertools import pairwise
+from itertools import combinations_with_replacement, pairwise, product
+from math import ceil, lcm
 
 from .rationals import check_unit
 
@@ -106,32 +107,13 @@ class Piece(Record):
             raise ValueError(f"piece needs lo < hi, got ({lo}, {hi})")
         self.lo, self.hi, self.label = lo, hi, label
 
-    def contains_open(self, q: Fraction) -> bool:
-        return self.lo < q < self.hi
-
-    def times(self, x: Fraction):
-        """The map y -> x * y of the piece formula, x's share computed once.
-
-        Callers guarantee x and every y in [lo, hi].  Product is
-        lo + f * (y - lo) with the row factor f = (x - lo) / (hi - lo);
-        Lukasiewicz is max(lo, y + (x - hi)).
-        """
-        lo = self.lo
-        if self.label is Label.P:
-            f = (x - lo) / (self.hi - lo)
-            return lambda y: lo + f * (y - lo)
-        shift = x - self.hi
-        return lambda y: max(lo, y + shift)
-
     def nilpotency_index(self, q: Fraction) -> int:
         """Least l with the l-th power equal to lo (Lukasiewicz pieces only)."""
         if self.label is not Label.L:
             raise PreconditionError("nilpotency index exists only in Lukasiewicz pieces")
         if not self.lo <= q < self.hi:
             raise PreconditionError(f"{q} not in [{self.lo}, {self.hi})")
-        num = self.hi - self.lo
-        den = self.hi - q
-        return -(-num.numerator * den.denominator // (num.denominator * den.numerator))
+        return ceil((self.hi - self.lo) / (self.hi - q))
 
 
 def sort_pieces(pieces) -> tuple[Piece, ...]:
@@ -149,26 +131,17 @@ def uncovered(spans) -> list[tuple[Fraction, Fraction]]:
     `spans` are (lo, hi) pairs sorted by lo and pairwise disjoint as
     open intervals; a point where two spans touch is not reported.
     """
-    out = []
-    cursor = Fraction(0)
-    for lo, hi in spans:
+    out, cursor, one = [], Fraction(0), Fraction(1)
+    for lo, hi in (*spans, (one, one)):
         if lo > cursor:
             out.append((cursor, lo))
         cursor = hi
-    if cursor < 1:
-        out.append((cursor, Fraction(1)))
     return out
 
 
 def first_shared_endpoint(spans) -> int | None:
-    """Index of the first of `spans` that ends where the next one begins, or None.
-
-    `spans` are (lo, hi) pairs sorted by lo.
-    """
-    for i, ((_, hi), (lo, _)) in enumerate(pairwise(spans)):
-        if hi == lo:
-            return i
-    return None
+    """Index of the first of `spans`, (lo, hi) sorted by lo, ending where the next begins."""
+    return next((i for i, ((_, hi), (lo, _)) in enumerate(pairwise(spans)) if hi == lo), None)
 
 
 class InPiece(Record):
@@ -215,22 +188,40 @@ class TNorm(ABC):
 
 
 class FinitePresentation(TNorm):
-    """Finitely many P and L pieces, kept sorted and pairwise disjoint as opens."""
+    """Finitely many P and L pieces, kept sorted and pairwise disjoint as opens.
 
-    __slots__ = ("pieces", "_lows")
+    Evaluation runs on the integer numerators and denominators of the ends.
+    """
+
+    __slots__ = ("pieces", "_ends")
 
     def __init__(self, pieces: tuple[Piece, ...]):
         self.pieces = sort_pieces(pieces)
         if any(p.label is Label.M for p in self.pieces):
             raise ValueError("a piece is labeled P or L; M marks idempotent intervals")
-        self._lows = tuple(p.lo for p in self.pieces)
+        # (a, b, c, d) for the piece (a/b, c/d)
+        self._ends = [(p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator)
+                      for p in self.pieces]
 
     def piece_index_of(self, q: Fraction) -> int | None:
-        """Index of a piece whose closed interval contains q, else None."""
-        i = bisect_right(self._lows, q) - 1
-        if i >= 0 and q <= self.pieces[i].hi:
-            return i
-        return None
+        """Index of the last piece whose closed interval contains q, else None."""
+        n, d, ends = q.numerator, q.denominator, self._ends
+        # the pieces whose lo is at most q come first
+        k = bisect_left(ends, True, key=lambda e: n * e[1] < e[0] * d) - 1
+        return k if k >= 0 and n * ends[k][3] <= ends[k][2] * d else None
+
+    def _line(self, k: int, p: int, q: int, m: int) -> tuple[int, int, int, int]:
+        """(step, base, floor, den) with x * y = max(floor, base + step * r) / den.
+
+        This holds for x = p/q and each y = r/m in piece k's closure, x
+        included: the module docstring's formula, with lo = floor / den.
+        """
+        a, b, c, d = self._ends[k]
+        if self.pieces[k].label is Label.P:
+            # (x - lo) / (hi - lo) = u / v
+            u, v = (p * b - a * q) * d, q * (c * b - a * d)
+            return u * b, a * m * (v - u), a * v * m, v * m * b
+        return b * q * d, b * m * (p * d - c * q), a * q * d * m, b * q * d * m
 
     def entries(self) -> tuple[Piece, ...]:
         """The signature entries left to right: the pieces, and as M entries the gaps."""
@@ -238,49 +229,58 @@ class FinitePresentation(TNorm):
         return sort_pieces((*self.pieces, *gaps))
 
     def eval(self, x: Fraction, y: Fraction) -> Fraction:
-        """Exact value of x * y."""
+        """Exact value of x * y; min(x, y) and a piece's lo come back as they are."""
         check_unit(x)
         check_unit(y)
-        i = self.piece_index_of(x)
-        if i is not None:
-            piece = self.pieces[i]
-            # y = hi shared with the next piece is looked up there by
-            # piece_index_of, but the formula gives min(x, y) at hi anyway
-            if piece.lo <= y <= piece.hi:
-                return piece.times(x)(y)
-        return min(x, y)
+        k = self.piece_index_of(x)
+        p, q, r, s = x.numerator, x.denominator, y.numerator, y.denominator
+        if k is not None:
+            a, b, c, d = self._ends[k]
+            # lo <= y < hi and x < hi: at hi the formula gives min(x, y)
+            if a * s <= r * b and r * d < c * s and p * d < c * q:
+                step, base, floor, den = self._line(k, p, q, s)
+                value = base + step * r
+                return self.pieces[k].lo if value <= floor else Fraction(value, den)
+        return x if p * s <= r * q else y
 
     def rows(self, points):
-        """Yield the row [x * y for y in points] for each x in points, in order.
+        """Yield the row [x * y for y in points] for each x in points, each when asked for."""
+        pts = list(points)
+        return self._rows(pts, pts, Fraction)
 
-        `points` must be strictly increasing in [0, 1]; they are checked
-        before the first row.  Off x's piece, x * y is min(x, y), which
-        on a sorted grid is the point of smaller position.  So each
-        point is placed once, each piece's closure becomes a range of
-        positions, and only the cells in that range run the piece
-        formula: the rows equal `eval`'s values without comparing
-        cells.  Each row is built when it is asked for.
+    def _rows(self, pts: list[Fraction], off: list, cell):
+        """The rows of `rows`, with off[j] for pts[j] and cell(n, den) for n / den.
+
+        `pts` must be strictly increasing in [0, 1]; they are checked
+        before the first row.  Off x's piece, x * y is min(x, y), the
+        point of smaller position.  Over one common denominator m each
+        piece's closure is a range of positions, and x's line runs on
+        the numerators in its piece's range.
         """
-        pts = [check_unit(q) for q in points]
-        for a, b in pairwise(pts):
-            if a >= b:
-                raise ValueError(f"points must be strictly increasing, got {a} then {b}")
-        spans = [(bisect_left(pts, p.lo), bisect_right(pts, p.hi)) for p in self.pieces]
-        n = len(pts)
-        for i, x in enumerate(pts):
-            row = pts[:i] + [x] * (n - i)
-            k = self.piece_index_of(x)
+        m = lcm(*(check_unit(q).denominator for q in pts))
+        rs = [q.numerator * (m // q.denominator) for q in pts]
+        for (x, r), (y, s) in pairwise(zip(pts, rs)):
+            if r >= s:
+                raise ValueError(f"points must be strictly increasing, got {x} then {y}")
+        # each point's piece and its range; a shared end goes to the later piece
+        held = [(None, 0, 0)] * len(rs)
+        for k, (a, b, c, d) in enumerate(self._ends):
+            lo, hi = bisect_left(rs, -(-a * m // b)), bisect_right(rs, c * m // d)
+            held[lo:hi] = [(k, lo, hi)] * (hi - lo)
+        for i, (r, (k, lo, hi)) in enumerate(zip(rs, held)):
+            row = off[:i] + [off[i]] * (len(off) - i)
             if k is not None:
-                lo, hi = spans[k]
-                times = self.pieces[k].times(x)
-                row[lo:hi] = [times(y) for y in pts[lo:hi]]
+                step, base, floor, den = self._line(k, r, m, m)
+                row[lo:hi] = [cell(max(floor, base + step * y), den) for y in rs[lo:hi]]
             yield row
 
     def locate(self, q: Fraction, depth: int):
         """Exact placement; the depth is ignored."""
         check_unit(q)
         i = self.piece_index_of(q)
-        if i is not None and self.pieces[i].contains_open(q):
+        end = (q.numerator, q.denominator)
+        # q is in piece i's closure; in lowest terms an end is the same pair
+        if i is not None and end != self._ends[i][:2] and end != self._ends[i][2:]:
             return InPiece(i, self.pieces[i])
         return IDEMPOTENT
 
@@ -357,7 +357,9 @@ def check_axioms(t, samples) -> AxiomReport:
     Verifies commutativity and associativity on all sample pairs and
     triples, monotonicity on all coordinatewise-comparable pairs of
     pairs, and neutrality of 1.  Only `t.eval` is consulted, so any
-    object with a compatible eval can be audited.
+    object with a compatible eval can be audited.  Two sides that are
+    one object are equal without a `Fraction` comparison; off every
+    piece `FinitePresentation.eval` returns an input itself.
 
     The products of sample pairs are kept in a table indexed by sample
     position.  An associativity side whose inner product is itself a
@@ -382,12 +384,12 @@ def check_axioms(t, samples) -> AxiomReport:
     one = Fraction(1)
     for x in pts:
         got = t.eval(one, x)
-        if got != x:
+        if got is not x and got != x:
             bad.append(Violation("neutrality", (x,), got, x))
 
     for i, x in enumerate(pts):
         for j, y in enumerate(pts):
-            if table[i][j] != table[j][i]:
+            if table[i][j] is not table[j][i] and table[i][j] != table[j][i]:
                 bad.append(Violation("commutativity", (x, y), table[i][j], table[j][i]))
 
     for i, x in enumerate(pts):
@@ -399,21 +401,19 @@ def check_axioms(t, samples) -> AxiomReport:
                 left = t.eval(xy, z) if xy_at is None else table[xy_at][k]
                 yz_at = at_y[k]
                 right = t.eval(x, row_y[k]) if yz_at is None else row_x[yz_at]
-                if left != right:
+                if left is not right and left != right:
                     bad.append(Violation("associativity", (x, y, z), left, right))
 
     monotone = all(
-        table[i][j] <= table[i + 1][j] for i in range(n - 1) for j in range(n)
-    ) and all(table[i][j] <= table[i][j + 1] for i in range(n) for j in range(n - 1))
+        a is b or a <= b for row, below in pairwise(table) for a, b in zip(row, below)
+    ) and all(a is b or a <= b for row in table for a, b in pairwise(row))
     if not monotone:
-        for i in range(n):
-            for i2 in range(i, n):
-                for j in range(n):
-                    for j2 in range(j, n):
-                        lo_val, hi_val = table[i][j], table[i2][j2]
-                        if lo_val > hi_val:
-                            points = (pts[i], pts[j], pts[i2], pts[j2])
-                            bad.append(Violation("monotonicity", points, lo_val, hi_val))
+        steps = list(combinations_with_replacement(range(n), 2))
+        for (i, i2), (j, j2) in product(steps, steps):
+            lo_val, hi_val = table[i][j], table[i2][j2]
+            if lo_val > hi_val:
+                points = (pts[i], pts[j], pts[i2], pts[j2])
+                bad.append(Violation("monotonicity", points, lo_val, hi_val))
     return AxiomReport(checked, tuple(bad))
 
 
@@ -431,7 +431,4 @@ def find_idempotent_power(t: TNorm, q: Fraction, limit: int) -> int | UnknownAtD
         return 1
     if isinstance(placed, UnknownAtDepth):
         return placed
-    piece = placed.piece
-    if piece.label is Label.P:
-        return None
-    return piece.nilpotency_index(q)
+    return None if placed.piece.label is Label.P else placed.piece.nilpotency_index(q)

@@ -21,7 +21,7 @@ from ordsum.cli import (
 from ordsum.orders import _Placement
 from ordsum.presentations import load_presentation
 from ordsum.rationals import _IndexCounter
-from ordsum.tnorm import FinitePresentation, Piece
+from ordsum.tnorm import FinitePresentation
 
 PAIR_A_TEXT = "tnorm v1\npiece 1/4 1/2 P\npiece 1/2 3/4 L\n"
 PAIR_B_TEXT = "tnorm v1\npiece 1/10 1/5 P\npiece 1/5 9/10 L\n"
@@ -549,23 +549,22 @@ class TestSurface:
         assert want > 0
 
         calls = {"eval": 0, "formula": 0}
-        eval_, times = FinitePresentation.eval, Piece.times
+        eval_, rows_ = FinitePresentation.eval, FinitePresentation._rows
 
         def counted_eval(self, x, y):
             calls["eval"] += 1
             return eval_(self, x, y)
 
-        def counted_times(self, x):
-            formula = times(self, x)
-
-            def counted(y):
+        def counted_rows(self, pts, off, cell):
+            # a formula cell is made by `cell`, an off-piece one is copied
+            def counted(n, den):
                 calls["formula"] += 1
-                return formula(y)
+                return cell(n, den)
 
-            return counted
+            return rows_(self, pts, off, counted)
 
         monkeypatch.setattr(FinitePresentation, "eval", counted_eval)
-        monkeypatch.setattr(Piece, "times", counted_times)
+        monkeypatch.setattr(FinitePresentation, "_rows", counted_rows)
         assert main(["surface", f, "100"]) == 0
         assert calls == {"eval": 0, "formula": want}
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
-from itertools import product
+from functools import cache
+from itertools import pairwise, product
 from types import GeneratorType
 
 import pytest
@@ -13,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import LAZY_FAMILY_LINES
 
-from ordsum.cli import GRID_21, LAZY_TRUNCATION
-from ordsum.presentations import parse_presentation_text
+from ordsum.cli import GRID_21, LAZY_TRUNCATION, main
+from ordsum.presentations import format_presentation, parse_presentation_text
 from ordsum.tnorm import (
     IDEMPOTENT,
     AxiomReport,
@@ -123,6 +126,20 @@ def test_check_axioms_clean():
         assert report.checked > 0
 
 
+def _holder(t, q):
+    """Index of the last piece whose closed interval holds q, by a Fraction scan."""
+    held = [i for i, p in enumerate(t.pieces) if p.lo <= q <= p.hi]
+    return held[-1] if held else None
+
+
+def _formula(piece, x, y):
+    """The module docstring's formula of `piece` at x, y in its closed interval."""
+    lo, hi = piece.lo, piece.hi
+    if piece.label is P:
+        return lo + (x - lo) * (y - lo) / (hi - lo)
+    return max(lo, x + y - hi)
+
+
 class _BrokenMaxCrossPiece:
     """Evaluator that wrongly uses max across pieces; must be caught."""
 
@@ -131,9 +148,9 @@ class _BrokenMaxCrossPiece:
 
     def eval(self, x, y):
         base = self._base
-        i = base.piece_index_of(x)
-        if i is not None and i == base.piece_index_of(y):
-            return base.pieces[i].times(x)(y)
+        i = _holder(base, x)
+        if i is not None and i == _holder(base, y):
+            return _formula(base.pieces[i], x, y)
         return max(x, y)
 
 
@@ -271,9 +288,10 @@ def test_check_axioms_eval_budget(finite_corpus):
 
 
 def _eval_by_two_lookups(t, x, y):
-    i = t.piece_index_of(x)
-    if i is not None and i == t.piece_index_of(y):
-        return t.pieces[i].times(x)(y)
+    """The plain-Fraction oracle: the formula when x and y share a piece, else min."""
+    i = _holder(t, x)
+    if i is not None and i == _holder(t, y):
+        return _formula(t.pieces[i], x, y)
     return min(x, y)
 
 
@@ -408,3 +426,95 @@ def test_rows_match_eval_on_lazy_truncations(line):
 def test_rows_reject_points_not_increasing_in_the_unit_interval(pts):
     with pytest.raises(ValueError):
         list(TWO_PIECE.rows(pts))
+
+
+# The integer kernel against the plain-Fraction oracle: `_holder` places a
+# point by a scan of Fraction comparisons, `_formula` is the module
+# docstring's formula.  Pieces come from truncations of theta zeta and
+# eta at depth 40: piece n's ends are integers over 6^(n+1), and in
+# lowest terms the last five have denominators of 59 to 82 bits.
+DEEP = 40
+
+
+@cache
+def _deep_pieces(line):
+    """Pieces 0..DEEP-1 of a lazy family, in the order it generates them."""
+    gen = parse_presentation_text(f"tnorm v1\nfamily {line}\n")
+    return tuple(gen.piece_at(n) for n in range(DEEP))
+
+
+@st.composite
+def _deep_presentations(draw):
+    """A relabelled subset of a deep truncation, and points to evaluate at.
+
+    Some pieces are split in two that share an end, and pieces reaching 0
+    or 1 may be added.  The points are drawn from the ends, from inside
+    the pieces and from between consecutive ends, in pieces or gaps.
+    """
+    base = _deep_pieces(draw(st.sampled_from(["theta zeta", "theta eta"])))
+    # one of the five deepest pieces, and any others
+    chosen = {draw(st.sampled_from(base[-5:])), *draw(st.lists(st.sampled_from(base)))}
+    kinds = st.sampled_from([P, L])
+    pieces = []
+    for p in chosen:
+        if draw(st.booleans()):
+            mid = p.lo + (p.hi - p.lo) * F(draw(st.integers(1, 6)), 7)
+            pieces += [Piece(p.lo, mid, draw(kinds)), Piece(mid, p.hi, draw(kinds))]
+        else:
+            pieces.append(Piece(p.lo, p.hi, draw(kinds)))
+    pieces.sort(key=lambda p: p.lo)
+    if draw(st.booleans()):
+        pieces.insert(0, Piece(F(0), pieces[0].lo, draw(kinds)))
+    if draw(st.booleans()):
+        pieces.append(Piece(pieces[-1].hi, F(1), draw(kinds)))
+    ends = sorted({F(0), F(1)} | {e for p in pieces for e in (p.lo, p.hi)})
+    inside = [p.lo + (p.hi - p.lo) * F(j, 5) for p in pieces for j in (1, 4)]
+    between = [(a + b) / 2 for a, b in pairwise(ends)]
+    pts = draw(st.lists(st.sampled_from(sorted({*ends, *inside, *between})),
+                        unique=True, min_size=1, max_size=16))
+    return FinitePresentation(tuple(pieces)), sorted(pts)
+
+
+def _oracle_rows(t, pts):
+    held = [_holder(t, q) for q in pts]
+    return [
+        [_formula(t.pieces[i], x, y) if i is not None and i == k else min(x, y)
+         for y, k in zip(pts, held)]
+        for x, i in zip(pts, held)
+    ]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_fraction_oracle(data):
+    t, pts = data.draw(_deep_presentations())
+    assert max(max(p.lo.denominator, p.hi.denominator) for p in t.pieces) >= 2**58
+    for q in pts:
+        assert t.piece_index_of(q) == _holder(t, q)
+        inside = [i for i, p in enumerate(t.pieces) if p.lo < q < p.hi]
+        assert t.locate(q, 1) == (InPiece(inside[0], t.pieces[inside[0]]) if inside else IDEMPOTENT)
+    want = _oracle_rows(t, pts)
+    for x, row in zip(pts, want):
+        for y, value in zip(pts, row):
+            got = t.eval(x, y)
+            assert type(got) is F and got == value, (t, x, y)
+            if _holder(t, x) is None or _holder(t, x) != _holder(t, y):
+                # off a shared piece the value is the smaller input itself
+                assert got is min(x, y)
+    assert list(t.rows(pts)) == want
+
+
+@given(data=st.data(), grid=st.integers(2, 50))
+@settings(max_examples=100, deadline=None)
+def test_surface_cells_are_fraction_text(data, grid, tmp_path_factory):
+    t, _ = data.draw(_deep_presentations())
+    path = tmp_path_factory.mktemp("surface") / "t.tnorm"
+    path.write_text(format_presentation(t))
+    pts = [F(i, grid - 1) for i in range(grid)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["surface", str(path), str(grid)]) == 0
+    lines = ["," + ",".join(str(p) for p in pts)]
+    lines += [",".join(map(str, [x, *row])) for x, row in zip(pts, _oracle_rows(t, pts))]
+    # str(Fraction) writes an integer bare: 0 and 1 head the grid
+    assert out.getvalue() == "\n".join(lines) + "\n"
