@@ -63,22 +63,16 @@ def _cmd_eval(file: str, x: str, y: str, pieces: int) -> int:
 
     t = load_presentation(file)
     _check_pieces("pieces", pieces, t)
-    x, y = parse_rational(x), parse_rational(y)
-    if isinstance(t, PieceGenerator):
-        value, bound = t.eval_approx(x, y, pieces)
-        print(f"value {value} error_bound {bound}")
-    else:
-        print(t.eval(x, y))
+    value, bound = t.eval_approx(parse_rational(x), parse_rational(y), pieces)
+    # a finite presentation's bound is 0, a shipped family's never is
+    print(value if bound == 0 else f"value {value} error_bound {bound}")
     return 0
 
 
 def _cmd_axioms(file: str) -> int:
     from .presentations import load_presentation
 
-    t = load_presentation(file)
-    if isinstance(t, PieceGenerator):
-        t = t.truncation(LAZY_TRUNCATION)
-    report = check_axioms(t, GRID_21)
+    report = check_axioms(load_presentation(file).truncation(LAZY_TRUNCATION), GRID_21)
     print(f"axioms checked={report.checked} violations={len(report.violations)}")
     for v in report.violations:
         pts = " ".join(str(p) for p in v.points)
@@ -192,9 +186,7 @@ def _cmd_surface(file: str, grid: int) -> int:
         raise PreconditionError(
             f"grid {grid} exceeds the limit of {MAX_SURFACE_GRID} points per axis"
         )
-    t = load_presentation(file)
-    if isinstance(t, PieceGenerator):
-        t = t.truncation(LAZY_TRUNCATION)
+    t = load_presentation(file).truncation(LAZY_TRUNCATION)
     pts = [Fraction(i, grid - 1) for i in range(grid)]
     # each point's text is made once; c/den is written as str(Fraction) writes it
     texts = [str(p) for p in pts]

@@ -96,7 +96,8 @@ def build_iso_map(t1: TNorm, t2: TNorm) -> Iso:
     per-entry affine maps glue into a strictly increasing bijection
     fixing 0 and 1; affine conjugation preserves both piece formulas, so
     the map is a monoid isomorphism, not just an order one.  A lazy
-    side has no complete signature, so `compute_signature` refuses it.
+    side lists its entries only to a depth, and without one
+    `compute_signature` refuses it.
     """
     verdict = decide_iso_finite(compute_signature(t1), compute_signature(t2))
     if not isinstance(verdict, Iso):

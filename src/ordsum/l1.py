@@ -20,7 +20,6 @@ from fractions import Fraction
 from .rationals import _IndexCounter, count_up_to, fractions_up_to, min_rational_in, rational_at
 from .signature import Label, compute_signature
 from .tnorm import (
-    PieceGenerator,
     PreconditionError,
     Record,
     TNorm,
@@ -124,7 +123,8 @@ def theta_by_probing(t: TNorm, size: int, denominator_limit: int = 32) -> L1Stru
     """The same structure as `theta`, computed only by probing the operation.
 
     Membership tests follow the characterization through idempotence of
-    powers and min-behavior against earlier indices.  Whether some power
+    powers and min-behavior against earlier indices, on exact `eval`,
+    which a lazy presentation refuses.  Whether some power
     is idempotent is `find_idempotent_power`'s closed form; scans over
     "every rational" run over the denominator <= denominator_limit
     prefix of the enumeration.  A size beyond that prefix is refused, so
@@ -136,8 +136,6 @@ def theta_by_probing(t: TNorm, size: int, denominator_limit: int = 32) -> L1Stru
     rest on an unprobed region raises BoundInsufficiency instead of
     guessing.
     """
-    if isinstance(t, PieceGenerator):
-        raise PreconditionError("probing needs exact idempotence tests; finite only")
     if size < 1:
         raise PreconditionError("size must be >= 1")
     if size > count_up_to(denominator_limit):
@@ -209,8 +207,6 @@ class SubbasisRecord(Record):
 
 
 def subbasis_predicates(t: TNorm, m: int, n: int) -> SubbasisRecord:
-    if isinstance(t, PieceGenerator):
-        raise PreconditionError("predicates read exact eval; finite only")
     qm, qn = rational_at(m), rational_at(n)
     return SubbasisRecord(
         v_qn=t.eval(qn, qn) == qn,

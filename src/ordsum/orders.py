@@ -400,10 +400,5 @@ def agreement_ball_check(o1: LinearOrder, o2: LinearOrder, n: int, grid: int) ->
                 raise PreconditionError(
                     f"orders disagree on ({m}, {k}) inside the claimed {n}x{n} square"
                 )
-
-    def deep(order: LinearOrder) -> FinitePresentation:
-        t = order_tnorm(order)
-        return t.truncation(n + 10) if isinstance(t, PieceGenerator) else t
-
-    bound = Fraction(1, 3**n)
-    return sampled_distance(deep(o1), deep(o2), grid) <= bound
+    t1, t2 = (order_tnorm(o).truncation(n + 10) for o in (o1, o2))
+    return sampled_distance(t1, t2, grid) <= Fraction(1, 3**n)

@@ -8,13 +8,14 @@ labeled Product or Lukasiewicz.  Inside a piece (lo, hi):
 
 and x * y = min(x, y) whenever x and y do not share a piece.
 
-A t-norm is its presentation: `TNorm` is the abstract base of the two
-kinds, and every one places a point with `locate`.  A
-`FinitePresentation` lists its pieces and evaluates exactly.  A
-`PieceGenerator` is a lazy presentation: it enumerates pieces with a
-certified bound on the total length of everything not yet enumerated,
-so evaluation at truncation N carries the exact error bound
-2 * tail_length_bound(N).
+A t-norm is its presentation, and `TNorm` is the one contract of the
+two kinds: `locate`, `entries`, `truncation`, `tail_length_bound` and
+`eval_approx`.  A `PieceGenerator` is a lazy presentation: it
+enumerates pieces with a certified bound on the total length of
+everything not yet enumerated, so evaluation at truncation N carries
+the exact error bound 2 * tail_length_bound(N).  A
+`FinitePresentation` lists its pieces, evaluates exactly, and answers
+the rest trivially: it is its own truncation, with tail bound 0.
 """
 
 from __future__ import annotations
@@ -171,8 +172,10 @@ class UnknownAtDepth(Record):
 class TNorm(ABC):
     """A continuous t-norm: a finite or a lazy ordinal-sum presentation.
 
-    `FinitePresentation` evaluates exactly; a `PieceGenerator` evaluates
-    through its finite truncations.  Both place a point with `locate`.
+    The contract is `locate`, `entries(depth)`, `truncation(n)`,
+    `tail_length_bound(n)` and `eval_approx`; exact `eval` needs a
+    finite presentation.  A finite presentation ignores any depth or
+    piece count, one below 1 included.
     """
 
     __slots__ = ()
@@ -185,6 +188,10 @@ class TNorm(ABC):
         any depth), or UnknownAtDepth.
         """
         raise NotImplementedError
+
+    def eval_approx(self, x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fraction]:
+        """(value at truncation n, certified error bound 2 * tail(n)); 0 when exact."""
+        return self.truncation(n).eval(x, y), 2 * self.tail_length_bound(n)
 
 
 class FinitePresentation(TNorm):
@@ -223,10 +230,16 @@ class FinitePresentation(TNorm):
             return u * b, a * m * (v - u), a * v * m, v * m * b
         return b * q * d, b * m * (p * d - c * q), a * q * d * m, b * q * d * m
 
-    def entries(self) -> tuple[Piece, ...]:
+    def entries(self, depth: int | None = None) -> tuple[Piece, ...]:
         """The signature entries left to right: the pieces, and as M entries the gaps."""
         gaps = (Piece(lo, hi, Label.M) for lo, hi in uncovered((p.lo, p.hi) for p in self.pieces))
         return sort_pieces((*self.pieces, *gaps))
+
+    def truncation(self, n: int) -> FinitePresentation:
+        return self
+
+    def tail_length_bound(self, n: int) -> Fraction:
+        return Fraction(0)
 
     def eval(self, x: Fraction, y: Fraction) -> Fraction:
         """Exact value of x * y; min(x, y) and a piece's lo come back as they are."""
@@ -293,9 +306,10 @@ class PieceGenerator(TNorm):
     `tail_length_bound(n)`, an exact upper bound on the summed length of
     every piece at position >= n (monotone, tending to 0).  `family` is
     the generator's presentation-file line after the word "family".
-    The contract is `piece_at`, `tail_length_bound`, `locate` and
-    `entries`; certificates about the order of the entries, such as a
-    successor pair, are read off `compute_signature`.
+    A generator defines `piece_at`, `tail_length_bound` and `locate`;
+    `TNorm` gives the rest of the contract.  Certificates about the
+    order of the entries, such as a successor pair, are read off
+    `compute_signature`.
 
     Beside `family`, each generator sets three certified order facts
     about its complete signature: `has_min_piece` and `has_max_piece`
@@ -328,9 +342,8 @@ class PieceGenerator(TNorm):
         check_lazy_depth(n)
         return FinitePresentation(tuple(self.piece_at(k) for k in range(n)))
 
-    def eval_approx(self, x: Fraction, y: Fraction, n: int) -> tuple[Fraction, Fraction]:
-        """(value at truncation n, certified error bound 2 * tail(n))."""
-        return self.truncation(n).eval(x, y), 2 * self.tail_length_bound(n)
+    def eval(self, x: Fraction, y: Fraction) -> Fraction:
+        raise PreconditionError("exact eval needs a finite presentation")
 
 
 class Violation(Record):

@@ -534,9 +534,7 @@ class TestSurface:
     )
     def test_cells_run_the_piece_formula_only_in_x_piece(self, text, write, monkeypatch, capsys):
         f = write("t", text)
-        t = load_presentation(f)
-        if not isinstance(t, FinitePresentation):
-            t = t.truncation(LAZY_TRUNCATION)
+        t = load_presentation(f).truncation(LAZY_TRUNCATION)
         spans = [(p.lo, p.hi) for p in t.pieces]
         pts = [F(i, 99) for i in range(100)]
         want = 0
@@ -627,8 +625,12 @@ class TestLazyPieceBudget:
         ],
     )
     def test_a_finite_presentation_ignores_the_count(self, words, argv, capsys):
-        assert main(argv(words, 10**9)) == 0
-        assert capsys.readouterr().err == ""
+        assert main(argv(words[:-1], None)) == 0
+        default = capsys.readouterr()
+        assert default.err == ""
+        for n in (10**9, 0, -5):
+            assert main(argv(words, n)) == 0
+            assert capsys.readouterr() == default, n
 
 
 def test_no_command_is_a_usage_error():

@@ -31,6 +31,18 @@ PAPER_API = (
     ("format_presentation", "writes the presentation files that load_presentation reads"),
 )
 
+# (module, function): why it asks which kind of presentation it holds.
+# Everywhere else a finite presentation answers the lazy calls itself
+# (`tnorm.TNorm`), so a new kind branch needs a reason here.
+KIND_BRANCHES = {
+    ("cli", "_check_pieces"): "the piece cap bounds only lazy work",
+    ("iso", "decide_iso_lazy"): "a finite side against a lazy one is a CardinalityMismatch",
+    ("presentations", "format_presentation"): "a file lists a finite presentation's "
+    "pieces and names a lazy one's family",
+    ("signature", "compute_signature"): "the kind makes a signature complete; asking "
+    "the tail bound instead would walk a Cantor rule's gaps again",
+}
+
 
 def _tree(name):
     return ast.parse(SOURCES[name].read_text())
@@ -97,6 +109,31 @@ def test_exported_names_are_used():
             ):
                 unused.append(f"{module}.{attr}")
     assert not unused, f"exported but used by no module or benchmark: {unused}"
+
+
+def _kind_tests(node, module, function=""):
+    """(module, qualified function) of each isinstance or issubclass call on a
+    presentation class under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{function}.{child.name}" if function else child.name
+            yield from _kind_tests(child, module, inner)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id in ("isinstance", "issubclass") and len(child.args) == 2):
+            named = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(child.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if named & {"PieceGenerator", "FinitePresentation"}:
+                yield module, function
+        yield from _kind_tests(child, module, function)
+
+
+def test_presentation_kinds_are_told_apart_only_where_listed():
+    found = {site for name in MODULES for site in _kind_tests(_tree(name), name)}
+    assert found == set(KIND_BRANCHES), (
+        f"unlisted kind branches {sorted(found - set(KIND_BRANCHES))}, "
+        f"listed but gone {sorted(set(KIND_BRANCHES) - found)}"
+    )
 
 
 def test_traced_layers_name_live_code(monkeypatch):

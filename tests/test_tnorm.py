@@ -26,6 +26,7 @@ from ordsum.tnorm import (
     Label,
     Piece,
     PieceGenerator,
+    PreconditionError,
     TNorm,
     UnknownAtDepth,
     Violation,
@@ -352,11 +353,23 @@ def test_finite_locate(finite_corpus):
                 t.locate(q, 1)
 
 
-def test_finite_has_no_truncation_or_approx():
-    # truncations and approximate values belong to lazy presentations
-    for name in ("truncation", "eval_approx"):
-        assert not hasattr(FinitePresentation, name)
-        assert not hasattr(TWO_PIECE, name)
+def test_a_finite_presentation_answers_the_lazy_calls_trivially(finite_corpus):
+    # one contract: a finite presentation is its own truncation, at any count
+    for t in finite_corpus:
+        for n in (-5, 0, 1, 12):
+            assert t.truncation(n) is t and t.tail_length_bound(n) == 0
+            assert t.entries(n) == t.entries()
+            for x, y in product(GRID_21[::4], repeat=2):
+                assert t.eval_approx(x, y, n) == (t.eval(x, y), 0)
+
+
+@pytest.mark.parametrize("line", LAZY_FAMILY_LINES)
+def test_every_family_has_a_positive_tail_bound(line):
+    # `eval` prints a bare value exactly when the bound is 0
+    t = parse_presentation_text(f"tnorm v1\nfamily {line}\n")
+    assert all(t.tail_length_bound(n) > 0 for n in range(1, 201))
+    with pytest.raises(PreconditionError, match="^exact eval needs a finite presentation$"):
+        t.eval(F(1, 2), F(1, 2))
 
 
 unit = st.fractions(min_value=0, max_value=1, max_denominator=60)
