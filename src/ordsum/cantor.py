@@ -221,8 +221,10 @@ class CantorGapGenerator(PieceGenerator):
 
     def tail_length_bound(self, n: int) -> Fraction:
         """Exact: the rule's total gap length less the widths of gaps 0..n-1."""
-        gaps, den = _left_to_right(self._first_gaps(n)[:n])
-        return self.rule.total_gap_length - Fraction(sum(hi - lo for lo, hi in gaps), den)
+        gaps = self._first_gaps(n)
+        den = gaps[n - 1][2] if n else 1  # every earlier gap's denominator divides it
+        width = sum((hi - lo) * (den // d) for lo, hi, d in islice(gaps, n))
+        return self.rule.total_gap_length - Fraction(width, den)
 
     def locate(self, q: Fraction, depth: int):
         """Descend the box tree at most `depth` levels looking for q's gap.

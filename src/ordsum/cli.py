@@ -10,14 +10,19 @@ inputs produce byte-identical outputs.  Exit codes: 0 success or a
 decided verdict, 1 failed check (axiom violations, roundtrip FAIL),
 2 unreadable input or a usage error, 3 precondition violation,
 4 undecided outcome.
+
+A command returns its exit code and its output as newline-terminated
+texts; `main` alone writes them to stdout, so a failed command writes
+none there, and a reader that closes stdout ends the command quietly.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 
 # Every command loads `tnorm`, and with it `rationals`: `main` maps
@@ -58,51 +63,48 @@ def _check_pieces(what: str, n: int, *presentations) -> None:
         raise PreconditionError(f"{what} {n} exceeds the limit of {MAX_LAZY_PIECES} pieces")
 
 
-def _cmd_eval(file: str, x: str, y: str, pieces: int) -> int:
+def _cmd_eval(file: str, x: str, y: str, pieces: int):
     from .presentations import load_presentation
 
     t = load_presentation(file)
     _check_pieces("pieces", pieces, t)
     value, bound = t.eval_approx(parse_rational(x), parse_rational(y), pieces)
     # a finite presentation's bound is 0, a shipped family's never is
-    print(value if bound == 0 else f"value {value} error_bound {bound}")
-    return 0
+    return 0, [f"{value}\n" if bound == 0 else f"value {value} error_bound {bound}\n"]
 
 
-def _cmd_axioms(file: str) -> int:
+def _cmd_axioms(file: str):
     from .presentations import load_presentation
 
     report = check_axioms(load_presentation(file).truncation(LAZY_TRUNCATION), GRID_21)
-    print(f"axioms checked={report.checked} violations={len(report.violations)}")
+    texts = [f"axioms checked={report.checked} violations={len(report.violations)}\n"]
     for v in report.violations:
         pts = " ".join(str(p) for p in v.points)
-        print(f"{v.law} at {pts}: {v.left} != {v.right}")
-    return 0 if report.ok else 1
+        texts.append(f"{v.law} at {pts}: {v.left} != {v.right}\n")
+    return 0 if report.ok else 1, texts
 
 
-def _cmd_signature(file: str, depth: int) -> int:
+def _cmd_signature(file: str, depth: int):
     from .presentations import load_presentation
     from .signature import compute_signature, signature_lines
 
     t = load_presentation(file)
     _check_pieces("depth", depth, t)
     # line by line: the dump of a deep lazy signature is tens of megabytes
-    sys.stdout.writelines(signature_lines(compute_signature(t, depth)))
-    return 0
+    return 0, signature_lines(compute_signature(t, depth))
 
 
-def _cmd_iso(file_a: str, file_b: str, depth: int) -> int:
+def _cmd_iso(file_a: str, file_b: str, depth: int):
     from .iso import decide_iso_lazy, format_verdict
     from .presentations import load_presentation
 
     t1, t2 = load_presentation(file_a), load_presentation(file_b)
     _check_pieces("depth", depth, t1, t2)
     verdict = decide_iso_lazy(t1, t2, depth)
-    sys.stdout.write(format_verdict(verdict))
-    return 4 if isinstance(verdict, UnknownAtDepth) else 0
+    return 4 if isinstance(verdict, UnknownAtDepth) else 0, [format_verdict(verdict)]
 
 
-def _cmd_theta(file: str, size: int, depth: int) -> int:
+def _cmd_theta(file: str, size: int, depth: int):
     from .l1 import _l1_blocks, theta
     from .presentations import load_presentation
 
@@ -119,32 +121,27 @@ def _cmd_theta(file: str, size: int, depth: int) -> int:
             f"the dump's {pairs} less lines exceed the limit of {MAX_THETA_LESS_LINES}"
         )
     # block by block: the dump of a deep lazy structure is tens of megabytes
-    for block in _l1_blocks(s):
-        sys.stdout.write(block)
-    return 0
+    return 0, _l1_blocks(s)
 
 
-def _cmd_from_lo(order: str, count: int) -> int:
+def _cmd_from_lo(order: str, count: int):
     from .orders import build_intervals, parse_order
 
     _check_pieces("count", count)
-    for lo, hi in build_intervals(parse_order(order), count):
-        print(f"({lo}, {hi})")
-    return 0
+    return 0, (f"({lo}, {hi})\n" for lo, hi in build_intervals(parse_order(order), count))
 
 
-def _cmd_cantor(system: str, depth: int) -> int:
+def _cmd_cantor(system: str, depth: int):
     from .cantor import format_gap_order, parse_system
 
     # in blocks of lines: an unbuffered stdout (PYTHONUNBUFFERED) makes one
-    # system call per string, and the whole dump at depth 16 is megabytes
+    # system call per string, and the whole dump at depth 16 is megabytes;
+    # the walk runs, and a depth past the cap is refused, at the first block
     lines = format_gap_order(parse_system(system), depth)
-    while block := "".join(islice(lines, 4096)):
-        sys.stdout.write(block)
-    return 0
+    return 0, iter(lambda: "".join(islice(lines, 4096)), "")
 
 
-def _cmd_roundtrip(order: str, count: int) -> int:
+def _cmd_roundtrip(order: str, count: int):
     from .l1 import theta
     from .orders import FiniteOrder, build_intervals, order_tnorm, parse_order
     from .rationals import _IndexCounter, min_rational_in
@@ -170,14 +167,12 @@ def _cmd_roundtrip(order: str, count: int) -> int:
     expected = sorted(range(count), key=ascending)
     no_l = all(label is not Label.L for _, label in s.entries)
     ok = recovered == expected and no_l and set(rp) == set(witness_piece)
-    print(f"pieces {count} size {size}")
-    print("recovered " + " ".join(str(n) for n in recovered))
-    print("expected " + " ".join(str(n) for n in expected))
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    lines = (f"pieces {count} size {size}", "recovered " + " ".join(map(str, recovered)),
+             "expected " + " ".join(map(str, expected)), "PASS" if ok else "FAIL")
+    return 0 if ok else 1, [f"{line}\n" for line in lines]
 
 
-def _cmd_surface(file: str, grid: int) -> int:
+def _cmd_surface(file: str, grid: int):
     from .presentations import load_presentation
 
     if grid < 2:
@@ -190,15 +185,14 @@ def _cmd_surface(file: str, grid: int) -> int:
     pts = [Fraction(i, grid - 1) for i in range(grid)]
     # each point's text is made once; c/den is written as str(Fraction) writes it
     texts = [str(p) for p in pts]
-    print("," + ",".join(texts))
     text = lambda c, den: str(c // g) if (g := gcd(c, den)) == den else f"{c // g}/{den // g}"
-    for x, row in zip(texts, t._rows(pts, texts, text)):
-        sys.stdout.write(f"{x},{','.join(row)}\n")
-    return 0
+    rows = (f"{x},{','.join(row)}\n" for x, row in zip(texts, t._rows(pts, texts, text)))
+    return 0, chain(["," + ",".join(texts) + "\n"], rows)
 
 
-# name: (function, one-line help, positional words, defaults of the
-# trailing optional words); a word named in INTEGER_WORDS is an integer
+# name: (function returning (exit code, texts), one-line help, positional
+# words, defaults of the trailing optional words); a word named in
+# INTEGER_WORDS is an integer
 COMMANDS = {
     "eval": (_cmd_eval, "value of x * y from a presentation file; a lazy one to PIECES "
              "pieces", ("file", "x", "y", "pieces"), (LAZY_TRUNCATION,)),
@@ -263,7 +257,13 @@ def _parse(argv: list[str]):
 def main(argv=None) -> int:
     run, words = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return run(*words)
+        code, texts = run(*words)
+        try:
+            sys.stdout.writelines(texts)  # a long dump is a generator that only formats
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader stopped: the rest goes to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -38,44 +38,38 @@ class PresentationError(ValueError):
     """A presentation file failed to parse."""
 
 
-def _fraction(token: str, where: str) -> Fraction:
+def _fraction(token: str) -> Fraction:
     try:
         return parse_rational(token)
     except ValueError:
-        raise PresentationError(f"{where}: bad rational {token!r}") from None
+        raise ValueError(f"bad rational {token!r}") from None
 
 
-def _build_family(args: list[str], where: str) -> TNorm:
+def _build_family(args: list[str]) -> TNorm:
     # a family's module is imported only when a line names it, so a
     # finite file loads no family module
     if not args:
-        raise PresentationError(f"{where}: family needs a name")
+        raise ValueError("family needs a name")
     name, rest = args[0], args[1:]
     if name == "theta":
         if len(rest) != 1:
-            raise PresentationError(f"{where}: theta takes one order spec")
+            raise ValueError("theta takes one order spec")
         from .orders import order_tnorm, parse_order
 
-        try:
-            return order_tnorm(parse_order(rest[0]))
-        except ValueError as exc:
-            raise PresentationError(f"{where}: {exc}") from None
+        return order_tnorm(parse_order(rest[0]))
     if name == "cantor":
         if len(rest) != 1:
-            raise PresentationError(f"{where}: cantor takes one system spec")
+            raise ValueError("cantor takes one system spec")
         from .cantor import CantorGapGenerator, parse_system
 
-        try:
-            return CantorGapGenerator(parse_system(rest[0]))
-        except ValueError as exc:
-            raise PresentationError(f"{where}: {exc}") from None
+        return CantorGapGenerator(parse_system(rest[0]))
     from .families import LADDER_NAMES, LadderGenerator
 
     if name in LADDER_NAMES:
         if rest:
-            raise PresentationError(f"{where}: {name} takes no arguments")
+            raise ValueError(f"{name} takes no arguments")
         return LadderGenerator(name)
-    raise PresentationError(f"{where}: unknown family {name!r}")
+    raise ValueError(f"unknown family {name!r}")
 
 
 def parse_presentation_text(text: str) -> TNorm:
@@ -89,27 +83,25 @@ def parse_presentation_text(text: str) -> TNorm:
     pieces: list[Piece] = []
     family: TNorm | None = None
     for lineno, line in rows[1:]:
-        where = f"line {lineno}"
         fields = line.split()
-        if fields[0] == "piece":
-            if family is not None:
-                raise PresentationError(f"{where}: piece after a family line")
-            if len(fields) != 4 or fields[3] not in ("P", "L"):
-                raise PresentationError(f"{where}: want piece <lo> <hi> <P|L>")
-            lo = _fraction(fields[1], where)
-            hi = _fraction(fields[2], where)
-            try:
-                pieces.append(Piece(lo, hi, Label(fields[3])))
-            except ValueError as exc:
-                raise PresentationError(f"{where}: {exc}") from None
-        elif fields[0] == "family":
-            if family is not None:
-                raise PresentationError(f"{where}: second family line")
-            if pieces:
-                raise PresentationError(f"{where}: family after piece lines")
-            family = _build_family(fields[1:], where)
-        else:
-            raise PresentationError(f"{where}: unknown directive {fields[0]!r}")
+        # every error of a line, the library's too, is reported at the line
+        try:
+            if fields[0] == "piece":
+                if family is not None:
+                    raise ValueError("piece after a family line")
+                if len(fields) != 4 or fields[3] not in ("P", "L"):
+                    raise ValueError("want piece <lo> <hi> <P|L>")
+                pieces.append(Piece(_fraction(fields[1]), _fraction(fields[2]), Label(fields[3])))
+            elif fields[0] == "family":
+                if family is not None:
+                    raise ValueError("second family line")
+                if pieces:
+                    raise ValueError("family after piece lines")
+                family = _build_family(fields[1:])
+            else:
+                raise ValueError(f"unknown directive {fields[0]!r}")
+        except ValueError as exc:
+            raise PresentationError(f"line {lineno}: {exc}") from None
     if family is not None:
         return family
     try:

@@ -1,15 +1,24 @@
 """Command-level tests: golden outputs and exit codes."""
 
+import io
+import os
+import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordsum.l1
 import ordsum.presentations
-from ordsum.cantor import format_gap_order, parse_system
+from ordsum.cantor import MAX_EXPAND_DEPTH, format_gap_order, parse_system
 from ordsum.cli import (
+    COMMANDS,
+    INTEGER_WORDS,
     LAZY_TRUNCATION,
     MAX_LAZY_PIECES,
     MAX_ROUNDTRIP_PIECES,
@@ -272,7 +281,7 @@ class TestTheta:
         )
 
     def test_dump_within_the_line_budget_is_written(self, write, monkeypatch):
-        class LineCount:
+        class LineCount(io.TextIOBase):  # stdout's writelines and flush, counting lines
             lines = 0
 
             def write(self, text):
@@ -717,3 +726,133 @@ class TestUsage:
             "to DEPTH pieces\n",
             "",
         )
+
+
+# a dump far longer than a pipe holds, so the command meets the closed end
+@pytest.mark.parametrize("words", [["cantor", "cantor:non-e", "16"], ["signature", "{zeta}", "2000"]],
+                         ids=["cantor", "signature"])
+def test_a_reader_that_closes_stdout_ends_the_command_quietly(words, write):
+    argv = [w.format(zeta=write("zeta", "tnorm v1\nfamily theta zeta\n")) for w in words]
+    env = dict(os.environ, PYTHONPATH=str(Path(ordsum.l1.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "ordsum.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+    assert first.startswith((b"gaps depth=16 ", b"signature v1 "))
+
+
+# Exit-code fuzz: every command with words drawn from its grammar, the
+# values near it, and each cap + 1; never a valid value near a cap
+RATIONALS = ["0", "1", "1/3", "2/6", "3/8", "5/12", "1/1"]
+ORDERS = ["omega", "omega_star", "zeta", "eta", "omega_plus_omega_star", "finite:2,0,1"]
+SYSTEMS = ["cantor:middle-third", "cantor:svc", "cantor:non-e"]
+FAMILIES = ["limit-left", "limit-right", "theta omega", "theta eta", "theta zeta",
+            "theta finite:1,0", "cantor cantor:svc", "cantor cantor:non-e"]
+PRESENTATIONS = [PAIR_A_TEXT, PAIR_B_TEXT, LUK_TEXT, "tnorm v1\npiece 0 1 P\n"] + [
+    f"tnorm v1\nfamily {family}\n" for family in FAMILIES
+]
+# each integer word's cap per command, MAX_LAZY_PIECES where none is named
+CAPS = {("theta", "size"): MAX_THETA_SIZE, ("cantor", "depth"): MAX_EXPAND_DEPTH,
+        ("roundtrip", "count"): MAX_ROUNDTRIP_PIECES, ("surface", "grid"): MAX_SURFACE_GRID}
+
+
+def one_edit(base, alphabet):
+    """Strings one insertion, deletion or replacement away from `base`."""
+    def edit(i, kind, c):
+        i %= len(base) + (kind == "insert")
+        return base[:i] + ("" if kind == "delete" else c) + base[i + (kind != "insert"):]
+
+    return st.builds(edit, st.integers(0, 40), st.sampled_from(["insert", "delete", "replace"]),
+                     st.sampled_from(alphabet))
+
+
+def near(values, alphabet):
+    """A value drawn from `values`, edited once in a third of the draws."""
+    return st.sampled_from(values).flatmap(
+        lambda v: st.one_of(st.just(v), st.just(v), one_edit(v, alphabet)))
+
+
+# an integer word's edits add no digit, so an edited value stays small
+INTEGER_EDITS = list("-+_ .x") + ["\u0661", "\u00b2"]
+RATIONAL_WORDS = near(RATIONALS, list("0123456789/-+. e") + ["\u0661"])
+TEXT_WORDS = {
+    "x": RATIONAL_WORDS,
+    "y": RATIONAL_WORDS,
+    "order": near(ORDERS, list("0123456789,:_-a ")),
+    "system": near(SYSTEMS, list("cantor:-e ")),
+}
+MUTATIONS = {
+    "crlf": lambda t, i, b: t.replace(b"\n", b"\r\n"),
+    "bom": lambda t, i, b: "\ufeff".encode() + t,
+    "blanks": lambda t, i, b: t.replace(b"\n", b" \t\n", 1) + b"\n  \n",
+    "stray byte": lambda t, i, b: t[: i % (len(t) + 1)] + b + t[i % (len(t) + 1):],
+    "duplicated line": lambda t, i, b: b"".join(
+        (lines := t.splitlines(keepends=True))[: i % len(lines) + 1] + lines[i % len(lines):]),
+}
+
+
+def mutated(text, edits):
+    for name, i, b in edits:
+        text = MUTATIONS[name](text, i, b)
+    return text
+
+
+presentations = st.builds(
+    mutated,
+    st.sampled_from(PRESENTATIONS).map(str.encode),
+    st.lists(st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 60),
+                       st.sampled_from([b"\x00", b"\xff", b"\xc3", b" ", b"#", b"1", b"/", b"-"])),
+             max_size=2),
+)
+
+
+def word(command, name):
+    if name in INTEGER_WORDS:
+        small = st.integers(1, 40 if name == "size" else 6).map(str)
+        low = st.integers(-2, 0).map(str)
+        cap = st.just(str(CAPS.get((command, name), MAX_LAZY_PIECES) + 1))
+        return st.one_of(small, small, small, low, cap,
+                         small.flatmap(lambda v: one_edit(v, INTEGER_EDITS)))
+    return TEXT_WORDS[name]
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of main in process; a SystemExit's code as ("exit", code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_every_command_keeps_the_exit_code_contract(fuzz_dir, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    _, _, names, defaults = COMMANDS[command]
+    argv = [command]
+    for name in names[: data.draw(st.integers(len(names) - len(defaults), len(names)))]:
+        if name.startswith("file"):
+            path = fuzz_dir / f"{len(argv)}.tnorm"
+            path.write_bytes(data.draw(presentations))
+            argv.append(data.draw(st.sampled_from([str(path), str(path), "missing.tnorm"])))
+        else:
+            argv.append(data.draw(word(command, name)))
+    code, out, err = first = run_main(argv)
+    assert run_main(argv) == first
+    if isinstance(code, tuple):  # only _parse exits, on a usage error
+        assert (code, out) == (("exit", 2), "") and err.startswith("usage: ordsum")
+    elif code in (2, 3):
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1, 4) and err == ""

@@ -43,6 +43,13 @@ KIND_BRANCHES = {
     "the tail bound instead would walk a Cantor rule's gaps again",
 }
 
+# function of cli.py: why it may name `print` or `sys.stdout`.  Every
+# command returns its exit code and its texts, so one place writes them.
+STDOUT_WRITERS = {
+    "main": "writes every command's texts, and prints its errors to stderr",
+    "_parse": "writes the help",
+}
+
 
 def _tree(name):
     return ast.parse(SOURCES[name].read_text())
@@ -133,6 +140,19 @@ def test_presentation_kinds_are_told_apart_only_where_listed():
     assert found == set(KIND_BRANCHES), (
         f"unlisted kind branches {sorted(found - set(KIND_BRANCHES))}, "
         f"listed but gone {sorted(set(KIND_BRANCHES) - found)}"
+    )
+
+
+def test_only_main_and_parse_write_stdout():
+    found = set()
+    for statement in _tree("cli").body:
+        for node in ast.walk(statement):
+            if (isinstance(node, ast.Name) and node.id in ("print", "stdout")
+                    or isinstance(node, ast.Attribute) and node.attr in ("stdout", "__stdout__")):
+                found.add(getattr(statement, "name", "<module level>"))
+    assert found == set(STDOUT_WRITERS), (
+        f"unlisted stdout writers {sorted(found - set(STDOUT_WRITERS))}, "
+        f"listed but gone {sorted(set(STDOUT_WRITERS) - found)}"
     )
 
 
