@@ -11,23 +11,23 @@ ship:
                    and (l+w/2, l+3w/4), abandoning the left endpoint
 
 Every endpoint at level d is an integer over the level's denominator,
-`root[1] * scale**d`.  A rule states its root numerators `root` (the box
-[0, 1]) and its per-level `scale`: middle-third (0, 1) and 3, non-e
-(0, 1) and 4, svc (0, 2) and 4.  Its `split(lo, hi)` takes a box as
-numerators and returns the node's parts left to right, each
-`(lo, hi, is_gap)` over the next level's denominator; the parts tile
-the box.  The walk, the gap sort and the dump stay in integers; a
-`Fraction` is made only for a piece the lazy family hands out.
+`root[1] * scale**d`.  A rule is a row of data: its root numerators
+`root` (the box [0, 1]), its per-level `scale`, its `parts` and its
+`total_gap_length`.  Each part is `(k, c, is_gap)`: part i of a box
+[lo, hi] ends at `scale*lo + k*(hi-lo) + c` over the next level's
+denominator and starts where part i-1 ends.  The walk, `locate`, the gap
+sort and the dump stay in integers; a `Fraction` is made only for a
+piece the lazy family hands out.
 
 Every box splits into the same kinds of part in the same order, and no
-two gaps of a split touch, so one split of the root gives every node's
-gap count and the order facts of all gaps.  A gap first is a gap at
-every box's left end, and the root's is the least gap; a box first
-keeps every box's left end, gaps pile up toward it, and none is least.
-The right end is alike.  With a box at both ends (middle-third, svc)
-the gaps are dense without endpoints.  non-e starts with a gap: (0, 1/4)
-is the least gap, and each abandoned endpoint glues two gaps together
-into a successor pair.
+two gaps of a box touch, so the `is_gap` column gives every node's gap
+count and the order facts of all gaps.  A gap first is a gap at every
+box's left end, and the root's is the least gap; a box first keeps
+every box's left end, gaps pile up toward it, and none is least.  The
+right end is alike.  With a box at both ends (middle-third, svc) the
+gaps are dense without endpoints.  non-e starts with a gap: (0, 1/4) is
+the least gap, and each abandoned endpoint glues two gaps together into
+a successor pair.
 
 Gaps are enumerated breadth-first: level by level, left to right inside
 a level.  The gap t-norm puts a Product piece on each gap, and the gap
@@ -36,7 +36,7 @@ dump sorts the same gaps left to right.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
@@ -57,9 +57,7 @@ from .tnorm import (
 
 __all__ = [
     "Gap",
-    "MiddleThirdRule",
-    "SvcRule",
-    "NonERule",
+    "Rule",
     "parse_system",
     "expand",
     "analyze_gap_order",
@@ -68,57 +66,23 @@ __all__ = [
 ]
 
 Gap = tuple[int, int, int]  # (lo, hi, den): end numerators over the gap's level denominator
-Parts = tuple[tuple[int, int, bool], ...]  # (lo, hi, is_gap) numerators, left to right
+Parts = tuple[tuple[int, int, bool], ...]  # (k, c, is_gap) rows, left to right (see Rule)
 GAP, BOX = True, False
 MAX_EXPAND_DEPTH = 16
 
-
-class MiddleThirdRule:
-    name = "middle-third"
-    root = (0, 1)
-    scale = 3
-    total_gap_length = Fraction(1)
-
-    def split(self, lo: int, hi: int) -> Parts:
-        a, b = 2 * lo + hi, lo + 2 * hi
-        return (3 * lo, a, BOX), (a, b, GAP), (b, 3 * hi, BOX)
-
-
-class SvcRule:
-    """Fat-Cantor variant: ever smaller centered removals, positive leftover.
-
-    The gap at depth d has length 4^-(d+1) = 2 / 2^(2d+3), two units of
-    the next level's denominator, whatever the depth.
-    """
-
-    name = "svc"
-    root = (0, 2)
-    scale = 4
-    total_gap_length = Fraction(1, 2)
-
-    def split(self, lo: int, hi: int) -> Parts:
-        mid = 2 * (lo + hi)
-        return (4 * lo, mid - 1, BOX), (mid - 1, mid + 1, GAP), (mid + 1, 4 * hi, BOX)
+# part i of a box [lo, hi] ends at scale*lo + k*(hi - lo) + c and starts where
+# part i-1 ends, part 0 at scale*lo; a last row (scale, 0, _) tiles the box
+Rule = namedtuple("Rule", "name root scale parts total_gap_length")
+_RULES = {rule.name: rule for rule in (
+    Rule("middle-third", (0, 1), 3, ((1, 0, BOX), (2, 0, GAP), (3, 0, BOX)), Fraction(1)),
+    # the gap at depth d is 4^-(d+1) = 2 / 2^(2d+3) wide: two units of
+    # the next level's denominator, whatever the depth
+    Rule("svc", (0, 2), 4, ((2, -1, BOX), (2, 1, GAP), (4, 0, BOX)), Fraction(1, 2)),
+    Rule("non-e", (0, 1), 4, ((1, 0, GAP), (2, 0, BOX), (3, 0, GAP), (4, 0, BOX)), Fraction(1)),
+)}
 
 
-class NonERule:
-    """Children detach from the left endpoint; two gaps per node."""
-
-    name = "non-e"
-    root = (0, 1)
-    scale = 4
-    total_gap_length = Fraction(1)
-
-    def split(self, lo: int, hi: int) -> Parts:
-        a, b, c = 3 * lo + hi, 2 * (lo + hi), lo + 3 * hi
-        return (4 * lo, a, GAP), (a, b, BOX), (b, c, GAP), (c, 4 * hi, BOX)
-
-
-_Rule = MiddleThirdRule | SvcRule | NonERule
-_RULES = {rule.name: rule for rule in (MiddleThirdRule(), SvcRule(), NonERule())}
-
-
-def parse_system(spec: str) -> _Rule:
+def parse_system(spec: str) -> Rule:
     """System spec strings: "cantor:middle-third", "cantor:svc", "cantor:non-e"."""
     spec = spec.strip()
     if not spec.startswith("cantor:"):
@@ -142,7 +106,7 @@ def _walk(rule, levels: int | None = None):
     Each gap is `(lo, hi, den)` in integers.  The walk holds only the
     boxes it will still split.
     """
-    split, scale = rule.split, rule.scale
+    parts, scale = rule.parts, rule.scale
     boxes = deque([rule.root])
     depth, den = 0, rule.root[1]
     while depth != levels:
@@ -150,11 +114,16 @@ def _walk(rule, levels: int | None = None):
         depth += 1
         last = depth == levels  # the last level's children stay unsplit
         for _ in range(len(boxes)):  # exactly the boxes of this level
-            for a, b, gap in split(*boxes.popleft()):
+            lo, hi = boxes.popleft()
+            a = start = scale * lo
+            w = hi - lo
+            for k, c, gap in parts:  # read inline: a split method per box is slower
+                b = start + k * w + c
                 if gap:
                     yield a, b, den
                 elif not last:
                     boxes.append((a, b))
+                a = b
 
 
 def _left_to_right(gaps: list[Gap]) -> tuple[list[tuple[int, int]], int]:
@@ -167,13 +136,13 @@ def _left_to_right(gaps: list[Gap]) -> tuple[list[tuple[int, int]], int]:
     return gaps, den
 
 
-def expand(rule: _Rule, depth: int) -> list[Gap]:
+def expand(rule: Rule, depth: int) -> list[Gap]:
     """The gaps removed by all nodes shallower than `depth`, in removal order."""
     _check_depth(depth)
     return list(_walk(rule, depth))
 
 
-def analyze_gap_order(rule: _Rule, depth: int) -> tuple[list[tuple[int, int]], int]:
+def analyze_gap_order(rule: Rule, depth: int) -> tuple[list[tuple[int, int]], int]:
     """The gaps of `expand(rule, depth)` left to right, over their denominator.
 
     Every endpoint above level `depth` is an integer over
@@ -187,17 +156,17 @@ def analyze_gap_order(rule: _Rule, depth: int) -> tuple[list[tuple[int, int]], i
 class CantorGapGenerator(PieceGenerator):
     """Product pieces on the removed gaps, level by level, left to right.
 
-    The order facts come from one split of the root (module docstring):
-    a gap first is a least piece, a gap last a greatest, and a box at
-    both ends is property E, gaps dense without endpoints.
+    The order facts come from the rule's `is_gap` column (module
+    docstring): a gap first is a least piece, a gap last a greatest, and
+    a box at both ends is property E, gaps dense without endpoints.
     """
 
-    def __init__(self, rule: _Rule):
+    def __init__(self, rule: Rule):
         self.rule = rule
         self._gaps: list[Gap] = []  # gaps 0..len-1, read off self._walk
         self._walk = _walk(rule)
         self.family = f"cantor cantor:{rule.name}"
-        parts = rule.split(*rule.root)  # as every node splits
+        parts = rule.parts  # as every node splits
         self._node_gaps = sum(gap for _, _, gap in parts)
         self.has_min_piece, self.has_max_piece = parts[0][2], parts[-1][2]
         self.dense_no_endpoints = not (self.has_min_piece or self.has_max_piece)
@@ -235,20 +204,23 @@ class CantorGapGenerator(PieceGenerator):
         check_unit(q)
         if depth < 1:
             raise PreconditionError("locate depth must be >= 1")
-        rule = self.rule
+        parts, scale = self.rule.parts, self.rule.scale
         # q = qn/qd against a numerator n over den: compare x = qn*den with n*qd
         qn, qd = q.numerator, q.denominator
-        lo, hi = rule.root
+        lo, hi = self.rule.root
         den = hi
         x = qn * den
         node_pos = 0
         for d in range(depth):
             if x == lo * qd or x == hi * qd:
                 return IDEMPOTENT
-            den *= rule.scale
-            x *= rule.scale
+            den *= scale
+            x *= scale
             which = bit = 0
-            for a, b, gap in rule.split(lo, hi):
+            a = start = scale * lo
+            w = hi - lo
+            for k, c, gap in parts:
+                b = start + k * w + c
                 if gap:
                     if a * qd < x < b * qd:
                         index = self._node_gaps * (2**d - 1 + node_pos) + which
@@ -260,6 +232,7 @@ class CantorGapGenerator(PieceGenerator):
                     break
                 else:
                     bit += 1
+                a = b
             else:
                 raise RuntimeError(f"no part of the level-{d} box covers {q}")
         if x == lo * qd or x == hi * qd:
@@ -271,7 +244,7 @@ def _tri(value: bool | None) -> str:
     return "unknown" if value is None else str(value).lower()
 
 
-def format_gap_order(rule: _Rule, depth: int) -> Iterator[str]:
+def format_gap_order(rule: Rule, depth: int) -> Iterator[str]:
     """The gap dump, left to right, then one line per order fact of all gaps.
 
     Property E, `has_min` and `has_max` are the generator's order facts,

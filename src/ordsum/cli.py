@@ -30,7 +30,14 @@ from math import gcd
 # it runs inside its function, `presentations` too, so a command loads
 # only what it uses.
 from .rationals import parse_rational
-from .tnorm import Label, PieceGenerator, PreconditionError, UnknownAtDepth, check_axioms
+from .tnorm import (
+    MAX_LAZY_PIECES,
+    Label,
+    PieceGenerator,
+    PreconditionError,
+    UnknownAtDepth,
+    check_axioms,
+)
 
 GRID_21 = tuple(Fraction(i, 20) for i in range(21))
 LAZY_TRUNCATION = 12
@@ -40,10 +47,6 @@ MAX_SURFACE_GRID = 1000
 # a theta dump prints one `less:` line per ordered pair of chain
 # entries; cantor:svc at depth 2000 prints about 2 M of them (README)
 MAX_THETA_LESS_LINES = 5_000_000
-# piece n of an order family is 3^-(n+1) wide, its ends over 6^(n+1); at 3200
-# pieces, the fewest at which theta of cantor:svc still exceeds the line limit,
-# every lazy command on a shipped family takes under a second (README)
-MAX_LAZY_PIECES = 3200
 # roundtrip counts the index of every piece's witness, and piece n is
 # 3^-(n+1) wide in any order, so its witness's denominator can reach
 # about 3^(n+1); at 20 pieces of omega the command takes about 1.1 s at
@@ -101,7 +104,7 @@ def _cmd_iso(file_a: str, file_b: str, depth: int):
     t1, t2 = load_presentation(file_a), load_presentation(file_b)
     _check_pieces("depth", depth, t1, t2)
     verdict = decide_iso_lazy(t1, t2, depth)
-    return 4 if isinstance(verdict, UnknownAtDepth) else 0, [format_verdict(verdict)]
+    return 4 if isinstance(verdict, UnknownAtDepth) else 0, format_verdict(verdict)
 
 
 def _cmd_theta(file: str, size: int, depth: int):

@@ -16,11 +16,13 @@ treated as evidence of its absence; those comparisons stay UNKNOWN.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .rationals import check_unit
 from .signature import Signature, compute_signature
 from .tnorm import (
+    MAX_LAZY_PIECES,
     Piece,
     PieceGenerator,
     PreconditionError,
@@ -142,13 +144,16 @@ def decide_iso_lazy(t1: TNorm, t2: TNorm, depth: int) -> Iso | NotIso | UnknownA
     for name, end, has1, has2, at, bound in ends:
         if has1 == has2:
             continue
-        # the certified entry may need more pieces than `depth` to show
-        for pieces in _depths(depth << 6):
+        # the certified entry may need more pieces than `depth` to show,
+        # but no more than the cap on any lazy command's pieces
+        for pieces in _depths(MAX_LAZY_PIECES):
             entry = compute_signature(t1 if has1 else t2, pieces).entries[at]
             if (entry.lo, entry.hi)[at] == bound:
                 break
         else:
-            raise PreconditionError(f"{end} entry certified but not visible at this depth")
+            raise PreconditionError(
+                f"{end} entry certified but not visible within {MAX_LAZY_PIECES} pieces"
+            )
         label = entry.label.value
         return NotIso(
             f"{name}ExistsMismatch({label})",
@@ -206,21 +211,18 @@ def back_and_forth(s1: Signature, s2: Signature, k: int) -> tuple:
     return tuple(zip(e1[:k], e2[:k]))
 
 
-def format_verdict(verdict: Iso | NotIso | UnknownAtDepth) -> str:
+def format_verdict(verdict: Iso | NotIso | UnknownAtDepth) -> Iterator[str]:
+    """The verdict's lines, each ending in a newline: an ISO lists two per entry pair."""
     if isinstance(verdict, Iso):
         pairs = verdict.entry_map
-        lines = ["ISO"]
+        yield "ISO\n"
         for a, b in pairs:
-            lines.append(
-                f"  ({a.lo}, {a.hi}) {a.label.value} ~ ({b.lo}, {b.hi}) {b.label.value}"
-            )
+            yield f"  ({a.lo}, {a.hi}) {a.label.value} ~ ({b.lo}, {b.hi}) {b.label.value}\n"
         if verdict.full:
-            lines.extend(f"  [{a.lo}, {a.hi}] -> [{b.lo}, {b.hi}]" for a, b in pairs)
+            for a, b in pairs:
+                yield f"  [{a.lo}, {a.hi}] -> [{b.lo}, {b.hi}]\n"
     elif isinstance(verdict, NotIso):
-        lines = [f"NOT_ISO {verdict.tag}", f"  {verdict.detail}"]
+        yield f"NOT_ISO {verdict.tag}\n  {verdict.detail}\n"
     else:
-        lines = [
-            f"UNKNOWN depth={verdict.depth}",
-            "  no certified invariant separates the presentations at this depth",
-        ]
-    return "\n".join(lines) + "\n"
+        yield (f"UNKNOWN depth={verdict.depth}\n"
+               "  no certified invariant separates the presentations at this depth\n")

@@ -55,6 +55,13 @@ class PreconditionError(ValueError):
     """An operation was invoked outside its stated preconditions."""
 
 
+# piece n of an order family is 3^-(n+1) wide, its ends over 6^(n+1); at 3200
+# pieces, the fewest at which theta of cantor:svc still exceeds the line limit,
+# every lazy command on a shipped family takes under a second, and `iso`
+# reads no signature deeper in its search for an end entry (README)
+MAX_LAZY_PIECES = 3200
+
+
 def check_lazy_depth(depth: int | None) -> None:
     """Refuse to truncate a lazy presentation to fewer than one piece."""
     if depth is None or depth < 1:

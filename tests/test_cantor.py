@@ -1,9 +1,12 @@
 """Box refinement rules, gap enumeration, and gap-order analysis."""
 
 import random
+import re
 from bisect import insort
+from collections import deque
 from fractions import Fraction
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ import ordsum.cantor
 from conftest import LAZY_FAMILY_LINES
 from ordsum.cantor import (
     CantorGapGenerator,
+    Rule,
     analyze_gap_order,
     expand,
     format_gap_order,
@@ -40,10 +44,19 @@ def oracle_split(rule, box, depth):
     """The children and gaps of `box`, left to right, in exact rational geometry.
 
     The rules split numerators over a per-level denominator; this is the
-    geometry those integers must reproduce, written with Fractions.
+    geometry those integers must reproduce, written with Fractions.  A
+    corpus rule is named by its weight word: each part takes its weight's
+    share of the box.
     """
     lo, hi = box
     w = hi - lo
+    if word := re.findall(r"([BG])([12])", rule.name):
+        total = sum(int(weight) for _, weight in word)
+        children, gaps, end = [], [], lo
+        for kind, weight in word:
+            start, end = end, end + w * int(weight) / total
+            (gaps if kind == "G" else children).append((start, end))
+        return tuple(children), tuple(gaps)
     if rule.name == "middle-third":
         a, b = lo + w / 3, hi - w / 3
         return ((lo, a), (b, hi)), ((a, b),)
@@ -118,18 +131,28 @@ def oracle_dump(rule, depth):
     return "\n".join(lines) + "\n"
 
 
-def counting_system(rule):
-    """`rule`, listing the boxes it splits in call order."""
+def split_by_rows(rule, lo, hi):
+    """The parts of the box [lo, hi] as `(lo, hi, is_gap)` numerators, by the
+    formula stated at `Rule`: part i ends at scale*lo + k*(hi - lo) + c."""
+    parts, a = [], rule.scale * lo
+    for k, c, gap in rule.parts:
+        b = rule.scale * lo + k * (hi - lo) + c
+        parts.append((a, b, gap))
+        a = b
+    return parts
 
-    class Counting(type(rule)):
-        def __init__(self):
-            self.calls = []
 
-        def split(self, lo, hi):
-            self.calls.append((lo, hi))
-            return super().split(lo, hi)
+def taken_boxes(monkeypatch):
+    """The boxes the walk takes off its queue to split, in order."""
+    taken = []
 
-    return Counting()
+    class Counting(deque):
+        def popleft(self):
+            taken.append(box := super().popleft())
+            return box
+
+    monkeypatch.setattr(ordsum.cantor, "deque", Counting)
+    return taken
 
 
 def breadth_first_boxes(rule, depth):
@@ -217,7 +240,7 @@ def test_split_matches_rational_geometry(system):
         for box in boxes:
             lo, hi = (end * den for end in box)
             assert lo.denominator == hi.denominator == 1
-            parts = system.split(lo.numerator, hi.numerator)
+            parts = split_by_rows(system, lo.numerator, hi.numerator)
             assert parts[0][0] == system.scale * lo and parts[-1][1] == system.scale * hi
             assert all(p[1] == q[0] for p, q in zip(parts, parts[1:]))
             spans = {True: [], False: []}
@@ -228,24 +251,24 @@ def test_split_matches_rational_geometry(system):
 
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
-def test_walk_splits_each_node_once(system):
+def test_walk_splits_each_node_once(system, monkeypatch):
+    taken = taken_boxes(monkeypatch)
     for depth in range(11):
-        counted = counting_system(system)
-        expand(counted, depth)
-        assert counted.calls == breadth_first_boxes(system, depth)
-    counted = counting_system(system)
-    gen = CantorGapGenerator(counted)
-    assert counted.calls == [system.root]  # the order facts read one split
-    counted.calls.clear()
+        taken.clear()
+        expand(system, depth)
+        assert taken == breadth_first_boxes(system, depth)
     count = 2000
+    nodes = -(-count // len(expand(system, 1)))
+    taken.clear()
+    gen = CantorGapGenerator(system)
+    assert taken == []  # the generator splits nothing when built
     order = list(range(count))
     random.Random(8).shuffle(order)
     for n in [*range(count), *order]:
         gen.piece_at(n)
     # one walk serves every read; a descent from the root per piece would
     # split the root 2000 times
-    nodes = -(-count // len(expand(system, 1)))
-    assert counted.calls == breadth_first_boxes(system, 11)[:nodes]
+    assert taken == breadth_first_boxes(system, 11)[:nodes]
 
 
 def test_middle_third_closed_form():
@@ -360,6 +383,57 @@ def test_order_facts_agree_with_gap_scan(system):
             assert all(lo != 0 for lo, _ in gaps)
         if keeps_right:
             assert all(hi != 1 for _, hi in gaps)
+
+
+def weight_words():
+    """Every weight word of up to five parts over {B, G}, such as `B1G2B1`:
+    two B's, as the tree and `locate`'s index assume, a G, no two G's
+    side by side (they would be one gap), and weights 1 and 2."""
+    for length in range(3, 6):
+        for kinds in product("BG", repeat=length):
+            shape = "".join(kinds)
+            if shape.count("B") == 2 and "G" in shape and "GG" not in shape:
+                for weights in product("12", repeat=length):
+                    yield "".join(map("".join, zip(kinds, weights)))
+
+
+def word_rule(word):
+    """The row of a weight word: part i ends at its cumulative weight, the
+    scale is the sum of the weights, no constants, and the gaps fill [0, 1]."""
+    parts, k = [], 0
+    for kind, weight in re.findall(r"([BG])([12])", word):
+        k += int(weight)
+        parts.append((k, 0, kind == "G"))
+    return Rule(word, (0, 1), k, tuple(parts), F(1))
+
+
+ROW_CORPUS = [word_rule(word) for word in weight_words()]
+
+
+@pytest.mark.parametrize("rule", ROW_CORPUS, ids=lambda rule: rule.name)
+def test_row_corpus(rule):
+    levels, gaps = oracle_expand(rule, 6)
+    assert as_fractions(expand(rule, 6)) == gaps
+    gen = CantorGapGenerator(rule)
+    certified = (gen.has_min_piece, gen.has_max_piece)
+    assert certified == gap_scan_facts(rule, 8)
+    assert gen.dense_no_endpoints == all(oracle_keeps(rule))
+    assert dump(rule, 6) == oracle_dump(rule, 6)
+    for index, (lo, hi) in enumerate(gaps):
+        placed = gen.locate((lo + hi) / 2, 6)
+        assert placed == InPiece(index, placed.piece)
+        assert (placed.piece.lo, placed.piece.hi) == (lo, hi)
+    # every box keeps at most 2/3 of its parent, so the gaps fill [0, 1]
+    # and what is not yet removed is the level's boxes
+    for depth, boxes in enumerate(levels):
+        count = gen._node_gaps * (2**depth - 1)
+        assert gen.tail_length_bound(count) == sum(hi - lo for lo, hi in boxes), depth
+
+
+def test_row_corpus_is_every_word():
+    # BBG, BGB, GBB; BGBG, GBBG, GBGB; GBGBG, each with 2^length weightings
+    assert len(ROW_CORPUS) == 3 * 8 + 3 * 16 + 32
+    assert len({rule.name for rule in ROW_CORPUS}) == len(ROW_CORPUS)
 
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])

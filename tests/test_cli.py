@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -742,6 +743,20 @@ def test_a_reader_that_closes_stdout_ends_the_command_quietly(words, write):
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (0, b"")
     assert first.startswith((b"gaps depth=16 ", b"signature v1 "))
+
+
+# a write error other than a closed pipe is exit 2, with one line on stderr
+# (README); stdout may already hold part of the output
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("words", [["from-lo", "omega", "3"], ["cantor", "cantor:non-e", "12"]],
+                         ids=["from-lo", "cantor"])
+def test_a_full_device_on_stdout_exits_2(words):
+    env = dict(os.environ, PYTHONPATH=str(Path(ordsum.l1.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "ordsum.cli", *words], env=env,
+                              stdout=full, stderr=subprocess.PIPE, timeout=60)
+    assert done.returncode == 2
+    assert re.fullmatch(rb"error: [^\n]+\n", done.stderr), done.stderr
 
 
 # Exit-code fuzz: every command with words drawn from its grammar, the

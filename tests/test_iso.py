@@ -3,7 +3,7 @@
 import io
 import re
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordsum.iso
+import ordsum.orders
 from conftest import FINITE_CORPUS
 from ordsum.cantor import CantorGapGenerator, parse_system
 from ordsum.cli import main
@@ -25,10 +27,11 @@ from ordsum.iso import (
     decide_iso_lazy,
     format_verdict,
 )
-from ordsum.orders import order_tnorm, parse_order
+from ordsum.orders import LinearOrder, order_tnorm, parse_order
 from ordsum.presentations import format_presentation
 from ordsum.signature import Label, Signature, compute_signature
 from ordsum.tnorm import (
+    MAX_LAZY_PIECES,
     FinitePresentation,
     Piece,
     PieceGenerator,
@@ -127,7 +130,7 @@ class TestWitnessMap:
             out = io.StringIO()
             with redirect_stdout(out):
                 assert main(["iso", *map(str, paths)]) == 0
-        assert out.getvalue() == format_verdict(witness)
+        assert out.getvalue() == "".join(format_verdict(witness))
 
     def test_map_fixes_endpoints_and_increases(self):
         witness = build_iso_map(PAIR_A, PAIR_B)
@@ -319,6 +322,60 @@ class TestLazyDecision:
         assert decide_iso_lazy(t1, t2, 5) == UnknownAtDepth(5)
 
 
+class LateLeast(LinearOrder):
+    """omega with element `late` moved below 0, so that its least element is `late`."""
+
+    def __init__(self, late):
+        self.name, self.min_element = f"late_least_{late}", late
+
+    def _key(self, n):
+        return -1 if n == self.min_element else n
+
+    def _less(self, m, n):
+        return self._key(m) < self._key(n)
+
+    def _adjacent(self, m, n):
+        if m == self.min_element:
+            return n == 0
+        return n == m + 1 + (m + 1 == self.min_element)
+
+
+def iso_against_eta(tmp_path, monkeypatch, late):
+    """`ordsum iso` of theta late_least_<late> against theta eta at depth 1:
+    exit code, stdout, stderr, and the depth of every signature it read."""
+    monkeypatch.setitem(ordsum.orders.NAMED_ORDERS, "late", lambda: LateLeast(late))
+    depths = []
+
+    def counted(t, depth=None):
+        depths.append(depth)
+        return compute_signature(t, depth)
+
+    monkeypatch.setattr(ordsum.iso, "compute_signature", counted)
+    paths = []
+    for name in ("late", "eta"):
+        paths.append(tmp_path / f"{name}.tnorm")
+        paths[-1].write_text(f"tnorm v1\nfamily theta {name}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["iso", *map(str, paths), "1"])
+    return code, out.getvalue(), err.getvalue(), depths
+
+
+class TestEndEntrySearch:
+    def test_search_reads_no_more_than_the_piece_cap(self, tmp_path, monkeypatch):
+        code, out, err, depths = iso_against_eta(tmp_path, monkeypatch, 5000)
+        assert (code, out) == (3, "")
+        assert err == f"error: least entry certified but not visible within {MAX_LAZY_PIECES} pieces\n"
+        assert max(depths) == MAX_LAZY_PIECES
+
+    def test_search_is_not_bound_by_the_depth(self, tmp_path, monkeypatch):
+        # the least element's piece 100 lies beyond the depth, and beyond 64 times it
+        code, out, err, depths = iso_against_eta(tmp_path, monkeypatch, 100)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "NOT_ISO MinimumExistsMismatch(M)"
+        assert max(depths) == 128
+
+
 def oracle_back_and_forth(s1, s2, k):
     """`back_and_forth` with each round's window and partner found by search.
 
@@ -421,7 +478,7 @@ class TestBackAndForth:
 class TestFormatting:
     def test_iso_verdict_lists_matched_entries(self):
         verdict = decide_iso_finite(compute_signature(PAIR_A), compute_signature(PAIR_B))
-        text = format_verdict(verdict)
+        text = "".join(format_verdict(verdict))
         lines = text.splitlines()
         assert lines[0] == "ISO"
         assert lines[1] == "  (0, 1/4) M ~ (0, 1/10) M"
@@ -431,12 +488,12 @@ class TestFormatting:
         verdict = decide_iso_finite(
             compute_signature(PAIR_A), compute_signature(PAIR_B_SWAPPED)
         )
-        text = format_verdict(verdict)
+        text = "".join(format_verdict(verdict))
         assert text.splitlines()[0] == "NOT_ISO FiniteLabelSequenceMismatch(1)"
         assert "position 1" in text
 
     def test_unknown_verdict(self):
-        text = format_verdict(UnknownAtDepth(7))
+        text = "".join(format_verdict(UnknownAtDepth(7)))
         assert text.splitlines()[0] == "UNKNOWN depth=7"
 
 
