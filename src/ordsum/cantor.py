@@ -43,7 +43,6 @@ from functools import cache
 from itertools import islice
 from math import gcd
 
-from .rationals import check_unit
 from .tnorm import (
     IDEMPOTENT,
     InPiece,
@@ -52,6 +51,7 @@ from .tnorm import (
     PieceGenerator,
     PreconditionError,
     UnknownAtDepth,
+    check_unit,
     first_shared_endpoint,
 )
 

@@ -25,11 +25,10 @@ from functools import cmp_to_key
 from itertools import chain, islice
 from math import gcd
 
-# Every command loads `tnorm`, and with it `rationals`: `main` maps
-# `PreconditionError` to exit 3.  Each command imports any other module
-# it runs inside its function, `presentations` too, so a command loads
-# only what it uses.
-from .rationals import parse_rational
+# Every command loads `tnorm`: `main` maps `PreconditionError` to exit 3.
+# Each command imports any other module it runs inside its function,
+# `presentations` and `rationals` too, so a command loads only what it
+# uses.
 from .tnorm import (
     MAX_LAZY_PIECES,
     Label,
@@ -37,6 +36,7 @@ from .tnorm import (
     PreconditionError,
     UnknownAtDepth,
     check_axioms,
+    parse_rational,
 )
 
 GRID_21 = tuple(Fraction(i, 20) for i in range(21))

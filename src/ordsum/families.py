@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import check_unit
 from .tnorm import (
     IDEMPOTENT,
     InPiece,
@@ -27,6 +26,7 @@ from .tnorm import (
     Piece,
     PieceGenerator,
     PreconditionError,
+    check_unit,
 )
 
 __all__ = ["LadderGenerator", "LADDER_NAMES"]

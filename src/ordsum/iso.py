@@ -19,7 +19,6 @@ from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .rationals import check_unit
 from .signature import Signature, compute_signature
 from .tnorm import (
     MAX_LAZY_PIECES,
@@ -30,6 +29,7 @@ from .tnorm import (
     TNorm,
     UnknownAtDepth,
     check_lazy_depth,
+    check_unit,
 )
 
 __all__ = [

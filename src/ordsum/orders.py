@@ -41,7 +41,6 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache
 
-from .rationals import check_unit, rational_at
 from .tnorm import (
     IDEMPOTENT,
     FinitePresentation,
@@ -52,6 +51,7 @@ from .tnorm import (
     PreconditionError,
     TNorm,
     UnknownAtDepth,
+    check_unit,
 )
 
 __all__ = [
@@ -132,6 +132,8 @@ class EtaOrder(LinearOrder):
     dense = True
 
     def __init__(self):
+        from .rationals import rational_at  # only eta orders index rationals
+
         # placing piece n compares it with O(log n) placed pieces, each
         # asked about again for every later piece: look each q_n up once
         self._q = cache(rational_at)

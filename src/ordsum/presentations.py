@@ -14,15 +14,23 @@ the ASCII digits 0-9, in any terms ("1/3", "2/6"), or as a bare
 integer ("0", "1");
 `format_presentation` always writes lowest terms.  Signs, decimals,
 exponents and anything else are rejected with PresentationError, as is
-a malformed line.
+a malformed line.  A file of more than MAX_FILE_PIECES piece lines is
+refused with PreconditionError before any piece is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import parse_rational
-from .tnorm import FinitePresentation, Label, Piece, PieceGenerator, TNorm
+from .tnorm import (
+    FinitePresentation,
+    Label,
+    Piece,
+    PieceGenerator,
+    PreconditionError,
+    TNorm,
+    parse_rational,
+)
 
 __all__ = [
     "PresentationError",
@@ -32,6 +40,10 @@ __all__ = [
 ]
 
 HEADER = "tnorm v1"
+# `iso` of a file against itself builds both signatures and prints a line
+# per entry; at 20,000 alternating P/L pieces that takes about 0.9 s at
+# 37 MB, and every command on such a file takes less (README)
+MAX_FILE_PIECES = 20_000
 
 
 class PresentationError(ValueError):
@@ -80,6 +92,9 @@ def parse_presentation_text(text: str) -> TNorm:
     ]
     if not rows or rows[0][1] != HEADER:
         raise PresentationError(f'first line must be "{HEADER}"')
+    count = sum(line.split(None, 1)[0] == "piece" for _, line in rows)
+    if count > MAX_FILE_PIECES:
+        raise PreconditionError(f"{count} piece lines exceed the limit of {MAX_FILE_PIECES}")
     pieces: list[Piece] = []
     family: TNorm | None = None
     for lineno, line in rows[1:]:

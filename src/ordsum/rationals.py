@@ -10,7 +10,9 @@ phi(d) reduced numerators in ascending order.  Every rational in [0, 1]
 appears exactly once, so the enumeration has an exact inverse
 (`rational_index`) and a least-index search over intervals
 (`min_entry_in`).  All arithmetic is `fractions.Fraction` or `int`;
-nothing here is approximate.
+nothing here is approximate.  Checking that a point lies in [0, 1] and
+parsing a rational from text are `tnorm`'s (`check_unit`,
+`parse_rational`); only code that indexes rationals loads this module.
 
 Index arithmetic never walks the enumeration across denominators.
 The entries with denominator <= d number C(d) = 1 + Phi(d), where
@@ -45,7 +47,6 @@ denominators go.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -53,9 +54,9 @@ from functools import cache
 from itertools import accumulate
 from math import isqrt
 
+from .tnorm import check_unit
+
 __all__ = [
-    "check_unit",
-    "parse_rational",
     "rational_at",
     "rational_index",
     "rational_indices",
@@ -64,9 +65,6 @@ __all__ = [
     "fractions_up_to",
     "count_up_to",
 ]
-
-# ASCII digits, unlike `\d`; `re` compiles it on first use, as most commands parse none
-_RATIONAL = r"([0-9]+)(?:/([0-9]+))?"
 
 _TABLE_LIMIT = 1024
 # A batch's sieve ends near _SIEVE_SCALE * D^(2/3) for its largest
@@ -111,27 +109,6 @@ def _count_table(limit: int) -> Sequence[int]:
 def _fixed_table() -> Sequence[int]:
     """counts[d] for d <= _TABLE_LIMIT, built on first use and never changed."""
     return _count_table(_TABLE_LIMIT)
-
-
-def check_unit(q: Fraction) -> Fraction:
-    """Return q unchanged, raising ValueError unless 0 <= q <= 1."""
-    if not isinstance(q, Fraction):
-        raise ValueError(f"expected a Fraction, got {q!r}")
-    # a Fraction's denominator is positive, so integer comparisons decide it
-    if not 0 <= q.numerator <= q.denominator:
-        raise ValueError(f"{q} lies outside [0, 1]")
-    return q
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (lowest terms not required) or a bare integer."""
-    m = re.fullmatch(_RATIONAL, text.strip())
-    if m is None:
-        raise ValueError(f"not a rational: {text!r}")
-    num, den = int(m[1]), int(m[2] or 1)
-    if den == 0:
-        raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
 
 
 def _sieve_limit(max_denominator: int) -> int:

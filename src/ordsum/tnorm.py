@@ -16,10 +16,15 @@ everything not yet enumerated, so evaluation at truncation N carries
 the exact error bound 2 * tail_length_bound(N).  A
 `FinitePresentation` lists its pieces, evaluates exactly, and answers
 the rest trivially: it is its own truncation, with tail bound 0.
+
+Every point of [0, 1] the package takes is checked here (`check_unit`),
+and every rational it reads is parsed here (`parse_rational`), so a
+command that indexes no rational never loads `rationals`.
 """
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from enum import Enum
@@ -27,9 +32,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, pairwise, product
 from math import ceil, lcm
 
-from .rationals import check_unit
-
 __all__ = [
+    "check_unit",
+    "parse_rational",
     "Label",
     "Record",
     "Piece",
@@ -49,6 +54,31 @@ __all__ = [
     "uncovered",
     "first_shared_endpoint",
 ]
+
+
+# ASCII digits, unlike `\d`; `re` compiles it on first use, as most commands parse none
+_RATIONAL = r"([0-9]+)(?:/([0-9]+))?"
+
+
+def check_unit(q: Fraction) -> Fraction:
+    """Return q unchanged, raising ValueError unless 0 <= q <= 1."""
+    if not isinstance(q, Fraction):
+        raise ValueError(f"expected a Fraction, got {q!r}")
+    # a Fraction's denominator is positive, so integer comparisons decide it
+    if not 0 <= q.numerator <= q.denominator:
+        raise ValueError(f"{q} lies outside [0, 1]")
+    return q
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" (lowest terms not required) or a bare integer."""
+    m = re.fullmatch(_RATIONAL, text.strip())
+    if m is None:
+        raise ValueError(f"not a rational: {text!r}")
+    num, den = int(m[1]), int(m[2] or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 class PreconditionError(ValueError):
@@ -345,9 +375,13 @@ class PieceGenerator(TNorm):
         return sorted((self.piece_at(n) for n in range(depth)), key=lambda p: p.lo)
 
     def truncation(self, n: int) -> FinitePresentation:
-        """Finite t-norm from the first n generated pieces."""
+        """Finite t-norm from the first n generated pieces.
+
+        They come from `entries`, already left to right, so sorting them
+        again costs one comparison of endpoints per piece.
+        """
         check_lazy_depth(n)
-        return FinitePresentation(tuple(self.piece_at(k) for k in range(n)))
+        return FinitePresentation(tuple(e for e in self.entries(n) if e.label is not Label.M))
 
     def eval(self, x: Fraction, y: Fraction) -> Fraction:
         raise PreconditionError("exact eval needs a finite presentation")

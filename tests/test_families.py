@@ -11,7 +11,7 @@ from ordsum.families import LadderGenerator
 from ordsum.orders import OrderPieceGenerator
 from ordsum.presentations import parse_presentation_text
 from ordsum.signature import Label, compute_signature
-from ordsum.tnorm import IDEMPOTENT, InPiece, Piece, check_axioms, sort_pieces
+from ordsum.tnorm import IDEMPOTENT, FinitePresentation, InPiece, Piece, check_axioms, sort_pieces
 
 F = Fraction
 
@@ -138,6 +138,15 @@ def test_entries_match_the_sorted_route(family):
     t = parse_presentation_text(f"tnorm v1\nfamily {family}\n")
     for depth in range(1, 65):
         assert compute_signature(t, depth).entries == entries_by_sorting(t, depth)
+
+
+@pytest.mark.parametrize("family", LAZY_FAMILIES)
+def test_truncation_matches_the_generated_pieces(family):
+    # a truncation takes its pieces from `entries`, left to right
+    t = parse_presentation_text(f"tnorm v1\nfamily {family}\n")
+    for n in range(1, 61):
+        expected = FinitePresentation(tuple(t.piece_at(k) for k in range(n))).pieces
+        assert t.truncation(n).pieces == expected
 
 
 def test_signature_prefix_and_axioms():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ordsum.orders as orders
+import ordsum.rationals as rationals
 from ordsum.orders import (
     EtaOrder,
     FiniteOrder,
@@ -466,15 +466,16 @@ def test_certified_gaps_eta_empty():
 
 def test_eta_looks_each_rational_up_once(monkeypatch):
     # placing piece n compares it with O(log n) placed pieces, and each of
-    # them is compared again for later pieces
+    # them is compared again for later pieces; EtaOrder looks rational_at
+    # up in `rationals` when it is made
     asked = Counter()
-    rational_at = orders.rational_at
+    rational_at = rationals.rational_at
 
     def counting(n):
         asked[n] += 1
         return rational_at(n)
 
-    monkeypatch.setattr(orders, "rational_at", counting)
+    monkeypatch.setattr(rationals, "rational_at", counting)
     compute_signature(OrderPieceGenerator(EtaOrder()), 200)
     assert sorted(asked) == list(range(2, 202)) and max(asked.values()) == 1
 

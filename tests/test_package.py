@@ -203,9 +203,11 @@ FILES = {
     "cantor.tnorm": "family cantor cantor:svc",
     "theta.tnorm": "family theta omega",
     "ladder.tnorm": "family limit-left",
+    "eta.tnorm": "family theta eta",
 }
-# `main` maps tnorm's PreconditionError to exit 3, and tnorm loads rationals
-BASE = {"rationals", "tnorm"}
+# `main` maps tnorm's PreconditionError to exit 3; only code that indexes
+# rationals, `l1` and eta orders, loads `rationals`
+BASE = {"tnorm"}
 READS_FILE = BASE | {"presentations"}
 
 COMMANDS = [
@@ -214,13 +216,15 @@ COMMANDS = [
     ("surface finite.tnorm 3", READS_FILE),
     ("signature finite.tnorm", READS_FILE | {"signature"}),
     ("iso finite.tnorm finite.tnorm", READS_FILE | {"iso", "signature"}),
-    ("theta finite.tnorm 4", READS_FILE | {"l1", "signature"}),
+    ("theta finite.tnorm 4", READS_FILE | {"l1", "rationals", "signature"}),
     ("eval cantor.tnorm 1/3 2/5", READS_FILE | {"cantor"}),
     ("eval theta.tnorm 1/3 2/5", READS_FILE | {"orders"}),
+    ("eval eta.tnorm 1/3 2/5", READS_FILE | {"orders", "rationals"}),
     ("eval ladder.tnorm 1/3 2/5", READS_FILE | {"families"}),
     ("from-lo omega 3", BASE | {"orders"}),
+    ("from-lo eta 3", BASE | {"orders", "rationals"}),
     ("cantor cantor:svc 2", BASE | {"cantor"}),
-    ("roundtrip omega 3", BASE | {"l1", "orders", "signature"}),
+    ("roundtrip omega 3", BASE | {"l1", "orders", "rationals", "signature"}),
 ]
 
 

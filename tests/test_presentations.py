@@ -1,11 +1,17 @@
 """Presentation file round trips and rejection cases."""
 
 from fractions import Fraction as F
+from itertools import pairwise
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ordsum.presentations as presentations
 from conftest import LAZY_FAMILY_LINES, PAIR_A
+from ordsum.cli import main
 from ordsum.presentations import (
+    MAX_FILE_PIECES,
     PresentationError,
     format_presentation,
     parse_presentation_text,
@@ -87,6 +93,64 @@ def test_lazy_family_round_trip(line):
     t = parse_presentation_text(text)
     assert t.family == line
     assert format_presentation(t) == text
+    assert parse_presentation_text(format_presentation(t)).entries(20) == t.entries(20)
+
+
+@st.composite
+def finite_files(draw):
+    """(file text, its pieces as (lo, hi, label) sorted by lo).
+
+    Up to 40 pieces whose ends are cuts over one denominator, so
+    neighbours may share an end and 0 and 1 may be ends; each end is
+    written over a multiple of that denominator, and the lines come in
+    any order.
+    """
+    den = draw(st.integers(1, 200))
+    cuts = sorted(draw(st.sets(st.integers(0, den), max_size=41)))
+    kept = [pair for pair in pairwise(cuts) if draw(st.booleans())]
+    pieces, lines, scale = [], [], st.integers(1, 4)
+    for a, b in kept:
+        label, k, m = draw(st.sampled_from("PL")), draw(scale), draw(scale)
+        pieces.append((F(a, den), F(b, den), Label(label)))
+        lines.append(f"piece {a * k}/{den * k} {b * m}/{den * m} {label}")
+    return "\n".join(["tnorm v1", *draw(st.permutations(lines))]) + "\n", pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=finite_files())
+def test_format_then_parse_gives_the_same_pieces(drawn):
+    text, pieces = drawn
+    t = parse_presentation_text(text)
+    assert [(p.lo, p.hi, p.label) for p in t.pieces] == pieces
+    assert parse_presentation_text(format_presentation(t)).pieces == t.pieces
+
+
+def alternating_pieces(n):
+    """A file of n pieces, P and L in turn, with a gap before, between and after them."""
+    lines = (f"piece {2 * k + 1}/{2 * n + 1} {2 * k + 2}/{2 * n + 1} {'PL'[k % 2]}"
+             for k in range(n))
+    return "\n".join(["tnorm v1", *lines]) + "\n"
+
+
+def test_a_file_at_the_piece_cap_loads():
+    t = parse_presentation_text(alternating_pieces(MAX_FILE_PIECES))
+    assert len(t.pieces) == MAX_FILE_PIECES
+
+
+@pytest.mark.parametrize("command", ["signature", "iso"])
+def test_one_piece_line_over_the_cap_exits_3(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "over.tnorm"
+    path.write_text(alternating_pieces(MAX_FILE_PIECES + 1))
+
+    def no_piece(*args):
+        raise AssertionError("a piece was built before the cap was checked")
+
+    monkeypatch.setattr(presentations, "Piece", no_piece)
+    files = [str(path)] * (2 if command == "iso" else 1)
+    assert main([command, *files]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {MAX_FILE_PIECES + 1} piece lines exceed the limit of {MAX_FILE_PIECES}\n"
 
 
 @pytest.mark.parametrize(

@@ -17,16 +17,15 @@ from ordsum.rationals import (
     _IndexCounter,
     _count_table,
     _sieve_limit,
-    check_unit,
     count_up_to,
     fractions_up_to,
     min_entry_in,
     min_rational_in,
-    parse_rational,
     rational_at,
     rational_index,
     rational_indices,
 )
+from ordsum.tnorm import check_unit, parse_rational
 
 
 def brute_enumeration(max_denominator: int) -> list[Fraction]:

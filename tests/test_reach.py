@@ -46,6 +46,10 @@ REACH_EXEMPT = {
     ("presentations", "format_presentation"): "paper API (test_package.PAPER_API)",
     ("orders", "OrderPieceGenerator.certified_m_gaps"): "a view of `entries` that "
     "perfbench/tracing.py wraps by name; no command asks for the gaps alone",
+    ("orders", "OrderPieceGenerator.piece_at"): "the generator contract, which "
+    "perfbench/tracing.py wraps by name; truncations and signatures read `entries`",
+    ("cantor", "CantorGapGenerator.piece_at"): "the generator contract, which "
+    "perfbench/tracing.py wraps by name; truncations and signatures read `entries`",
     ("tnorm", "Record.__hash__"): "keeps records hashable, which __eq__ alone would undo",
     ("families", "LadderGenerator.locate"): "no command or benchmark operation "
     "places a point on a ladder",
