@@ -21,17 +21,14 @@ from __future__ import annotations
 import os
 import sys
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import chain, islice
 from math import gcd
 
 # Every command loads `tnorm`: `main` maps `PreconditionError` to exit 3.
 # Each command imports any other module it runs inside its function,
-# `presentations` and `rationals` too, so a command loads only what it
-# uses.
+# `presentations` too, so a command loads only what it uses.
 from .tnorm import (
     MAX_LAZY_PIECES,
-    Label,
     PieceGenerator,
     PreconditionError,
     UnknownAtDepth,
@@ -145,31 +142,12 @@ def _cmd_cantor(system: str, depth: int):
 
 
 def _cmd_roundtrip(order: str, count: int):
-    from .l1 import theta
-    from .orders import FiniteOrder, build_intervals, order_tnorm, parse_order
-    from .rationals import _IndexCounter, min_rational_in
+    from .l1 import order_roundtrip
+    from .orders import parse_order
 
     if count > MAX_ROUNDTRIP_PIECES:
         raise PreconditionError(f"count {count} exceeds the limit of {MAX_ROUNDTRIP_PIECES} pieces")
-    order = parse_order(order)
-    values = [min_rational_in(lo, hi) for lo, hi in build_intervals(order, count)]
-    if order.size is not None:
-        # theta's depth truncates only a lazy presentation, so a finite one
-        # encodes just these `count` elements; placement never moves an
-        # earlier interval, so their intervals are the ones above
-        order = FiniteOrder(order.ranks[:count])
-    t = order_tnorm(order)
-    # one batch for the command: theta's witnesses have the same denominators
-    counter = _IndexCounter(max(q.denominator for q in values))
-    witness_piece = {idx: n for n, idx in enumerate(counter.indices(values))}
-    size = 1 + max(witness_piece)
-    s = theta(t, size, depth=count, counter=counter)
-    rp = [idx for idx, label in s.entries if label is Label.P]
-    recovered = [witness_piece.get(idx, -1) for idx in rp]
-    ascending = cmp_to_key(lambda m, n: -1 if order.less(m, n) else 1)
-    expected = sorted(range(count), key=ascending)
-    no_l = all(label is not Label.L for _, label in s.entries)
-    ok = recovered == expected and no_l and set(rp) == set(witness_piece)
+    size, recovered, expected, ok = order_roundtrip(parse_order(order), count)
     lines = (f"pieces {count} size {size}", "recovered " + " ".join(map(str, recovered)),
              "expected " + " ".join(map(str, expected)), "PASS" if ok else "FAIL")
     return 0 if ok else 1, [f"{line}\n" for line in lines]

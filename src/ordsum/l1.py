@@ -9,13 +9,16 @@ relations rp / rl / rm and the order relation from it.  Two
 independent routes compute the same structure: `theta` reads the
 signature from `compute_signature`, `theta_by_probing` asks only
 idempotence and product questions with bounded quantifier scans.
+`order_roundtrip` runs the order -> t-norm -> index structure leg of
+the reduction and reads the order back off the chain.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .rationals import _IndexCounter, count_up_to, fractions_up_to, min_rational_in, rational_at
 from .signature import Label, compute_signature
@@ -33,6 +36,7 @@ __all__ = [
     "SubbasisRecord",
     "theta",
     "theta_by_probing",
+    "order_roundtrip",
     "subbasis_predicates",
     "l1_iso_finite",
     "format_l1",
@@ -117,6 +121,38 @@ def theta(
             kept.append((value, e.label))
     indices = counter.indices([value for value, _ in kept])
     return L1Structure(size, tuple(zip(indices, (label for _, label in kept))), qualified)
+
+
+def order_roundtrip(order, count: int) -> tuple[int, list[int], list[int], bool]:
+    """Encode the first `count` elements of an order, index the image, read the order back.
+
+    `order` is a `LinearOrder`.  Each element's interval holds a P
+    piece, whose least-index rational is its witness; `size` is one
+    more than the largest witness index, so every witness lies below
+    it.  `recovered` lists the element of each P entry of `theta` at
+    that size in chain order (-1 for an index that is no witness), and
+    `expected` the elements in the order's order.  `ok` holds when the
+    two agree and no L entry appears: `expected` lists `count` distinct
+    elements, so the P entries are then exactly the witnesses.
+    """
+    # on use: `theta` and the probe load no order code
+    from .orders import FiniteOrder, build_intervals, order_tnorm
+
+    values = [min_rational_in(lo, hi) for lo, hi in build_intervals(order, count)]
+    if order.size is not None:
+        # theta's depth truncates only a lazy presentation, so a finite one
+        # encodes just these `count` elements; placement never moves an
+        # earlier interval, so their intervals are the ones above
+        order = FiniteOrder(order.ranks[:count])
+    # one batch for the round trip: theta's witnesses have the same denominators
+    counter = _IndexCounter(max(q.denominator for q in values))
+    witness_piece = {idx: n for n, idx in enumerate(counter.indices(values))}
+    size = 1 + max(witness_piece)
+    s = theta(order_tnorm(order), size, depth=count, counter=counter)
+    recovered = [witness_piece.get(idx, -1) for idx, label in s.entries if label is Label.P]
+    expected = sorted(range(count), key=cmp_to_key(lambda m, n: -1 if order.less(m, n) else 1))
+    ok = recovered == expected and all(label is not Label.L for _, label in s.entries)
+    return size, recovered, expected, ok
 
 
 def theta_by_probing(t: TNorm, size: int, denominator_limit: int = 32) -> L1Structure:
@@ -244,16 +280,21 @@ def _l1_blocks(s: L1Structure) -> Iterator[str]:
         member_text = " ".join(map(str, sorted(groups[label])))
         yield f"{name}: {member_text}".rstrip() + "\n"
     # one `less: m n` line per pair, by (m, n): walking the chain right
-    # to left, `after` holds the indices placed after m, ascending
+    # to left, `after` holds the indices placed after m, ascending, and
+    # `after_text` their texts, so each index is written once
+    text = {n: str(n) for n in s.chain()}
     after: list[int] = []
-    placed_after: dict[int, tuple[int, ...]] = {}
+    after_text: list[str] = []
+    placed_after: dict[int, tuple[str, ...]] = {}
     for m in reversed(s.chain()):
         if after:
-            placed_after[m] = tuple(after)
-        insort(after, m)
+            placed_after[m] = tuple(after_text)
+        i = bisect_left(after, m)
+        after.insert(i, m)
+        after_text.insert(i, text[m])
     for m in sorted(placed_after):
-        head = f"less: {m} "
-        yield head + f"\n{head}".join(map(str, placed_after[m])) + "\n"
+        head = f"less: {text[m]} "
+        yield head + f"\n{head}".join(placed_after[m]) + "\n"
 
 
 def format_l1(s: L1Structure) -> str:

@@ -12,7 +12,6 @@ encodings) reads it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import pairwise
 
 from .tnorm import (
     Label,
@@ -21,6 +20,7 @@ from .tnorm import (
     Record,
     TNorm,
     check_lazy_depth,
+    check_left_to_right,
     first_shared_endpoint,
 )
 
@@ -38,13 +38,7 @@ class Signature(Record):
     __slots__ = ("entries", "truncation_depth")
 
     def __init__(self, entries: Iterable[Piece], truncation_depth: int | None = None):
-        entries = tuple(entries)
-        for a, b in pairwise(entries):
-            if a.hi > b.lo:
-                raise ValueError(f"pieces overlap or are out of order: {a.hi} > {b.lo}")
-            if a.hi == b.lo and a.label is Label.M and b.label is Label.M:
-                raise ValueError("two adjacent M entries would merge; signature malformed")
-        self.entries, self.truncation_depth = entries, truncation_depth
+        self.entries, self.truncation_depth = check_left_to_right(entries), truncation_depth
 
     @property
     def complete(self) -> bool:
@@ -81,5 +75,10 @@ def signature_lines(sig: Signature) -> Iterator[str]:
     """The signature dump, one newline-terminated line at a time."""
     depth = "-" if sig.truncation_depth is None else str(sig.truncation_depth)
     yield f"signature v1 complete={'true' if sig.complete else 'false'} depth={depth}\n"
+    # an entry that starts on the very end its left neighbour stopped on
+    # reuses that end's text; every M gap of a shipped presentation does
+    end, end_text = None, ""
     for e in sig.entries:
-        yield f"{e.label.value} {e.lo} {e.hi}\n"
+        lo_text = end_text if e.lo is end else str(e.lo)
+        end, end_text = e.hi, str(e.hi)
+        yield f"{e.label.value} {lo_text} {end_text}\n"

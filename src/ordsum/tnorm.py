@@ -38,6 +38,7 @@ __all__ = [
     "Label",
     "Record",
     "Piece",
+    "check_left_to_right",
     "sort_pieces",
     "FinitePresentation",
     "PieceGenerator",
@@ -154,13 +155,27 @@ class Piece(Record):
         return ceil((self.hi - self.lo) / (self.hi - q))
 
 
-def sort_pieces(pieces) -> tuple[Piece, ...]:
-    """`pieces` sorted by lo; raises ValueError when two overlap as open intervals."""
-    ordered = tuple(sorted(pieces, key=lambda p: p.lo))
-    for a, b in pairwise(ordered):
+def check_left_to_right(entries) -> tuple[Piece, ...]:
+    """`entries` as a tuple, checked to run left to right.
+
+    Raises ValueError when an entry ends after the next one begins, or
+    when two M entries touch, since they would be one idempotent interval.
+    """
+    entries = tuple(entries)
+    for a, b in pairwise(entries):
         if a.hi > b.lo:
-            raise ValueError(f"pieces overlap: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})")
-    return ordered
+            raise ValueError(
+                f"pieces overlap or are out of order: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})"
+            )
+        # the labels first: a P or L entry costs one Fraction comparison
+        if a.label is Label.M and b.label is Label.M and a.hi == b.lo:
+            raise ValueError("two adjacent M entries would merge; signature malformed")
+    return entries
+
+
+def sort_pieces(pieces) -> tuple[Piece, ...]:
+    """`pieces` sorted by lo, checked by `check_left_to_right`."""
+    return check_left_to_right(sorted(pieces, key=lambda p: p.lo))
 
 
 def uncovered(spans) -> list[tuple[Fraction, Fraction]]:
@@ -268,9 +283,13 @@ class FinitePresentation(TNorm):
         return b * q * d, b * m * (p * d - c * q), a * q * d * m, b * q * d * m
 
     def entries(self, depth: int | None = None) -> tuple[Piece, ...]:
-        """The signature entries left to right: the pieces, and as M entries the gaps."""
+        """The signature entries left to right: the pieces, and as M entries the gaps.
+
+        They are sorted but not checked: the pieces were checked when
+        this presentation was made, and a `Signature` checks its entries.
+        """
         gaps = (Piece(lo, hi, Label.M) for lo, hi in uncovered((p.lo, p.hi) for p in self.pieces))
-        return sort_pieces((*self.pieces, *gaps))
+        return tuple(sorted((*self.pieces, *gaps), key=lambda p: p.lo))
 
     def truncation(self, n: int) -> FinitePresentation:
         return self

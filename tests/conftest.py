@@ -1,12 +1,19 @@
 """Shared finite-presentation corpus for cross-module tests.
 
 Every piece here is wider than 1/28, so the denominator-32 probing
-scans in the index-structure tests resolve all of them.
+scans in the index-structure tests resolve all of them.  Beside it:
+a hypothesis strategy for finite presentation files, and a loader for
+the benchmark's own modules.
 """
 
+import importlib.util
+import sys
 from fractions import Fraction as F
+from itertools import pairwise
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from ordsum.orders import FiniteOrder, order_tnorm
 from ordsum.tnorm import FinitePresentation, Label, Piece
@@ -85,3 +92,41 @@ LAZY_FAMILY_LINES = [
 @pytest.fixture(scope="session")
 def finite_corpus():
     return list(FINITE_CORPUS)
+
+
+@st.composite
+def finite_files(draw):
+    """(file text, its pieces as (lo, hi, label) sorted by lo).
+
+    Up to 40 pieces whose ends are cuts over one denominator, so
+    neighbours may share an end and 0 and 1 may be ends; each end is
+    written over a multiple of that denominator, and the lines come in
+    any order.
+    """
+    den = draw(st.integers(1, 200))
+    cuts = sorted(draw(st.sets(st.integers(0, den), max_size=41)))
+    kept = [pair for pair in pairwise(cuts) if draw(st.booleans())]
+    pieces, lines, scale = [], [], st.integers(1, 4)
+    for a, b in kept:
+        label, k, m = draw(st.sampled_from("PL")), draw(scale), draw(scale)
+        pieces.append((F(a, den), F(b, den), Label(label)))
+        lines.append(f"piece {a * k}/{den * k} {b * m}/{den * m} {label}")
+    return "\n".join(["tnorm v1", *draw(st.permutations(lines))]) + "\n", pieces
+
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def perfbench(name):
+    """The benchmark's module `name`, loaded from its file and only read.
+
+    It is registered under its own name, as the benchmark imports it,
+    after `oracles`, which the benchmark's other modules import.
+    """
+    for each in dict.fromkeys(("oracles", name)):
+        if each not in sys.modules:
+            spec = importlib.util.spec_from_file_location(each, PERFBENCH / f"{each}.py")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[each] = module
+            spec.loader.exec_module(module)
+    return sys.modules[name]

@@ -1,6 +1,7 @@
 """Index structures over the rational enumeration: both routes, frozen values."""
 
 import itertools
+import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from conftest import (
     PAIR_A,
     PAIR_A_SWAPPED,
     PAIR_B,
+    perfbench,
     relations,
     tn,
 )
@@ -24,11 +26,12 @@ from ordsum.l1 import (
     SubbasisRecord,
     format_l1,
     l1_iso_finite,
+    order_roundtrip,
     subbasis_predicates,
     theta,
     theta_by_probing,
 )
-from ordsum.orders import parse_order, order_tnorm
+from ordsum.orders import NAMED_ORDERS, FiniteOrder, parse_order, order_tnorm
 from ordsum.presentations import parse_presentation_text
 from ordsum.rationals import (
     _IndexCounter,
@@ -543,3 +546,30 @@ class TestDumpFormat:
     def test_qualified_flag_shows(self):
         text = format_l1(theta(order_tnorm(parse_order("eta")), 2, depth=4))
         assert text.startswith("l1 v1 n=2 qualified=true\n")
+
+
+class TestOrderRoundtrip:
+    """`order_roundtrip` against the benchmark's independent oracles."""
+
+    oracles = perfbench("oracles")
+
+    def check(self, order, reference, count):
+        size, recovered, expected, ok = order_roundtrip(order, count)
+        witnesses = [self.oracles.least_entry(lo, hi, False)[0]
+                     for lo, hi in self.oracles.order_intervals(reference, count)]
+        assert ok
+        assert size == 1 + max(witnesses)
+        assert recovered == expected == reference.sorted(count)
+
+    @pytest.mark.parametrize("name", NAMED_ORDERS)
+    def test_every_named_order(self, name):
+        for count in range(1, 15):
+            self.check(parse_order(name), self.oracles.ORDERS[name], count)
+
+    def test_random_finite_orders(self):
+        rng = random.Random(0)
+        for _ in range(30):
+            ranks = rng.sample(range(12), rng.randint(1, 12))
+            # the oracle's finite orders rank 0..k-1, so rank the sample densely
+            dense = [sorted(ranks).index(r) for r in ranks]
+            self.check(FiniteOrder(ranks), self.oracles.finite_order(dense), rng.randint(1, len(ranks)))

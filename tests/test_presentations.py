@@ -1,14 +1,12 @@
 """Presentation file round trips and rejection cases."""
 
 from fractions import Fraction as F
-from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ordsum.presentations as presentations
-from conftest import LAZY_FAMILY_LINES, PAIR_A
+from conftest import LAZY_FAMILY_LINES, PAIR_A, finite_files
 from ordsum.cli import main
 from ordsum.presentations import (
     MAX_FILE_PIECES,
@@ -94,26 +92,6 @@ def test_lazy_family_round_trip(line):
     assert t.family == line
     assert format_presentation(t) == text
     assert parse_presentation_text(format_presentation(t)).entries(20) == t.entries(20)
-
-
-@st.composite
-def finite_files(draw):
-    """(file text, its pieces as (lo, hi, label) sorted by lo).
-
-    Up to 40 pieces whose ends are cuts over one denominator, so
-    neighbours may share an end and 0 and 1 may be ends; each end is
-    written over a multiple of that denominator, and the lines come in
-    any order.
-    """
-    den = draw(st.integers(1, 200))
-    cuts = sorted(draw(st.sets(st.integers(0, den), max_size=41)))
-    kept = [pair for pair in pairwise(cuts) if draw(st.booleans())]
-    pieces, lines, scale = [], [], st.integers(1, 4)
-    for a, b in kept:
-        label, k, m = draw(st.sampled_from("PL")), draw(scale), draw(scale)
-        pieces.append((F(a, den), F(b, den), Label(label)))
-        lines.append(f"piece {a * k}/{den * k} {b * m}/{den * m} {label}")
-    return "\n".join(["tnorm v1", *draw(st.permutations(lines))]) + "\n", pieces
 
 
 @settings(max_examples=200, deadline=None)

@@ -126,6 +126,17 @@ def test_format_signature():
     )
 
 
+def test_dump_is_the_same_for_shared_and_equal_ends():
+    # an entry reuses its left neighbour's end text only when it starts
+    # on that very object; an equal but distinct end is written again
+    shared = compute_signature(tn(("1/4", "1/2", Label.P), ("1/2", "3/4", Label.L)))
+    assert shared.entries[1].lo is shared.entries[0].hi
+    equal = [Piece(F(e.lo.numerator, e.lo.denominator), F(e.hi.numerator, e.hi.denominator), e.label)
+             for e in shared.entries]
+    assert not any(a.hi is b.lo for a, b in zip(equal, equal[1:]))
+    assert list(signature_lines(Signature(equal))) == list(signature_lines(shared))
+
+
 # each lazy family, and the first depth at which its truncated signature
 # shows a successor pair (None: the family is dense and never shows one)
 FIRST_SUCCESSOR_DEPTH = {

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LAZY_FAMILY_LINES
+from conftest import LAZY_FAMILY_LINES, finite_files
 
 from ordsum.cli import GRID_21, LAZY_TRUNCATION, main
 from ordsum.presentations import format_presentation, parse_presentation_text
@@ -31,8 +31,10 @@ from ordsum.tnorm import (
     UnknownAtDepth,
     Violation,
     check_axioms,
+    check_left_to_right,
     find_idempotent_power,
     sort_pieces,
+    uncovered,
 )
 
 P = Label.P
@@ -94,6 +96,56 @@ def test_m_pieces_sort_with_the_others():
     assert sort_pieces((Piece(F(1, 3), F(1), P), m))[0] is m
     with pytest.raises(ValueError, match="pieces overlap"):
         sort_pieces((m, Piece(F(1, 4), F(1, 2), L)))
+
+
+def piece(lo, hi, label):
+    return Piece(F(lo), F(hi), label)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ((piece(0, "1/2", P), piece("1/3", 1, L)), r"overlap or are out of order: \(0, 1/2\) and"),
+    ((piece("1/2", 1, P), piece(0, "1/4", Label.M)), r"out of order: \(1/2, 1\) and \(0, 1/4\)"),
+    ((piece(0, "1/2", Label.M), piece("1/2", 1, Label.M)), "two adjacent M entries would merge"),
+])
+def test_left_to_right_check_refuses(entries, message):
+    with pytest.raises(ValueError, match=message):
+        check_left_to_right(entries)
+
+
+@pytest.mark.parametrize("entries", [
+    (piece(0, "1/2", P), piece("1/2", 1, L)),
+    (piece(0, "1/2", L), piece("1/2", 1, L)),
+    (piece(0, "1/2", Label.M), piece("1/2", 1, P)),
+    (piece(0, "1/3", P), piece("1/3", "2/3", Label.M), piece("2/3", 1, L)),
+    (piece(0, "1/4", Label.M), piece("1/2", 1, Label.M)),
+    (),
+])
+def test_left_to_right_check_passes_touching_entries(entries):
+    assert check_left_to_right(list(entries)) == entries
+
+
+def test_sort_pieces_refuses_with_the_same_message():
+    want = r"^pieces overlap or are out of order: \(0, 1/2\) and \(1/3, 1\)$"
+    with pytest.raises(ValueError, match=want):
+        sort_pieces((piece("1/3", 1, L), piece(0, "1/2", P)))
+
+
+def parent_sort_pieces(pieces):
+    """`sort_pieces` as it stood before the left-to-right check had one place."""
+    ordered = tuple(sorted(pieces, key=lambda p: p.lo))
+    for a, b in pairwise(ordered):
+        if a.hi > b.lo:
+            raise ValueError(f"pieces overlap: ({a.lo}, {a.hi}) and ({b.lo}, {b.hi})")
+    return ordered
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=finite_files())
+def test_finite_entries_come_sorted_without_a_second_check(drawn):
+    _, pieces = drawn
+    t = FinitePresentation(tuple(Piece(lo, hi, label) for lo, hi, label in pieces))
+    gaps = (Piece(lo, hi, Label.M) for lo, hi in uncovered((p.lo, p.hi) for p in t.pieces))
+    assert t.entries() == parent_sort_pieces((*t.pieces, *gaps))
 
 
 def test_piece_outside_unit_rejected():
