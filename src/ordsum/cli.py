@@ -33,6 +33,7 @@ from .tnorm import (
     PreconditionError,
     UnknownAtDepth,
     check_axioms,
+    parse_natural,
     parse_rational,
 )
 
@@ -196,13 +197,23 @@ COMMANDS = {
 INTEGER_WORDS = ("pieces", "depth", "size", "count", "grid")
 
 
+def _integer(word: str) -> int | None:
+    """The integer word `-?[0-9]+` as an int, or None outside that grammar."""
+    try:
+        return parse_natural(word.removeprefix("-")) * (-1 if word.startswith("-") else 1)
+    except PreconditionError:
+        raise
+    except ValueError:
+        return None
+
+
 def _parse(argv: list[str]):
     """The function of argv's command and its words, integer words converted.
 
     `-h` and `--help` are the only options: they print help and exit 0.
     A usage error writes the usage line and the error to stderr and exits
-    2, as argparse does.  An integer word is `-?[0-9]+` in ASCII digits,
-    like the digits of a rational or of a finite order's ranks.
+    2, as argparse does.  An integer word is `-?[0-9]+`, its digits read
+    by `parse_natural` like a rational's and a finite order's ranks.
     """
     name, *words = argv or [""]
     if name in COMMANDS:
@@ -211,33 +222,33 @@ def _parse(argv: list[str]):
         shown = [w.upper() for w in names[:required]]
         optional = [f"[{w.upper()}={d}]" for w, d in zip(names[required:], defaults)]
         usage = " ".join(["usage: ordsum", name, *shown, *optional])
-        if len(words) < required:
-            error = "missing " + " ".join(shown[len(words):])
-        elif len(words) > len(names):
-            error = "unexpected " + " ".join(words[len(names):])
-        else:
-            bad = [f"{w.upper()} is not an integer: {v!r}" for w, v in zip(names, words)
-                   if w in INTEGER_WORDS and not (v.isascii() and v.removeprefix("-").isdigit())]
-            error = bad[0] if bad else ""
     else:
         usage = "usage: ordsum COMMAND WORD..."
         text = "".join(["exact ordinal-sum t-norms: evaluation, signatures, isomorphism, and "
                         "order encodings\n"] + [f"\n  {c:10} {e[1]}" for c, e in COMMANDS.items()]
                        + ["\n\nordsum COMMAND -h shows the words of one command"])
-        error = f"unknown command {name!r}" if name else "a command is required"
     if "-h" in argv or "--help" in argv:
         sys.stdout.write(f"{usage}\n\n{text}\n")
         raise SystemExit(0)
+    if name not in COMMANDS:
+        error = f"unknown command {name!r}" if name else "a command is required"
+    elif len(words) < required:
+        error = "missing " + " ".join(shown[len(words):])
+    elif len(words) > len(names):
+        error = "unexpected " + " ".join(words[len(names):])
+    else:
+        values = [_integer(v) if w in INTEGER_WORDS else v for w, v in zip(names, words)]
+        error = next((f"{w.upper()} is not an integer: {v!r}"
+                      for w, v, n in zip(names, words, values) if n is None), "")
     if error:
         sys.stderr.write(f"{usage}\nordsum: error: {error}\n")
         raise SystemExit(2)
-    words += defaults[len(words) - required:]
-    return run, [int(v) if w in INTEGER_WORDS else v for w, v in zip(names, words)]
+    return run, values + list(defaults[len(words) - required:])
 
 
 def main(argv=None) -> int:
-    run, words = _parse(sys.argv[1:] if argv is None else argv)
     try:
+        run, words = _parse(sys.argv[1:] if argv is None else argv)
         code, texts = run(*words)
         try:
             sys.stdout.writelines(texts)  # a long dump is a generator that only formats

@@ -52,6 +52,7 @@ from .tnorm import (
     TNorm,
     UnknownAtDepth,
     check_unit,
+    parse_natural,
 )
 
 __all__ = [
@@ -222,19 +223,20 @@ NAMED_ORDERS = {
 def parse_order(spec: str) -> LinearOrder:
     """Order spec strings: a named order or "finite:3,0,2,1".
 
-    A rank is ASCII digits only; `int` would also take a sign, `_`,
-    spaces and other scripts' digits.  A malformed spec, repeated ranks
-    included, is a `ValueError`, so it reads as bad input wherever it
-    appears; `FiniteOrder` itself refuses repeats as a precondition.
+    A rank is read by `parse_natural`, as every number is.  A malformed
+    spec, repeated ranks included, is a `ValueError`, so it reads as bad
+    input wherever it appears; `FiniteOrder` itself refuses repeats.
     """
     spec = spec.strip()
     if spec in NAMED_ORDERS:
         return NAMED_ORDERS[spec]()
     if spec.startswith("finite:"):
-        parts = spec[len("finite:"):].split(",")
-        if not all(part.isascii() and part.isdigit() for part in parts):
-            raise ValueError(f"bad finite order spec: {spec!r}")
-        ranks = [int(part) for part in parts]
+        try:
+            ranks = [parse_natural(part) for part in spec[len("finite:"):].split(",")]
+        except PreconditionError:
+            raise
+        except ValueError:
+            raise ValueError(f"bad finite order spec: {spec!r}") from None
         if len(set(ranks)) != len(ranks):
             raise ValueError(f"finite order ranks must be distinct: {spec!r}")
         return FiniteOrder(ranks)
@@ -359,10 +361,6 @@ class OrderPieceGenerator(PieceGenerator):
                 out.append(Piece(lo, hi, Label.P))
             left, gap_lo = k, hi
         return out
-
-    def certified_m_gaps(self, depth: int) -> list[tuple[Fraction, Fraction]]:
-        """The M entries at this depth, as (lo, hi) pairs."""
-        return [(e.lo, e.hi) for e in self.entries(depth) if e.label is Label.M]
 
 
 def order_tnorm(order: LinearOrder) -> TNorm:

@@ -9,13 +9,12 @@ piece, while a lazy one names a single family:
     family theta <order-spec>
     family cantor <system-spec>
 
-Rationals are written "p/q" with non-negative integers p and q > 0 in
-the ASCII digits 0-9, in any terms ("1/3", "2/6"), or as a bare
-integer ("0", "1");
-`format_presentation` always writes lowest terms.  Signs, decimals,
-exponents and anything else are rejected with PresentationError, as is
-a malformed line.  A file of more than MAX_FILE_PIECES piece lines is
-refused with PreconditionError before any piece is read.
+Rationals are read by `tnorm.parse_rational`, "p/q" in any terms or a
+bare integer; `format_presentation` always writes lowest terms.  Any
+other token is rejected with PresentationError, as is a malformed line.
+A file of more than MAX_FILE_PIECES piece lines is refused with
+PreconditionError before any piece is read, and a number of more than
+`tnorm.MAX_DIGITS` digits when its line is read.
 """
 
 from __future__ import annotations
@@ -53,6 +52,8 @@ class PresentationError(ValueError):
 def _fraction(token: str) -> Fraction:
     try:
         return parse_rational(token)
+    except PreconditionError:
+        raise
     except ValueError:
         raise ValueError(f"bad rational {token!r}") from None
 
@@ -116,7 +117,9 @@ def parse_presentation_text(text: str) -> TNorm:
             else:
                 raise ValueError(f"unknown directive {fields[0]!r}")
         except ValueError as exc:
-            raise PresentationError(f"line {lineno}: {exc}") from None
+            # a number past the digit budget stays a PreconditionError: exit 3
+            kind = PreconditionError if isinstance(exc, PreconditionError) else PresentationError
+            raise kind(f"line {lineno}: {exc}") from None
     if family is not None:
         return family
     try:

@@ -18,13 +18,12 @@ the exact error bound 2 * tail_length_bound(N).  A
 the rest trivially: it is its own truncation, with tail bound 0.
 
 Every point of [0, 1] the package takes is checked here (`check_unit`),
-and every rational it reads is parsed here (`parse_rational`), so a
+and every number a user writes is read here (`parse_natural`), so a
 command that indexes no rational never loads `rationals`.
 """
 
 from __future__ import annotations
 
-import re
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from enum import Enum
@@ -34,6 +33,7 @@ from math import ceil, lcm
 
 __all__ = [
     "check_unit",
+    "parse_natural",
     "parse_rational",
     "Label",
     "Record",
@@ -57,10 +57,6 @@ __all__ = [
 ]
 
 
-# ASCII digits, unlike `\d`; `re` compiles it on first use, as most commands parse none
-_RATIONAL = r"([0-9]+)(?:/([0-9]+))?"
-
-
 def check_unit(q: Fraction) -> Fraction:
     """Return q unchanged, raising ValueError unless 0 <= q <= 1."""
     if not isinstance(q, Fraction):
@@ -71,19 +67,37 @@ def check_unit(q: Fraction) -> Fraction:
     return q
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (lowest terms not required) or a bare integer."""
-    m = re.fullmatch(_RATIONAL, text.strip())
-    if m is None:
-        raise ValueError(f"not a rational: {text!r}")
-    num, den = int(m[1]), int(m[2] or 1)
-    if den == 0:
-        raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
-
-
 class PreconditionError(ValueError):
     """An operation was invoked outside its stated preconditions."""
+
+
+# the most digits of one written number: a numerator, a denominator, an
+# integer word or a rank.  `int` of a long text is quadratic, and at 100
+# digits `surface` of `piece 1/D (D-1)/D P` at grid 1000 takes about 6 s
+# and `eval`'s value stays far below Python's 4,300-digit limit (README)
+MAX_DIGITS = 100
+
+
+def parse_natural(text: str) -> int:
+    """The one reader of every number a user writes: ASCII digits 0-9, at most MAX_DIGITS."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a natural number: {text!r}")
+    if len(text) > MAX_DIGITS:
+        raise PreconditionError(f"a number of {len(text)} digits exceeds the limit of {MAX_DIGITS}")
+    return int(text)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" (lowest terms not required) or a bare integer."""
+    num, slash, den = text.strip().partition("/")
+    try:
+        return Fraction(parse_natural(num), parse_natural(den) if slash else 1)
+    except PreconditionError:
+        raise
+    except ValueError:
+        raise ValueError(f"not a rational: {text!r}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 # piece n of an order family is 3^-(n+1) wide, its ends over 6^(n+1); at 3200

@@ -31,7 +31,7 @@ from ordsum.cli import (
 from ordsum.orders import _Placement
 from ordsum.presentations import load_presentation
 from ordsum.rationals import _IndexCounter
-from ordsum.tnorm import FinitePresentation
+from ordsum.tnorm import MAX_DIGITS, FinitePresentation
 
 PAIR_A_TEXT = "tnorm v1\npiece 1/4 1/2 P\npiece 1/2 3/4 L\n"
 PAIR_B_TEXT = "tnorm v1\npiece 1/10 1/5 P\npiece 1/5 9/10 L\n"
@@ -643,6 +643,48 @@ class TestLazyPieceBudget:
             assert capsys.readouterr() == default, n
 
 
+# each path a number takes in, with "{0}" for it and "@" for a file that
+# holds the text given, or PAIR_A_TEXT
+NUMBER_PATHS = [
+    ("integer word", None, ["signature", "@", "{0}"]),
+    ("x, numerator and denominator", None, ["eval", "@", "{0}/{0}", "1/3"]),
+    ("y, denominator", None, ["eval", "@", "1/3", "1/{0}"]),
+    ("finite rank", None, ["from-lo", "finite:0,{0}", "2"]),
+    ("file endpoint", "tnorm v1\npiece 1/{0} 1/2 P\n", ["eval", "@", "1/3", "1/3"]),
+    ("file rank", "tnorm v1\nfamily theta finite:1,{0}\n", ["eval", "@", "1/3", "1/3"]),
+]
+
+
+class TestDigitBudget:
+    @pytest.mark.parametrize("text, words", [p[1:] for p in NUMBER_PATHS],
+                             ids=[p[0] for p in NUMBER_PATHS])
+    def test_max_digits_is_read_and_one_more_is_not(self, text, words, write, capsys):
+        # 4,301 digits is past what int(str) itself refuses, with its own message
+        for digits, code in ((MAX_DIGITS, 0), (MAX_DIGITS + 1, 3), (4301, 3)):
+            number = "9" * digits
+            path = write("n", (text or PAIR_A_TEXT).format(number))
+            assert main([path if w == "@" else w.format(number) for w in words]) == code
+            out, err = capsys.readouterr()
+            if code == 3:
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert err.endswith(f"a number of {digits} digits exceeds the limit of {MAX_DIGITS}\n")
+
+    def test_a_value_at_the_cap_prints_in_full(self, write, capsys):
+        # its integers have about three times MAX_DIGITS digits, far below
+        # the 4,300 that int(str) and str(int) refuse by default
+        d = 10 ** (MAX_DIGITS - 1) + 7
+        lo, hi, x, y = F(1, d), F(1, 2), F(1, d - 5), F(1, 3)
+        path = write("cap", f"tnorm v1\npiece {lo} {hi} P\n")
+        assert main(["eval", path, str(x), str(y)]) == 0
+        assert capsys.readouterr().out == f"{lo + (x - lo) * (y - lo) / (hi - lo)}\n"
+
+    def test_help_wins_over_a_long_word(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["theta", "-h", "1" * (MAX_DIGITS + 1)])
+        assert (info.value.code, capsys.readouterr().err) == (0, "")
+
+
 def test_no_command_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])
@@ -790,7 +832,8 @@ def near(values, alphabet):
         lambda v: st.one_of(st.just(v), st.just(v), one_edit(v, alphabet)))
 
 
-# an integer word's edits add no digit, so an edited value stays small
+# an integer word's edits add no digit, so an edited value stays small;
+# long numbers come from LONG_WORDS
 INTEGER_EDITS = list("-+_ .x") + ["\u0661", "\u00b2"]
 RATIONAL_WORDS = near(RATIONALS, list("0123456789/-+. e") + ["\u0661"])
 TEXT_WORDS = {
@@ -834,6 +877,21 @@ def word(command, name):
     return TEXT_WORDS[name]
 
 
+# each word that holds a number, written with "{}" for it: the fuzz puts
+# a number past the digit budget there, of MAX_DIGITS + 1 digits or past
+# the 4,300 that int(str) refuses, and reruns the command with "1" there
+LONG_WORDS = {
+    "x": ["{0}", "1/{0}", "{0}/{0}"],
+    "y": ["{0}", "1/{0}", "{0}/{0}"],
+    "order": ["finite:{}", "finite:0,{}"],
+    "file": ["tnorm v1\npiece 0/{} 1/2 P\n", "tnorm v1\npiece 1/4 1/{} L\n",
+             "tnorm v1\nfamily theta finite:0,{}\n"],
+    **{name: ["{}", "-{}"] for name in INTEGER_WORDS},
+}
+LONG_NUMBERS = st.builds(str.__mul__, st.sampled_from("0123456789"),
+                         st.sampled_from([MAX_DIGITS + 1, 4301]))
+
+
 def run_main(argv):
     """(exit code, stdout, stderr) of main in process; a SystemExit's code as ("exit", code)."""
     out, err = io.StringIO(), io.StringIO()
@@ -855,16 +913,36 @@ def fuzz_dir(tmp_path_factory):
 def test_every_command_keeps_the_exit_code_contract(fuzz_dir, data):
     command = data.draw(st.sampled_from(sorted(COMMANDS)))
     _, _, names, defaults = COMMANDS[command]
-    argv = [command]
+    argv, short, long = [command], [command], False  # short: each long number cut to "1"
     for name in names[: data.draw(st.integers(len(names) - len(defaults), len(names)))]:
-        if name.startswith("file"):
-            path = fuzz_dir / f"{len(argv)}.tnorm"
-            path.write_bytes(data.draw(presentations))
-            argv.append(data.draw(st.sampled_from([str(path), str(path), "missing.tnorm"])))
+        kind = "file" if name.startswith("file") else name
+        if kind in LONG_WORDS and data.draw(st.integers(0, 5)) == 0:
+            long = True
+            template = data.draw(st.sampled_from(LONG_WORDS[kind]))
+            words = [template.format(data.draw(LONG_NUMBERS)), template.format("1")]
+        elif kind == "file":
+            words = [data.draw(presentations)] * 2
         else:
-            argv.append(data.draw(word(command, name)))
+            words = [data.draw(word(command, name))] * 2
+        if kind == "file":
+            paths = [fuzz_dir / f"{len(argv)}{side}.tnorm" for side in ("", "short")]
+            for path, text in zip(paths, words):
+                path.write_bytes(text if isinstance(text, bytes) else text.encode())
+            missing = data.draw(st.sampled_from([False, False, True]))
+            words = ["missing.tnorm"] * 2 if missing else [str(path) for path in paths]
+        argv.append(words[0])
+        short.append(words[1])
     code, out, err = first = run_main(argv)
     assert run_main(argv) == first
+    if long:
+        # a long number never lets a run through: it exits 3 where the same
+        # run with short numbers gets past it, and at worst 2 where that one
+        # meets a malformed word
+        short_code = run_main(short)[0]
+        assert code == 3 or (code in (2, ("exit", 2)) and short_code in (2, ("exit", 2))), (
+            code, short_code, err[:200])
+        if short_code in (0, 1, 4):
+            assert f"digits exceeds the limit of {MAX_DIGITS}\n" in err
     if isinstance(code, tuple):  # only _parse exits, on a usage error
         assert (code, out) == (("exit", 2), "") and err.startswith("usage: ordsum")
     elif code in (2, 3):

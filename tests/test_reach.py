@@ -44,12 +44,10 @@ REACH_EXEMPT = {
     ("l1", "subbasis_predicates"): "paper API (test_package.PAPER_API)",
     ("l1", "SubbasisRecord.__init__"): "made only by subbasis_predicates",
     ("presentations", "format_presentation"): "paper API (test_package.PAPER_API)",
-    ("orders", "OrderPieceGenerator.certified_m_gaps"): "a view of `entries` that "
-    "perfbench/tracing.py wraps by name; no command asks for the gaps alone",
-    ("orders", "OrderPieceGenerator.piece_at"): "the generator contract, which "
-    "perfbench/tracing.py wraps by name; truncations and signatures read `entries`",
-    ("cantor", "CantorGapGenerator.piece_at"): "the generator contract, which "
-    "perfbench/tracing.py wraps by name; truncations and signatures read `entries`",
+    ("orders", "OrderPieceGenerator.piece_at"): "the generator contract, which the "
+    "tests read in generation order; truncations and signatures read `entries`",
+    ("cantor", "CantorGapGenerator.piece_at"): "the generator contract, which the "
+    "tests read in generation order; truncations and signatures read `entries`",
     ("tnorm", "Record.__hash__"): "keeps records hashable, which __eq__ alone would undo",
     ("families", "LadderGenerator.locate"): "no command or benchmark operation "
     "places a point on a ladder",

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import io
 import random
-from contextlib import redirect_stdout
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from functools import cache
 from itertools import pairwise, product
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from conftest import LAZY_FAMILY_LINES, finite_files
 
-from ordsum.cli import GRID_21, LAZY_TRUNCATION, main
+from ordsum.cli import GRID_21, LAZY_TRUNCATION, _parse, main
+from ordsum.orders import parse_order
 from ordsum.presentations import format_presentation, parse_presentation_text
 from ordsum.tnorm import (
     IDEMPOTENT,
@@ -33,6 +35,7 @@ from ordsum.tnorm import (
     check_axioms,
     check_left_to_right,
     find_idempotent_power,
+    parse_rational,
     sort_pieces,
     uncovered,
 )
@@ -583,3 +586,47 @@ def test_surface_cells_are_fraction_text(data, grid, tmp_path_factory):
     lines += [",".join(map(str, [x, *row])) for x, row in zip(pts, _oracle_rows(t, pts))]
     # str(Fraction) writes an integer bare: 0 and 1 head the grid
     assert out.getvalue() == "\n".join(lines) + "\n"
+
+
+# `parse_natural` reads every number; before it, each reader had its own
+# check, restated here: the rational regex, a rank's and an integer
+# word's digits.  The drawn words are short, far inside MAX_DIGITS.
+NEAR_NUMBERS = "0123456789/+-.e_\u0661 "
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(NEAR_NUMBERS, max_size=12))
+def test_rationals_are_read_as_before(text):
+    m = re.fullmatch(r"([0-9]+)(?:/([0-9]+))?", text.strip())
+    want = F(int(m[1]), int(m[2] or 1)) if m and int(m[2] or 1) else None
+    try:
+        got = parse_rational(text)
+    except ValueError:
+        got = None
+    assert got == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(NEAR_NUMBERS + ",", max_size=12))
+def test_finite_ranks_are_read_as_before(text):
+    spec = f"finite:{text}"
+    m = re.fullmatch(r"finite:([0-9]+(?:,[0-9]+)*)", spec.strip())
+    ranks = tuple(int(rank) for rank in m[1].split(",")) if m else ()
+    want = ranks if len(set(ranks)) == len(ranks) > 0 else None
+    try:
+        got = parse_order(spec).ranks
+    except ValueError:
+        got = None
+    assert got == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(NEAR_NUMBERS, max_size=12))
+def test_integer_words_are_read_as_before(text):
+    want = int(text) if re.fullmatch(r"-?[0-9]+", text) else None
+    try:
+        with redirect_stderr(io.StringIO()):
+            got = _parse(["from-lo", "omega", text])[1][1]
+    except SystemExit:
+        got = None
+    assert got == want
