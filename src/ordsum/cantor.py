@@ -30,8 +30,9 @@ the least gap, and each abandoned endpoint glues two gaps together into
 a successor pair.
 
 Gaps are enumerated breadth-first: level by level, left to right inside
-a level.  The gap t-norm puts a Product piece on each gap, and the gap
-dump sorts the same gaps left to right.
+a level.  The gap t-norm puts a Product piece on each gap; its walk
+sorts its first n gaps as the gap dump does, and yields no M entry: a
+box that later gaps split is left between two gaps that do not touch.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _check_depth(depth: int) -> None:
         raise PreconditionError(f"expansion depth capped at {MAX_EXPAND_DEPTH}")
 
 
-def _walk(rule, levels: int | None = None):
+def _removed_gaps(rule, levels: int | None = None):
     """The gaps of the first `levels` levels, or of all, in removal order.
 
     Each gap is `(lo, hi, den)` in integers.  The walk holds only the
@@ -139,7 +140,7 @@ def _left_to_right(gaps: list[Gap]) -> tuple[list[tuple[int, int]], int]:
 def expand(rule: Rule, depth: int) -> list[Gap]:
     """The gaps removed by all nodes shallower than `depth`, in removal order."""
     _check_depth(depth)
-    return list(_walk(rule, depth))
+    return list(_removed_gaps(rule, depth))
 
 
 def analyze_gap_order(rule: Rule, depth: int) -> tuple[list[tuple[int, int]], int]:
@@ -163,8 +164,8 @@ class CantorGapGenerator(PieceGenerator):
 
     def __init__(self, rule: Rule):
         self.rule = rule
-        self._gaps: list[Gap] = []  # gaps 0..len-1, read off self._walk
-        self._walk = _walk(rule)
+        self._gaps: list[Gap] = []  # gaps 0..len-1, read off self._removals
+        self._removals = _removed_gaps(rule)
         self.family = f"cantor cantor:{rule.name}"
         parts = rule.parts  # as every node splits
         self._node_gaps = sum(gap for _, _, gap in parts)
@@ -174,19 +175,13 @@ class CantorGapGenerator(PieceGenerator):
     def _first_gaps(self, count: int) -> list[Gap]:
         gaps = self._gaps
         if count > len(gaps):
-            gaps.extend(islice(self._walk, count - len(gaps)))
+            gaps.extend(islice(self._removals, count - len(gaps)))
         return gaps
 
-    def piece_at(self, n: int) -> Piece:
-        if n < 0:
-            raise PreconditionError(f"negative piece index {n}")
-        lo, hi, den = self._first_gaps(n + 1)[n]
-        return Piece(Fraction(lo, den), Fraction(hi, den), Label.P)
-
-    def entries(self, depth: int) -> list[Piece]:
-        """Pieces 0..depth-1 sorted as integers, as the gap dump sorts them."""
+    def _walk(self, depth: int):
+        """Pieces 0..depth-1 sorted as integers, as the gap dump sorts them; no gap is final."""
         gaps, den = _left_to_right(self._first_gaps(depth)[:depth])
-        return [Piece(Fraction(lo, den), Fraction(hi, den), Label.P) for lo, hi in gaps]
+        return ((Fraction(lo, den), Fraction(hi, den), Label.P) for lo, hi in gaps)
 
     def tail_length_bound(self, n: int) -> Fraction:
         """Exact: the rule's total gap length less the widths of gaps 0..n-1."""

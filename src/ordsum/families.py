@@ -12,7 +12,8 @@ from rung 0 toward the limit and a ladder has no M entries, so rung 0
 is the entry at the far end: there is a least entry exactly when rung
 0 touches 0, and a greatest exactly when it touches 1.  Rungs 0 and 1
 share an endpoint, so they are a successor pair and the ladder is not
-dense.
+dense.  The walk lists the first n rungs left to right, toward the
+limit on the left-anchored ladder and away from it on the other.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .tnorm import (
     Label,
     Piece,
     PieceGenerator,
-    PreconditionError,
     check_unit,
 )
 
@@ -41,20 +41,20 @@ class LadderGenerator(PieceGenerator):
         if name not in LADDER_NAMES:
             raise ValueError(f"unknown ladder: {name!r}")
         self.family = name
-        rung0, rung1 = self.piece_at(0), self.piece_at(1)
-        self.has_min_piece = rung0.lo == 0
-        self.has_max_piece = rung0.hi == 1
-        successor_pair = rung0.hi == rung1.lo or rung1.hi == rung0.lo
+        (lo0, hi0), (lo1, hi1) = self._rung(0), self._rung(1)
+        self.has_min_piece = lo0 == 0
+        self.has_max_piece = hi0 == 1
+        successor_pair = hi0 == lo1 or hi1 == lo0
         self.dense_no_endpoints = not (successor_pair or self.has_min_piece or self.has_max_piece)
 
-    def piece_at(self, n: int) -> Piece:
-        if n < 0:
-            raise PreconditionError(f"negative piece index {n}")
-        lo = Fraction(1, n + 2)
-        hi = Fraction(1, n + 1)
-        if self.family == "limit-left":
-            lo, hi = 1 - hi, 1 - lo
-        return Piece(lo, hi, Label.P)
+    def _rung(self, n: int) -> tuple[Fraction, Fraction]:
+        """The ends of rung n."""
+        lo, hi = Fraction(1, n + 2), Fraction(1, n + 1)
+        return (1 - hi, 1 - lo) if self.family == "limit-left" else (lo, hi)
+
+    def _walk(self, depth: int):
+        rungs = range(depth) if self.family == "limit-left" else reversed(range(depth))
+        return ((*self._rung(n), Label.P) for n in rungs)
 
     def tail_length_bound(self, n: int) -> Fraction:
         # telescoping: sum over k >= n of (1/(k+1) - 1/(k+2))
@@ -75,7 +75,7 @@ class LadderGenerator(PieceGenerator):
         if q == 0 or q == 1:
             return IDEMPOTENT
         n = self._rung_of(q)
-        piece = self.piece_at(n)
-        if piece.lo < q < piece.hi:
-            return InPiece(n, piece)
+        lo, hi = self._rung(n)
+        if lo < q < hi:
+            return InPiece(n, Piece(lo, hi, Label.P))
         return IDEMPOTENT

@@ -23,6 +23,8 @@ endpoints of n's nearest placed neighbours below and above.  The placed
 elements are kept sorted by position, so placing a new piece costs one
 binary search of O(log n) `less` comparisons, and a lazy generator
 extends its placement without recomputing any piece already placed.
+Its walk reads the first n pieces off that list, left to right, with
+every gap between them that no later piece can enter (`_gap_is_final`).
 
 Three named orders are terms over omega, and each term derives its
 facts from its parts.  rev(A) keeps A's numbering and swaps its
@@ -43,6 +45,7 @@ from functools import cache
 
 from .tnorm import (
     IDEMPOTENT,
+    MAX_LAZY_PIECES,
     FinitePresentation,
     InPiece,
     Label,
@@ -226,13 +229,17 @@ def parse_order(spec: str) -> LinearOrder:
     A rank is read by `parse_natural`, as every number is.  A malformed
     spec, repeated ranks included, is a `ValueError`, so it reads as bad
     input wherever it appears; `FiniteOrder` itself refuses repeats.
+    More than `MAX_LAZY_PIECES` ranks is a `PreconditionError` before any is read.
     """
     spec = spec.strip()
     if spec in NAMED_ORDERS:
         return NAMED_ORDERS[spec]()
     if spec.startswith("finite:"):
+        parts = spec[len("finite:"):].split(",")
+        if len(parts) > MAX_LAZY_PIECES:
+            raise PreconditionError(f"{len(parts)} ranks exceed the limit of {MAX_LAZY_PIECES}")
         try:
-            ranks = [parse_natural(part) for part in spec[len("finite:"):].split(",")]
+            ranks = [parse_natural(part) for part in parts]
         except PreconditionError:
             raise
         except ValueError:
@@ -294,13 +301,6 @@ class OrderPieceGenerator(PieceGenerator):
         self.has_max_piece = order.max_element is not None
         self.dense_no_endpoints = order.dense and not (self.has_min_piece or self.has_max_piece)
 
-    def piece_at(self, n: int) -> Piece:
-        if n < 0:
-            raise PreconditionError(f"negative piece index {n}")
-        self._placement.extend(n + 1)
-        lo, hi = self._intervals[n]
-        return Piece(lo, hi, Label.P)
-
     def tail_length_bound(self, n: int) -> Fraction:
         # sum over k >= n of 3^-(k+1)
         return Fraction(1, 2 * 3**n)
@@ -350,17 +350,16 @@ class OrderPieceGenerator(PieceGenerator):
             return left == self.order.max_element
         return self.order.adjacent(left, right)
 
-    def entries(self, depth: int) -> list[Piece]:
+    def _walk(self, depth: int):
         """Pieces 0..depth-1 and the gaps no later piece can enter, left to right."""
-        intervals, out, left, gap_lo = self._intervals, [], None, Fraction(0)
+        intervals, left, gap_lo = self._intervals, None, Fraction(0)
         for k in [*self._built_by_position(depth), None]:  # None: the gap up to 1
             lo, hi = (Fraction(1), None) if k is None else intervals[k]
             if self._gap_is_final(left, k):
-                out.append(Piece(gap_lo, lo, Label.M))
+                yield gap_lo, lo, Label.M
             if k is not None:
-                out.append(Piece(lo, hi, Label.P))
+                yield lo, hi, Label.P
             left, gap_lo = k, hi
-        return out
 
 
 def order_tnorm(order: LinearOrder) -> TNorm:

@@ -10,9 +10,9 @@ and x * y = min(x, y) whenever x and y do not share a piece.
 
 A t-norm is its presentation, and `TNorm` is the one contract of the
 two kinds: `locate`, `entries`, `truncation`, `tail_length_bound` and
-`eval_approx`.  A `PieceGenerator` is a lazy presentation: it
-enumerates pieces with a certified bound on the total length of
-everything not yet enumerated, so evaluation at truncation N carries
+`eval_approx`.  A `PieceGenerator` is a lazy presentation: it walks
+its first N pieces left to right, with a certified bound on the total
+length of every later piece, so evaluation at truncation N carries
 the exact error bound 2 * tail_length_bound(N).  A
 `FinitePresentation` lists its pieces, evaluates exactly, and answers
 the rest trivially: it is its own truncation, with tail bound 0.
@@ -371,14 +371,14 @@ class FinitePresentation(TNorm):
 class PieceGenerator(TNorm):
     """Lazy piece supply for an infinite ordinal sum.
 
-    Implementations fix a deterministic enumeration piece_at(0),
-    piece_at(1), ... of pairwise disjoint pieces, and certify
-    `tail_length_bound(n)`, an exact upper bound on the summed length of
-    every piece at position >= n (monotone, tending to 0).  `family` is
-    the generator's presentation-file line after the word "family".
-    A generator defines `piece_at`, `tail_length_bound` and `locate`;
-    `TNorm` gives the rest of the contract.  Certificates about the
-    order of the entries, such as a successor pair, are read off
+    Implementations fix a deterministic enumeration of pairwise disjoint
+    pieces, 0, 1, ..., and certify `tail_length_bound(n)`, an exact
+    upper bound on the summed length of every piece at position >= n
+    (monotone, tending to 0).  A generator defines one private walk,
+    `_walk(depth)`, with `tail_length_bound` and `locate`; `TNorm`
+    gives the rest of the contract.  `family` is the generator's
+    presentation-file line after the word "family".  Certificates about
+    the order of the entries, such as a successor pair, are read off
     `compute_signature`.
 
     Beside `family`, each generator sets three certified order facts
@@ -396,7 +396,8 @@ class PieceGenerator(TNorm):
     dense_no_endpoints: bool
 
     @abstractmethod
-    def piece_at(self, n: int) -> Piece:
+    def _walk(self, depth: int):
+        """(lo, hi, label) of pieces 0..depth-1 and of the M gaps no later one enters, in order."""
         raise NotImplementedError
 
     @abstractmethod
@@ -404,17 +405,18 @@ class PieceGenerator(TNorm):
         raise NotImplementedError
 
     def entries(self, depth: int) -> list[Piece]:
-        """Pieces 0..depth-1 sorted: no Cantor rule or ladder certifies a final gap."""
-        return sorted((self.piece_at(n) for n in range(depth)), key=lambda p: p.lo)
+        """The walk's pieces and final gaps, left to right."""
+        return [Piece(lo, hi, label) for lo, hi, label in self._walk(depth)]
 
     def truncation(self, n: int) -> FinitePresentation:
-        """Finite t-norm from the first n generated pieces.
+        """Finite t-norm from the first n pieces, with no `Piece` made for a gap.
 
-        They come from `entries`, already left to right, so sorting them
-        again costs one comparison of endpoints per piece.
+        The walk gives them left to right, so sorting them again costs
+        one comparison of endpoints per piece.
         """
         check_lazy_depth(n)
-        return FinitePresentation(tuple(e for e in self.entries(n) if e.label is not Label.M))
+        pieces = (Piece(lo, hi, label) for lo, hi, label in self._walk(n) if label is not Label.M)
+        return FinitePresentation(tuple(pieces))
 
     def eval(self, x: Fraction, y: Fraction) -> Fraction:
         raise PreconditionError("exact eval needs a finite presentation")

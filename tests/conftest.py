@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from ordsum.orders import FiniteOrder, order_tnorm
+from ordsum.cantor import MAX_EXPAND_DEPTH, CantorGapGenerator, expand
+from ordsum.orders import FiniteOrder, OrderPieceGenerator, build_intervals, order_tnorm
 from ordsum.tnorm import FinitePresentation, Label, Piece
 
 
@@ -78,6 +79,23 @@ def relations(s):
     indices = s.chain()
     less = frozenset((m, n) for i, m in enumerate(indices) for n in indices[i + 1:])
     return rp, rl, rm, less
+
+
+def generated(t, count):
+    """Pieces 0..count-1 of a shipped lazy family, in index order.
+
+    They are read off the construction, not off the family's walk: the
+    placement of an order (`build_intervals`), the removal order of a
+    Cantor rule (`expand`), or a ladder's rung formula.
+    """
+    if isinstance(t, OrderPieceGenerator):
+        ends = build_intervals(t.order, count)
+    elif isinstance(t, CantorGapGenerator):
+        levels = next(d for d in range(MAX_EXPAND_DEPTH + 1) if len(expand(t.rule, d)) >= count)
+        ends = [(F(lo, den), F(hi, den)) for lo, hi, den in expand(t.rule, levels)[:count]]
+    else:
+        ends = [t._rung(n) for n in range(count)]
+    return [Piece(lo, hi, Label.P) for lo, hi in ends]
 
 
 # the presentation-file line of every shipped lazy family, after "family"

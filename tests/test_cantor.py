@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordsum.cantor
-from conftest import LAZY_FAMILY_LINES
+from conftest import LAZY_FAMILY_LINES, generated
 from ordsum.cantor import (
     CantorGapGenerator,
     Rule,
@@ -225,9 +225,9 @@ def test_walk_matches_level_list_oracle(system):
     gen = CantorGapGenerator(system)
     order = list(range(len(gaps)))
     random.Random(8).shuffle(order)
-    for n in order:
-        piece = gen.piece_at(n)
-        assert (piece.lo, piece.hi) == gaps[n]
+    # the walk's first n pieces, read at depths in any order
+    for n in order[:40]:
+        assert [(p.lo, p.hi) for p in gen.entries(n + 1)] == sorted(gaps[:n + 1])
 
 
 @pytest.mark.parametrize("system", [MT, SVC, NONE_SYS])
@@ -262,19 +262,18 @@ def test_walk_splits_each_node_once(system, monkeypatch):
     taken.clear()
     gen = CantorGapGenerator(system)
     assert taken == []  # the generator splits nothing when built
-    order = list(range(count))
-    random.Random(8).shuffle(order)
-    for n in [*range(count), *order]:
-        gen.piece_at(n)
-    # one walk serves every read; a descent from the root per piece would
-    # split the root 2000 times
+    for n in (count // 2, 1, count, 7, count):
+        gen.entries(n)
+        gen.truncation(n)
+        gen.tail_length_bound(n)
+    # one walk serves every read; a walk per read would split the root 15 times
     assert taken == breadth_first_boxes(system, 11)[:nodes]
 
 
 def test_middle_third_closed_form():
     want = [middle_third_gap(d, p) for d in range(10) for p in range(2**d)]
     gen = CantorGapGenerator(MT)
-    assert [(p.lo, p.hi) for p in map(gen.piece_at, range(len(want)))] == want
+    assert [(p.lo, p.hi) for p in gen.entries(len(want))] == sorted(want)
     for depth in range(11):
         count = 2**depth - 1
         assert as_fractions(expand(MT, depth)) == tuple(want[:count])
@@ -487,8 +486,8 @@ def test_generator_enumeration_matches_expansion():
     for system in (MT, SVC, NONE_SYS):
         gen = CantorGapGenerator(system)
         gaps = as_fractions(expand(system, 4))
-        pieces = [gen.piece_at(n) for n in range(len(gaps))]
-        assert [(p.lo, p.hi) for p in pieces] == list(gaps)
+        pieces = gen.entries(len(gaps))
+        assert [(p.lo, p.hi) for p in pieces] == sorted(gaps)
         assert all(p.label is Label.P for p in pieces)
 
 
@@ -496,9 +495,10 @@ def test_generator_enumeration_matches_expansion():
 def test_entries_are_the_pieces_sorted(system):
     # depths that stop partway through a level included
     gen = CantorGapGenerator(system)
+    gaps = as_fractions(expand(system, 10))
     ordered = []
     for depth in range(1, 601):
-        insort(ordered, gen.piece_at(depth - 1), key=lambda p: p.lo)
+        insort(ordered, Piece(*gaps[depth - 1], Label.P), key=lambda p: p.lo)
         assert gen.entries(depth) == ordered, depth
 
 
@@ -517,9 +517,8 @@ def test_tail_bound_is_exact_remainder():
         gen = parse_presentation_text(f"tnorm v1\nfamily {line}\n")
         total = gen.tail_length_bound(0)
         widths = F(0)
-        for n in range(41):
+        for n, piece in enumerate(generated(gen, 41)):
             assert total - gen.tail_length_bound(n) == widths, (line, n)
-            piece = gen.piece_at(n)
             widths += piece.hi - piece.lo
     # the gaps not yet removed fill a level's boxes, less the set no gap
     # ever removes: svc's fat Cantor set has measure 1/2, the others none

@@ -181,6 +181,46 @@ def family_pieces(line):
     return intervals, oracles.certified_gaps(oracles.ORDERS[name], intervals)
 
 
+def has_greatest_element(line):
+    """Whether a family's order or rule has a greatest element, by the oracles.
+
+    An order says so itself, and a finite one always has one; a ladder
+    has one when rung 0 ends at 1, and a Cantor rule when its root
+    removes a gap ending at 1.
+    """
+    kind, _, name = line.partition(" ")
+    if kind == "cantor":
+        return any(hi == 1 for _, hi in oracles.cantor_gaps(name.removeprefix("cantor:"), 1))
+    if kind != "theta":
+        return any(hi == 1 for _, hi in oracles.ladder_pieces(kind, 1))
+    return name.startswith("finite:") or oracles.ORDERS[name].greatest is not None
+
+
+def maximum_exists_mismatch(a, b):
+    """MaximumExistsMismatch(X): X labels the one side's entry ending at 1.
+
+    Exactly one side's oracle pieces and certified gaps include an entry
+    ending at 1, and the other side has no greatest element.
+    """
+    def valid(tag, detail):
+        ends = {line: [label for spans, label in zip(family_pieces(line), "PM")
+                       for _, hi in spans if hi == 1] for line in (a, b)}
+        with_end = [line for line in (a, b) if ends[line]]
+        if len(with_end) != 1:
+            return False
+        (other,) = {a, b} - set(with_end)
+        (label,) = ends[with_end[0]]
+        return (not has_greatest_element(other) and tag == f"MaximumExistsMismatch({label})"
+                and f"a greatest entry labeled {label};" in detail)
+    return valid
+
+
+def cardinality_mismatch(a, b):
+    """CardinalityMismatch pairs exactly one finite file with one family."""
+    finite = [line.startswith("theta finite:") for line in (a, b)]
+    return lambda tag, detail: tag == "CardinalityMismatch" and sum(finite) == 1
+
+
 def iso_check(a, b, code):
     """The checker the benchmark's `lazy` workload uses for this verdict."""
     (pieces_a, gaps_a), (pieces_b, gaps_b) = family_pieces(a), family_pieces(b)
@@ -194,7 +234,10 @@ def iso_check(a, b, code):
         return checks.not_iso(checks.least_entry_mismatch(label))
     if code == "s":
         return checks.not_iso(checks.successor_pair(pieces_a + pieces_b, gaps_a + gaps_b))
-    return checks.not_iso()  # no checker vets a maximum or a cardinality certificate
+    if code == "M":
+        return checks.not_iso(maximum_exists_mismatch(a, b))
+    assert code == "c", code
+    return checks.not_iso(cardinality_mismatch(a, b))
 
 
 # every ordered pair that test_iso's matrix pins as ISO or NOT_ISO
@@ -212,3 +255,28 @@ M_PAIRS = pytest.mark.xfail(strict=True, reason="FOUND \"lazy_iso takes P pairs 
 def test_iso_verdicts(write, a, b, code):
     paths = [write(f"tnorm v1\nfamily {line}\n") for line in (a, b)]
     accepted(iso_check(a, b, code), "iso", *paths, ISO_DEPTH)
+
+
+MAXIMUM = ("NOT_ISO MaximumExistsMismatch({0})\n  one side has a greatest entry labeled {0}; "
+           "the other is certified to have no greatest entry\n")
+CARDINALITY = ("NOT_ISO CardinalityMismatch\n  one side has finitely many pieces; "
+               "the other lists infinitely many disjoint pieces\n")
+
+
+@pytest.mark.parametrize("check, out, valid", [
+    (maximum_exists_mismatch("theta omega", "theta omega_plus_omega_star"), MAXIMUM.format("M"), True),
+    (maximum_exists_mismatch("theta omega", "theta omega_plus_omega_star"), MAXIMUM.format("P"), False),
+    (maximum_exists_mismatch("limit-left", "limit-right"), MAXIMUM.format("P"), True),
+    (maximum_exists_mismatch("limit-left", "limit-right"), MAXIMUM.format("M"), False),
+    # both sides have a greatest entry, or neither has
+    (maximum_exists_mismatch("limit-right", "theta omega_plus_omega_star"), MAXIMUM.format("P"), False),
+    (maximum_exists_mismatch("theta omega", "theta zeta"), MAXIMUM.format("M"), False),
+    (maximum_exists_mismatch("theta omega", "theta omega_plus_omega_star"), CARDINALITY, False),
+    (cardinality_mismatch("theta finite:2,0,1", "theta zeta"), CARDINALITY, True),
+    (cardinality_mismatch("theta zeta", "theta finite:2,0,1"), CARDINALITY, True),
+    (cardinality_mismatch("theta zeta", "theta eta"), CARDINALITY, False),
+    (cardinality_mismatch("theta finite:2,0,1", "theta finite:1,0"), CARDINALITY, False),
+    (cardinality_mismatch("theta finite:2,0,1", "theta zeta"), MAXIMUM.format("M"), False),
+])
+def test_tag_checks_refuse_a_wrong_certificate(check, out, valid):
+    assert (checks.problem(checks.not_iso(check), out) is None) == valid

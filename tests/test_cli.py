@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordsum.l1
+import ordsum.orders
 import ordsum.presentations
 from ordsum.cantor import MAX_EXPAND_DEPTH, format_gap_order, parse_system
 from ordsum.cli import (
@@ -683,6 +684,46 @@ class TestDigitBudget:
         with pytest.raises(SystemExit) as info:
             main(["theta", "-h", "1" * (MAX_DIGITS + 1)])
         assert (info.value.code, capsys.readouterr().err) == (0, "")
+
+
+# each path a finite order spec takes in, with "{spec}" for it and "@" for
+# a file that holds it in a `family theta` line
+RANK_PATHS = [
+    ["from-lo", "{spec}", "1"],
+    ["roundtrip", "{spec}", "1"],
+    ["signature", "@"],
+    ["iso", "@", "@"],
+]
+
+
+class TestFiniteRankBudget:
+    @pytest.fixture
+    def argv(self, write):
+        def argv(words, ranks):
+            spec = "finite:" + ",".join(map(str, range(ranks)))
+            path = write("order", f"tnorm v1\nfamily theta {spec}\n")
+            return [path if w == "@" else w.format(spec=spec) for w in words]
+
+        return argv
+
+    @pytest.mark.parametrize("words", RANK_PATHS)
+    def test_the_limit_itself_is_accepted(self, words, argv, no_pieces, capsys):
+        # reaching the placement shows the spec passes the check
+        assert main(argv(words, MAX_LAZY_PIECES)) == 2
+        assert capsys.readouterr().err == "error: a piece was placed\n"
+
+    @pytest.mark.parametrize("words", RANK_PATHS)
+    def test_one_rank_more_exits_before_the_order_is_built(self, words, argv, monkeypatch, capsys):
+        def built(ranks):
+            raise AssertionError("the order was built")
+
+        monkeypatch.setattr(ordsum.orders, "FiniteOrder", built)
+        n = MAX_LAZY_PIECES + 1
+        assert main(argv(words, n)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"{n} ranks exceed the limit of {MAX_LAZY_PIECES}\n")
 
 
 def test_no_command_is_a_usage_error():

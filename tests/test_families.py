@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import generated
+from ordsum.cantor import CantorGapGenerator
 from ordsum.families import LadderGenerator
 from ordsum.orders import OrderPieceGenerator
 from ordsum.presentations import parse_presentation_text
@@ -19,21 +21,21 @@ F = Fraction
 def test_rungs_tile_toward_the_anchor():
     left = LadderGenerator("limit-left")
     right = LadderGenerator("limit-right")
-    assert (left.piece_at(0).lo, left.piece_at(0).hi) == (F(0), F(1, 2))
-    assert (left.piece_at(1).lo, left.piece_at(1).hi) == (F(1, 2), F(2, 3))
-    assert (right.piece_at(0).lo, right.piece_at(0).hi) == (F(1, 2), F(1))
-    assert (right.piece_at(2).lo, right.piece_at(2).hi) == (F(1, 4), F(1, 3))
+    assert left._rung(0) == (F(0), F(1, 2))
+    assert left._rung(1) == (F(1, 2), F(2, 3))
+    assert right._rung(0) == (F(1, 2), F(1))
+    assert right._rung(2) == (F(1, 4), F(1, 3))
     for gen in (left, right):
+        assert all(e.label is Label.P for e in gen.entries(21))
         for n in range(20):
-            a, b = gen.piece_at(n), gen.piece_at(n + 1)
-            shared = a.hi == b.lo or b.hi == a.lo
-            assert shared and a.label is Label.P
+            (a_lo, a_hi), (b_lo, b_hi) = gen._rung(n), gen._rung(n + 1)
+            assert a_hi == b_lo or b_hi == a_lo
 
 
 def test_tail_bound_telescopes():
     gen = LadderGenerator("limit-left")
     for n in range(1, 8):
-        total = sum(p.hi - p.lo for p in map(gen.piece_at, range(n, 40)))
+        total = sum(hi - lo for lo, hi in map(gen._rung, range(n, 40)))
         assert total < gen.tail_length_bound(n) <= total + F(1, 41)
 
 
@@ -46,7 +48,7 @@ def test_locate_always_resolves(anchor):
             placed = gen.locate(q, 1)
             if isinstance(placed, InPiece):
                 assert placed.piece.lo < q < placed.piece.hi
-                assert gen.piece_at(placed.index) == placed.piece
+                assert gen._rung(placed.index) == (placed.piece.lo, placed.piece.hi)
             else:
                 assert placed is IDEMPOTENT
 
@@ -59,7 +61,7 @@ def test_locate_always_resolves(anchor):
 def test_locate_agrees_with_rung_scan(anchor, q):
     gen = LadderGenerator(anchor)
     placed = gen.locate(q, 1)
-    hits = [n for n in range(300) if gen.piece_at(n).lo < q < gen.piece_at(n).hi]
+    hits = [n for n in range(300) if gen._rung(n)[0] < q < gen._rung(n)[1]]
     if hits:
         assert isinstance(placed, InPiece) and placed.index == hits[0]
     else:
@@ -115,7 +117,7 @@ def entries_by_sorting(t, depth):
     adjacent in the order, or when the side toward 0 or 1 is missing and
     the other is the order's extreme there; no other family has one.
     """
-    pieces = [t.piece_at(n) for n in range(depth)]
+    pieces = generated(t, depth)
     gaps = []
     if isinstance(t, OrderPieceGenerator):
         order = t.order
@@ -142,11 +144,42 @@ def test_entries_match_the_sorted_route(family):
 
 @pytest.mark.parametrize("family", LAZY_FAMILIES)
 def test_truncation_matches_the_generated_pieces(family):
-    # a truncation takes its pieces from `entries`, left to right
+    # a truncation and a signature read the one walk, left to right
     t = parse_presentation_text(f"tnorm v1\nfamily {family}\n")
-    for n in range(1, 61):
-        expected = FinitePresentation(tuple(t.piece_at(k) for k in range(n))).pieces
-        assert t.truncation(n).pieces == expected
+    pieces = generated(t, 200)
+    for n in range(1, 201):
+        got = t.truncation(n).pieces
+        assert got == tuple(e for e in t.entries(n) if e.label is Label.P)
+        assert got == FinitePresentation(tuple(pieces[:n])).pieces
+
+
+def test_entries_and_truncation_are_written_once():
+    # each generator defines its walk; PieceGenerator reads it for both
+    for cls in (LadderGenerator, OrderPieceGenerator, CantorGapGenerator):
+        assert "_walk" in vars(cls)
+        assert not {"entries", "truncation", "piece_at"} & set(vars(cls)), cls
+
+
+ORDER_FAMILIES_WITH_GAPS = ["theta omega", "theta omega_star", "theta zeta",
+                            "theta omega_plus_omega_star"]
+
+
+@pytest.mark.parametrize("family", ORDER_FAMILIES_WITH_GAPS)
+def test_a_truncation_makes_no_piece_for_a_gap(family, monkeypatch):
+    t = parse_presentation_text(f"tnorm v1\nfamily {family}\n")
+    assert any(e.label is Label.M for e in t.entries(40))
+    made = []
+    init = Piece.__init__
+
+    def counted(self, lo, hi, label):
+        made.append(label)
+        init(self, lo, hi, label)
+
+    monkeypatch.setattr(Piece, "__init__", counted)
+    for n in (1, 2, 40, 200):
+        made.clear()
+        t.truncation(n)
+        assert made == [Label.P] * n, n
 
 
 def test_signature_prefix_and_axioms():

@@ -185,8 +185,8 @@ class StubGenerator(PieceGenerator):
         self.has_min_piece, self.has_max_piece = has_min_piece, has_max_piece
         self.dense_no_endpoints = False
 
-    def piece_at(self, n):
-        return Piece(F(1, n + 3), F(1, n + 2), Label.P)
+    def _walk(self, depth):
+        return ((F(1, n + 3), F(1, n + 2), Label.P) for n in reversed(range(depth)))
 
     def tail_length_bound(self, n):
         return F(1, n + 2)

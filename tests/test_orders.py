@@ -202,11 +202,10 @@ def test_placement_does_not_depend_on_call_order(name, data):
     gen = OrderPieceGenerator(order)
     depths = st.integers(1, CALL_ORDER_DEPTH)
     for _ in range(data.draw(st.integers(1, 12))):
-        call = data.draw(st.sampled_from(["piece_at", "locate", "m_gaps", "entries"]))
-        if call == "piece_at":
-            k = data.draw(depths) - 1
-            piece = gen.piece_at(k)
-            assert (piece.lo, piece.hi) == oracle[k]
+        call = data.draw(st.sampled_from(["truncation", "locate", "m_gaps", "entries"]))
+        if call == "truncation":
+            k = data.draw(depths)
+            assert [(p.lo, p.hi) for p in gen.truncation(k).pieces] == sorted(oracle[:k])
         elif call == "locate":
             depth = data.draw(depths)
             lo, hi = oracle[data.draw(depths) - 1]
@@ -240,12 +239,10 @@ def test_signature_compares_each_neighbour_pair_once(monkeypatch):
 @pytest.mark.parametrize("name", sorted(NAMED_ORDERS))
 def test_piece_endpoints_are_over_powers_of_six(name):
     # the induction in the module docstring; 3^(n+1) is not enough
-    gen = OrderPieceGenerator(parse_order(name))
     ends = []
-    for n in range(300):
-        piece = gen.piece_at(n)
-        assert piece.hi - piece.lo == Fraction(1, 3 ** (n + 1))
-        for end in (piece.lo, piece.hi):
+    for n, (lo, hi) in enumerate(build_intervals(parse_order(name), 300)):
+        assert hi - lo == Fraction(1, 3 ** (n + 1))
+        for end in (lo, hi):
             assert 6 ** (n + 1) % end.denominator == 0
             ends.append(end)
     if name in ("zeta", "eta"):

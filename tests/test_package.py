@@ -162,6 +162,10 @@ def test_only_main_and_parse_write_stdout():
 GONE_LAYERS = {
     "orders.certified_m_gaps": "a view of `entries` that no command, benchmark "
     "operation or acceptance test called",
+    "orders.piece_at": "a generator is one left-to-right walk; no command read "
+    "pieces by index",
+    "cantor.piece_at": "a generator is one left-to-right walk; no command read "
+    "pieces by index",
 }
 
 

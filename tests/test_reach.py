@@ -33,7 +33,7 @@ REACH_EXEMPT = {
     ("tnorm", "Record.__repr__"): "debug aid for interactive use",
     ("tnorm", "_IdempotentMarker.__repr__"): "debug aid for interactive use",
     ("tnorm", "TNorm.locate"): "abstract; each presentation defines its own",
-    ("tnorm", "PieceGenerator.piece_at"): "abstract; each generator defines its own",
+    ("tnorm", "PieceGenerator._walk"): "abstract; each generator defines its own",
     ("tnorm", "PieceGenerator.tail_length_bound"): "abstract; each generator defines its own",
     ("tnorm", "PieceGenerator.eval"): "refuses exact eval of a lazy presentation; every "
     "command evaluates a lazy one through a truncation, so only a library caller reaches it",
@@ -44,10 +44,6 @@ REACH_EXEMPT = {
     ("l1", "subbasis_predicates"): "paper API (test_package.PAPER_API)",
     ("l1", "SubbasisRecord.__init__"): "made only by subbasis_predicates",
     ("presentations", "format_presentation"): "paper API (test_package.PAPER_API)",
-    ("orders", "OrderPieceGenerator.piece_at"): "the generator contract, which the "
-    "tests read in generation order; truncations and signatures read `entries`",
-    ("cantor", "CantorGapGenerator.piece_at"): "the generator contract, which the "
-    "tests read in generation order; truncations and signatures read `entries`",
     ("tnorm", "Record.__hash__"): "keeps records hashable, which __eq__ alone would undo",
     ("families", "LadderGenerator.locate"): "no command or benchmark operation "
     "places a point on a ladder",

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LAZY_FAMILY_LINES, finite_files
+from conftest import LAZY_FAMILY_LINES, finite_files, generated
 
 from ordsum.cli import GRID_21, LAZY_TRUNCATION, _parse, main
 from ordsum.orders import parse_order
@@ -506,9 +506,8 @@ DEEP = 40
 
 @cache
 def _deep_pieces(line):
-    """Pieces 0..DEEP-1 of a lazy family, in the order it generates them."""
-    gen = parse_presentation_text(f"tnorm v1\nfamily {line}\n")
-    return tuple(gen.piece_at(n) for n in range(DEEP))
+    """Pieces 0..DEEP-1 of a lazy family, in index order."""
+    return tuple(generated(parse_presentation_text(f"tnorm v1\nfamily {line}\n"), DEEP))
 
 
 @st.composite
