@@ -98,7 +98,7 @@ def _check_depth(depth: int) -> None:
     if depth < 0:
         raise PreconditionError("depth must be >= 0")
     if depth > MAX_EXPAND_DEPTH:
-        raise PreconditionError(f"expansion depth capped at {MAX_EXPAND_DEPTH}")
+        raise PreconditionError(f"depth {depth} exceeds the limit of {MAX_EXPAND_DEPTH}")
 
 
 def _removed_gaps(rule, levels: int | None = None):

@@ -9,7 +9,7 @@ All output is plain text with rationals in lowest terms; identical
 inputs produce byte-identical outputs.  Exit codes: 0 success or a
 decided verdict, 1 failed check (axiom violations, roundtrip FAIL),
 2 unreadable input or a usage error, 3 precondition violation,
-4 undecided outcome.
+4 undecided outcome, 5 a failed write to stdout.
 
 A command returns its exit code and its output as newline-terminated
 texts; `main` alone writes them to stdout, so a failed command writes
@@ -255,13 +255,13 @@ def main(argv=None) -> int:
             sys.stdout.flush()
         except BrokenPipeError:  # the reader stopped: the rest goes to the null device
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError as exc:  # any other failed write, such as a full device
+            print(f"error: {exc}", file=sys.stderr)
+            return 5
         return code
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, PreconditionError) else 2
 
 
 if __name__ == "__main__":

@@ -365,10 +365,10 @@ class OrderPieceGenerator(PieceGenerator):
 def order_tnorm(order: LinearOrder) -> TNorm:
     """The t-norm encoding an order; finite orders yield finite presentations."""
     if order.size is not None:
-        pieces = tuple(
-            Piece(lo, hi, Label.P) for lo, hi in build_intervals(order, order.size)
-        )
-        return FinitePresentation(pieces)
+        placement = _Placement(order)
+        placement.extend(order.size)
+        at = placement.intervals
+        return FinitePresentation(Piece(*at[k], Label.P) for k in placement.by_position)
     return OrderPieceGenerator(order)
 
 

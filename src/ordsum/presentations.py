@@ -123,7 +123,8 @@ def parse_presentation_text(text: str) -> TNorm:
     if family is not None:
         return family
     try:
-        return FinitePresentation(tuple(pieces))
+        # a file may list its pieces in any order
+        return FinitePresentation(sorted(pieces, key=lambda p: p.lo))
     except ValueError as exc:
         raise PresentationError(str(exc)) from None
 

@@ -39,7 +39,6 @@ __all__ = [
     "Record",
     "Piece",
     "check_left_to_right",
-    "sort_pieces",
     "FinitePresentation",
     "PieceGenerator",
     "InPiece",
@@ -187,11 +186,6 @@ def check_left_to_right(entries) -> tuple[Piece, ...]:
     return entries
 
 
-def sort_pieces(pieces) -> tuple[Piece, ...]:
-    """`pieces` sorted by lo, checked by `check_left_to_right`."""
-    return check_left_to_right(sorted(pieces, key=lambda p: p.lo))
-
-
 def uncovered(spans) -> list[tuple[Fraction, Fraction]]:
     """Maximal open intervals of [0, 1] outside the closures of `spans`.
 
@@ -261,15 +255,15 @@ class TNorm(ABC):
 
 
 class FinitePresentation(TNorm):
-    """Finitely many P and L pieces, kept sorted and pairwise disjoint as opens.
+    """Finitely many P and L pieces, given left to right and pairwise disjoint as opens.
 
     Evaluation runs on the integer numerators and denominators of the ends.
     """
 
     __slots__ = ("pieces", "_ends")
 
-    def __init__(self, pieces: tuple[Piece, ...]):
-        self.pieces = sort_pieces(pieces)
+    def __init__(self, pieces):
+        self.pieces = check_left_to_right(pieces)
         if any(p.label is Label.M for p in self.pieces):
             raise ValueError("a piece is labeled P or L; M marks idempotent intervals")
         # (a, b, c, d) for the piece (a/b, c/d)
@@ -409,14 +403,11 @@ class PieceGenerator(TNorm):
         return [Piece(lo, hi, label) for lo, hi, label in self._walk(depth)]
 
     def truncation(self, n: int) -> FinitePresentation:
-        """Finite t-norm from the first n pieces, with no `Piece` made for a gap.
-
-        The walk gives them left to right, so sorting them again costs
-        one comparison of endpoints per piece.
-        """
+        """Finite t-norm from the first n pieces as the walk gives them, no `Piece` for a gap."""
         check_lazy_depth(n)
-        pieces = (Piece(lo, hi, label) for lo, hi, label in self._walk(n) if label is not Label.M)
-        return FinitePresentation(tuple(pieces))
+        return FinitePresentation(
+            Piece(lo, hi, label) for lo, hi, label in self._walk(n) if label is not Label.M
+        )
 
     def eval(self, x: Fraction, y: Fraction) -> Fraction:
         raise PreconditionError("exact eval needs a finite presentation")

@@ -644,10 +644,10 @@ def test_depth_guard():
         expand(MT, 17)
     with pytest.raises(PreconditionError):
         analyze_gap_order(MT, -1)
-    with pytest.raises(PreconditionError, match="capped at 16"):
+    with pytest.raises(PreconditionError, match="^depth 17 exceeds the limit of 16$"):
         analyze_gap_order(MT, 17)
     # refused before the level's denominator, 2 * 4**depth, is built
-    with pytest.raises(PreconditionError, match="capped at 16"):
+    with pytest.raises(PreconditionError, match="the limit of 16$"):
         analyze_gap_order(SVC, 10**9)
 
 

@@ -425,7 +425,7 @@ class TestCantor:
 
     def test_depth_over_the_cap(self, capsys):
         assert main(["cantor", "cantor:svc", "1000000000"]) == 3
-        assert "capped at 16" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: depth 1000000000 exceeds the limit of 16\n"
 
 
 class TestRoundtrip:
@@ -828,17 +828,17 @@ def test_a_reader_that_closes_stdout_ends_the_command_quietly(words, write):
     assert first.startswith((b"gaps depth=16 ", b"signature v1 "))
 
 
-# a write error other than a closed pipe is exit 2, with one line on stderr
+# a write error other than a closed pipe is exit 5, with one line on stderr
 # (README); stdout may already hold part of the output
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("words", [["from-lo", "omega", "3"], ["cantor", "cantor:non-e", "12"]],
                          ids=["from-lo", "cantor"])
-def test_a_full_device_on_stdout_exits_2(words):
+def test_a_full_device_on_stdout_exits_5(words):
     env = dict(os.environ, PYTHONPATH=str(Path(ordsum.l1.__file__).parents[1]))
     with open("/dev/full", "w") as full:
         done = subprocess.run([sys.executable, "-m", "ordsum.cli", *words], env=env,
                               stdout=full, stderr=subprocess.PIPE, timeout=60)
-    assert done.returncode == 2
+    assert done.returncode == 5
     assert re.fullmatch(rb"error: [^\n]+\n", done.stderr), done.stderr
 
 

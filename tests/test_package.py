@@ -17,9 +17,11 @@ import ordsum
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ordsum.__path__))
 SRC = Path(ordsum.__file__).parent
 TESTS = Path(__file__).parent
-# the source of each package module by name, and of each test file by "tests/<stem>"
+# the source of each package module by name, and of each test or tool file by
+# "tests/<stem>" or "tools/<stem>"
 SOURCES = {name: SRC / f"{name}.py" for name in MODULES}
 SOURCES.update((f"tests/{path.stem}", path) for path in sorted(TESTS.glob("*.py")))
+SOURCES.update((f"tools/{path.stem}", path) for path in sorted(TESTS.parent.glob("tools/*.py")))
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 # Exported names that no module or benchmark calls, kept because the

@@ -36,7 +36,6 @@ from ordsum.tnorm import (
     check_left_to_right,
     find_idempotent_power,
     parse_rational,
-    sort_pieces,
     uncovered,
 )
 
@@ -95,10 +94,10 @@ def test_overlapping_pieces_rejected():
 
 
 def test_m_pieces_sort_with_the_others():
-    m = Piece(F(0), F(1, 3), Label.M)
-    assert sort_pieces((Piece(F(1, 3), F(1), P), m))[0] is m
-    with pytest.raises(ValueError, match="pieces overlap"):
-        sort_pieces((m, Piece(F(1, 4), F(1, 2), L)))
+    # a finite presentation's gaps come first, between and last in its entries
+    assert tn(("1/3", 1, P)).entries() == (Piece(F(0), F(1, 3), Label.M), Piece(F(1, 3), F(1), P))
+    assert [e.label for e in tn((0, "1/4", L), ("1/2", "3/4", P)).entries()] == [
+        L, Label.M, P, Label.M]
 
 
 def piece(lo, hi, label):
@@ -127,10 +126,15 @@ def test_left_to_right_check_passes_touching_entries(entries):
     assert check_left_to_right(list(entries)) == entries
 
 
-def test_sort_pieces_refuses_with_the_same_message():
-    want = r"^pieces overlap or are out of order: \(0, 1/2\) and \(1/3, 1\)$"
-    with pytest.raises(ValueError, match=want):
-        sort_pieces((piece("1/3", 1, L), piece(0, "1/2", P)))
+def test_a_finite_presentation_takes_its_pieces_left_to_right():
+    # the constructor checks the pieces as given and never sorts them
+    pieces = (piece(0, "1/3", P), piece("1/2", 1, L))
+    assert FinitePresentation(iter(pieces)).pieces == pieces
+    want = r"^pieces overlap or are out of order: \({}\) and \({}\)$"
+    with pytest.raises(ValueError, match=want.format("1/2, 1", "0, 1/3")):
+        FinitePresentation(pieces[::-1])
+    with pytest.raises(ValueError, match=want.format("0, 1/2", "1/3, 1")):
+        FinitePresentation((piece(0, "1/2", P), piece("1/3", 1, L)))
 
 
 def parent_sort_pieces(pieces):
